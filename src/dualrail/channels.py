@@ -113,6 +113,8 @@ def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray
     from |n> to |n-k>; for cutoff 1 this is the familiar pair
     diag(1, e^(-gamma/2)) and sqrt(1 - e^(-gamma)) * lowering.
     """
+    if not 0 <= mode < space.n_modes:
+        raise FockError(f"mode {mode} outside [0, {space.n_modes})")
     if not (math.isfinite(gamma) and gamma >= 0):
         raise FockError(f"gamma must be finite and >= 0, got {gamma}")
     surv = math.exp(-gamma)
@@ -137,8 +139,6 @@ def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray
 
 def amplitude_damping_channel(space: FockSpace, mode: int, gamma: float) -> KrausChannel:
     """Photon loss of strength gamma on a single mode."""
-    if not 0 <= mode < space.n_modes:
-        raise FockError(f"mode {mode} outside [0, {space.n_modes})")
     return KrausChannel(space, tuple(_damping_kraus(space, mode, gamma)))
 
 
@@ -198,19 +198,18 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
 
 
 def balanced_lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
-                                   m_d: int, gamma: float) -> KrausChannel:
-    """Fredkin gate with equal loss on all four listed modes.
+                                   damped: Sequence[int], gamma: float) -> KrausChannel:
+    """Fredkin gate with equal loss, after the Kerr cell, on every mode in ``damped``.
 
-    The gate itself acts on (m_a, m_b, m_c) as usual; the damping also hits
-    the bystander mode m_d, restoring the interferometric symmetry that
-    makes post-selected outcomes error-free.
+    The gate itself acts on (m_a, m_b, m_c) as usual; damping the rail modes
+    beyond the gate's own restores the interferometric symmetry that makes
+    post-selected outcomes error-free.
     """
-    modes = (m_a, m_b, m_c, m_d)
-    if len(set(modes)) != 4:
-        raise FockError(f"modes {modes} must be distinct")
+    if len(set(damped)) != len(damped):
+        raise FockError(f"damped modes {damped} must be distinct")
     k = kerr_unitary(space, m_b, m_c).matrix
     stages = [[k]]
-    for m in modes:
+    for m in damped:
         stages.append(_damping_kraus(space, m, gamma))
     return _gate_sandwich(space, m_a, m_b, stages)
 
@@ -290,8 +289,8 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
     """
     if n_samples < 1:
         raise FockError(f"n_samples must be >= 1, got {n_samples}")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise FockError(f"lam must be finite and >= 0, got {lam}")
+    if not (math.isfinite(2 * lam) and lam >= 0):  # the phase variance is 2 lam
+        raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(2 * lam), size=n_samples)
     n = _pair_photon_numbers(space, m_b, m_c)
@@ -349,6 +348,8 @@ def lambda_from_physical(omega: float, intensity: float) -> float:
     ``omega`` is the medium resonant frequency [1/s]; ``intensity`` the pulse
     intensity [photons/s].
     """
+    if not (math.isfinite(omega) and math.isfinite(intensity)):
+        raise FockError(f"omega and intensity must be finite, got {omega} and {intensity}")
     if intensity <= 0:
         raise FockError(f"intensity must be positive, got {intensity}")
     if omega < 0:

@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +31,17 @@ from .channels import (
     lambda_from_physical,
     lossy_fredkin_channel,
 )
-from .correction import fit_series, p_ec_closed, p_noec_closed
+from .correction import (
+    fit_series,
+    lossy_gate_output_101,
+    p_ec_closed,
+    p_noec_closed,
+    p_plain_closed,
+)
 from .fock import (
     FockError,
     FockSpace,
     basis_density,
-    basis_pure,
     index_of,
     occupation_label,
     occupation_of,
@@ -50,7 +54,6 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 
 _TRUTH_TABLE_SPACE = FockSpace(3, 1)
-_FIVE_INPUTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))
 _KNOWN_ROWS = {
     (0, 0, 0): (0, 0, 0),
     (1, 0, 0): (1, 0, 0),
@@ -60,36 +63,30 @@ _KNOWN_ROWS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Resolved run parameters for a sweep-style subcommand."""
+FORMATS = ("csv", "json")
 
-    subcommand: str
-    grid_start: float
-    grid_stop: float
-    grid_count: int
-    spacing: str
-    strategies: tuple[str, ...]
-    fmt: str
-    seed: int
-    samples: int
-    out: str | None
 
-    def __post_init__(self):
-        if self.grid_count < 1:
-            raise FockError("grid count must be >= 1")
-        if self.spacing == "log" and self.grid_start <= 0:
-            raise FockError("log spacing requires a positive grid start")
-        if self.fmt not in ("csv", "json"):
-            raise FockError(f"unknown format {self.fmt!r}")
+class UsageError(Exception):
+    """A malformed option value; reported as ``<subcommand>: <message>``, exit 2."""
 
-    def grid(self) -> np.ndarray:
-        if self.grid_count == 1:
-            return np.array([self.grid_start])
-        if self.spacing == "log":
-            return np.logspace(math.log10(self.grid_start), math.log10(self.grid_stop),
-                               self.grid_count)
-        return np.linspace(self.grid_start, self.grid_stop, self.grid_count)
+
+def _grid(args: argparse.Namespace) -> np.ndarray:
+    """The sweep grid the grid options describe."""
+    start, stop, count = args.grid_start, args.grid_stop, args.grid_count
+    if count < 1:
+        raise UsageError("grid count must be >= 1")
+    if args.spacing not in ("log", "linear"):
+        raise UsageError(f"unknown spacing {args.spacing!r}")
+    if not all(math.isfinite(v) and v >= 0 for v in (start, stop)):
+        raise UsageError(f"grid start and stop must be finite and >= 0, got {start} and {stop}")
+    for name, value in (("start", start), ("stop", stop)):
+        if args.spacing == "log" and value <= 0:
+            raise UsageError(f"log spacing requires a positive grid {name}")
+    if count == 1:
+        return np.array([start])
+    if args.spacing == "log":
+        return np.logspace(math.log10(start), math.log10(stop), count)
+    return np.linspace(start, stop, count)
 
 
 def _fmt(value) -> str:
@@ -98,8 +95,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(records: list[dict], columns: list[str], fmt: str, out: str | None):
-    if fmt == "csv":
+def _emit(records: list[dict], args: argparse.Namespace):
+    """Write the records, whose keys in order are the output columns."""
+    columns = list(records[0])
+    if args.format == "csv":
         lines = [",".join(columns)]
         for rec in records:
             lines.append(",".join(_fmt(rec[c]) for c in columns))
@@ -113,11 +112,14 @@ def _emit(records: list[dict], columns: list[str], fmt: str, out: str | None):
                 row[c] = float(_fmt(v)) if isinstance(v, float) else v
             rounded.append(row)
         text = json.dumps({"columns": columns, "records": rounded}, indent=2) + "\n"
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -134,52 +136,17 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_OPTION_TYPES = {
-    "grid-start": float, "grid-stop": float, "grid-count": int,
-    "spacing": str, "seed": int, "samples": int, "format": str, "out": str,
-    "gamma": float, "lam": float, "omega": float, "intensity": float,
-}
-_DEFAULTS = {
-    "grid-start": 1e-3, "grid-stop": 1.0, "grid-count": 61, "spacing": "log",
-    "seed": 12345, "samples": 100_000, "format": "csv", "out": None,
-    "gamma": 0.1, "lam": 0.1,
-}
+def _set_config_defaults(parser: argparse.ArgumentParser, command: str,
+                         values: dict[str, str]):
+    """Make config entries defaults of ``command``'s own options; explicit flags still win."""
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    sub = subparsers.choices[command]
+    dests = {a.dest.replace("_", "-"): a.dest for a in sub._actions
+             if a.dest not in ("help", "config")}
+    sub.set_defaults(**{dests[k]: v for k, v in values.items() if k in dests})
 
 
-def _resolve(args: argparse.Namespace, key: str):
-    """CLI flag > config-file entry > built-in default."""
-    attr = key.replace("-", "_")
-    cli_value = getattr(args, attr, None)
-    if cli_value is not None:
-        return cli_value
-    cfg = getattr(args, "_config_values", {})
-    if key in cfg:
-        return _OPTION_TYPES[key](cfg[key])
-    return _DEFAULTS.get(key)
-
-
-def _spec_from(args: argparse.Namespace, subcommand: str,
-               strategies: tuple[str, ...]) -> ExperimentSpec:
-    spacing = "linear" if getattr(args, "linear", False) else None
-    if getattr(args, "log", False):
-        spacing = "log"
-    if spacing is None:
-        spacing = _resolve(args, "spacing")
-    return ExperimentSpec(
-        subcommand=subcommand,
-        grid_start=_resolve(args, "grid-start"),
-        grid_stop=_resolve(args, "grid-stop"),
-        grid_count=_resolve(args, "grid-count"),
-        spacing=spacing,
-        strategies=strategies,
-        fmt=_resolve(args, "format"),
-        seed=_resolve(args, "seed"),
-        samples=_resolve(args, "samples"),
-        out=_resolve(args, "out"),
-    )
-
-
-def cmd_truthtable(args) -> int:
+def cmd_truthtable(args) -> list[str]:
     f = fredkin_unitary(_TRUTH_TABLE_SPACE, 0, 1, 2).matrix
     records, failures = [], []
     for i in range(_TRUTH_TABLE_SPACE.dim):
@@ -203,42 +170,20 @@ def cmd_truthtable(args) -> int:
             "amplitude_re": float(amp.real),
             "amplitude_im": float(amp.imag),
         })
-    _emit(records, ["input", "output", "amplitude_re", "amplitude_im"],
-          _resolve(args, "format"), _resolve(args, "out"))
-    for msg in failures:
-        print(f"truthtable: {msg}", file=sys.stderr)
-    return EXIT_VALIDATION if failures else EXIT_OK
+    _emit(records, args)
+    return failures
 
 
-def _lossy_reference(gamma: float) -> np.ndarray:
-    """Closed-form output of the lossy gate on |101><101|."""
-    sp = _TRUTH_TABLE_SPACE
-    surv = math.exp(-gamma)
-    half = math.exp(-gamma / 2)
-
-    def ket(occ):
-        return basis_pure(sp, occ).amplitudes
-
-    phi01 = (1 + half) * ket((0, 1, 0)) + (1 - half) * ket((1, 0, 0))
-    phi10 = (1 + half) * ket((0, 1, 1)) + (1 - half) * ket((1, 0, 1))
-    out = (1 - surv) ** 2 / 2 * np.outer(ket((0, 0, 0)), ket((0, 0, 0)).conj())
-    out += surv * (1 - surv) / 2 * np.outer(ket((0, 0, 1)), ket((0, 0, 1)).conj())
-    out += (1 - surv) / 4 * np.outer(phi01, phi01.conj())
-    out += surv / 4 * np.outer(phi10, phi10.conj())
-    return out
-
-
-def cmd_lossy_gate(args) -> int:
-    gamma = _resolve(args, "gamma")
-    if gamma < 0:
-        print("lossy-gate: gamma must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_lossy_gate(args) -> list[str]:
+    gamma = args.gamma
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise UsageError("gamma must be finite and >= 0")
     sp = _TRUTH_TABLE_SPACE
     swap = np.zeros((sp.dim, sp.dim))
     for i in range(sp.dim):
         a, b, c = occupation_of(sp, i)
         swap[index_of(sp, (b, a, c)), i] = 1.0
-    ref101 = _lossy_reference(gamma)
+    ref101 = lossy_gate_output_101(gamma)
     ref011 = swap @ ref101 @ swap.T
     records, ok = [], True
     for placement in ("after-kerr", "before-kerr", "split"):
@@ -251,21 +196,12 @@ def cmd_lossy_gate(args) -> int:
             records.append({"input": label, "placement": placement,
                             "gamma": float(gamma), "max_abs_dev": dev,
                             "trace_dev": tr_dev})
-    _emit(records, ["input", "placement", "gamma", "max_abs_dev", "trace_dev"],
-          _resolve(args, "format"), _resolve(args, "out"))
-    if not ok:
-        print("lossy-gate: output deviates from the closed-form decomposition",
-              file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VALIDATION
+    _emit(records, args)
+    return [] if ok else ["output deviates from the closed-form decomposition"]
 
 
-def cmd_sweep_loss(args) -> int:
-    try:
-        spec = _spec_from(args, "sweep-loss", ("none", "dualrail"))
-    except FockError as exc:
-        print(f"sweep-loss: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    grid = spec.grid()
+def cmd_sweep_loss(args) -> list[str]:
+    grid = _grid(args)
     loss_tpl = MachineConfig(k1=1, noise_model="loss")
     bal_tpl = MachineConfig(k1=1, noise_model="balanced-loss")
     loss_records = sweep(loss_tpl, "gamma", grid, ("none", "dualrail"))
@@ -286,21 +222,12 @@ def cmd_sweep_loss(args) -> int:
         ok = ok and abs(row["p_ec_sim"] - row["p_ec_closed"]) <= 1e-10
         ok = ok and row["p_balanced_ec"] <= 1e-12
         records.append(row)
-    _emit(records, ["gamma", "loss_db", "p_noec_sim", "p_noec_closed",
-                    "p_ec_sim", "p_ec_closed", "p_balanced_ec"], spec.fmt, spec.out)
-    if not ok:
-        print("sweep-loss: simulated errors deviate from the closed forms",
-              file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VALIDATION
+    _emit(records, args)
+    return [] if ok else ["simulated errors deviate from the closed forms"]
 
 
-def cmd_sweep_dephasing(args) -> int:
-    try:
-        spec = _spec_from(args, "sweep-dephasing", ("none", "projective"))
-    except FockError as exc:
-        print(f"sweep-dephasing: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    grid = spec.grid()
+def cmd_sweep_dephasing(args) -> list[str]:
+    grid = _grid(args)
     records, ok = [], True
     fit_points = []
     for lam in grid:
@@ -315,8 +242,7 @@ def cmd_sweep_dephasing(args) -> int:
             "p_projective": which_path_error(proj),
             "p_accept_projective": proj.p_accept,
         }
-        closed_plain = (1 - math.exp(-2 * lam)) / 2
-        ok = ok and abs(row["p_plain"] - closed_plain) <= 1e-10
+        ok = ok and abs(row["p_plain"] - p_plain_closed(lam)) <= 1e-10
         if lam <= 0.1:
             ok = ok and row["p_projective"] < row["p_plain"]
         elif row["p_projective"] >= row["p_plain"]:
@@ -325,67 +251,53 @@ def cmd_sweep_dephasing(args) -> int:
         if lam <= 0.05:
             fit_points.append((float(lam), row["p_projective"]))
         records.append(row)
-    _emit(records, ["lambda", "damping_db", "p_plain", "p_projective",
-                    "p_accept_projective"], spec.fmt, spec.out)
+    _emit(records, args)
     if len(fit_points) >= 4:
         fit = fit_series(fit_points)
         print(f"sweep-dephasing: projective small-lambda fit c1={fit.c1:.6f} "
               f"c2={fit.c2:.6f} (series targets 11/18={11/18:.6f}, "
               f"-47/162={-47/162:.6f}; exact quadratic is -41/108={-41/108:.6f})",
               file=sys.stderr)
-    if not ok:
-        print("sweep-dephasing: validation failed", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return [] if ok else ["validation failed"]
 
 
-def cmd_mc_validate(args) -> int:
-    try:
-        spec = _spec_from(args, "mc-validate", ())
-    except FockError as exc:
-        print(f"mc-validate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    lam = _resolve(args, "lam")
-    if lam < 0:
-        print("mc-validate: lam must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_mc_validate(args) -> list[str]:
+    lam, samples, seed = args.lam, args.samples, args.seed
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     sp = _TRUTH_TABLE_SPACE
+    try:
+        oracle = dephased_fredkin_mc(sp, 0, 1, 2, lam, samples, seed)
+    except FockError as exc:
+        raise UsageError(exc) from None
     analytic = dephased_fredkin_channel(sp, 0, 1, 2, lam)
-    oracle = dephased_fredkin_mc(sp, 0, 1, 2, lam, spec.samples, spec.seed)
-    bound = 5.0 / math.sqrt(spec.samples)
+    bound = 5.0 / math.sqrt(samples)
     records, ok = [], True
-    for occ in _FIVE_INPUTS:
+    for occ in _KNOWN_ROWS:
         rho = basis_density(sp, occ)
         err = float(np.max(np.abs(oracle(rho).matrix - analytic.apply(rho).matrix)))
         passed = err <= bound
         ok = ok and passed
         records.append({"input": occupation_label(occ), "lambda": float(lam),
-                        "samples": spec.samples, "seed": spec.seed,
+                        "samples": samples, "seed": seed,
                         "max_abs_error": err, "bound": bound,
                         "status": "pass" if passed else "fail"})
-    _emit(records, ["input", "lambda", "samples", "seed", "max_abs_error",
-                    "bound", "status"], spec.fmt, spec.out)
-    if not ok:
-        print("mc-validate: Monte-Carlo estimate outside the statistical bound",
-              file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VALIDATION
+    _emit(records, args)
+    return [] if ok else ["Monte-Carlo estimate outside the statistical bound"]
 
 
-def cmd_lambda_physical(args) -> int:
-    omega = _resolve(args, "omega")
-    intensity = _resolve(args, "intensity")
+def cmd_lambda_physical(args) -> list[str]:
+    omega, intensity = args.omega, args.intensity
     if omega is None or intensity is None:
-        print("lambda-physical: --omega and --intensity are required", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--omega and --intensity are required")
     try:
         lam = lambda_from_physical(omega, intensity)
     except FockError as exc:
-        print(f"lambda-physical: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from None
     records = [{"omega": float(omega), "intensity": float(intensity),
                 "lambda": lam, "damping_db": decibels(lam)}]
-    _emit(records, ["omega", "intensity", "lambda", "damping_db"],
-          _resolve(args, "format"), _resolve(args, "out"))
-    return EXIT_OK
+    _emit(records, args)
+    return []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,15 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--grid-start", type=float, default=None)
-        p.add_argument("--grid-stop", type=float, default=None)
-        p.add_argument("--grid-count", type=int, default=None)
+        p.add_argument("--grid-start", type=float, default=1e-3)
+        p.add_argument("--grid-stop", type=float, default=1.0)
+        p.add_argument("--grid-count", type=int, default=61)
         spacing = p.add_mutually_exclusive_group()
-        spacing.add_argument("--log", action="store_true", help="log-spaced grid (default)")
-        spacing.add_argument("--linear", action="store_true", help="linearly spaced grid")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        spacing.add_argument("--log", dest="spacing", action="store_const", const="log",
+                             default="log", help="log-spaced grid (default)")
+        spacing.add_argument("--linear", dest="spacing", action="store_const",
+                             const="linear", help="linearly spaced grid")
+        p.add_argument("--seed", type=int, default=12345)
+        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--format", choices=FORMATS, default="csv")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--config", default=None, help="key=value defaults file")
 
@@ -414,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lossy-gate", help="verify the lossy gate decomposition")
     add_common(p)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=float, default=0.1)
     p.set_defaults(func=cmd_lossy_gate)
 
     p = sub.add_parser("sweep-loss", help="error vs photon loss (Fig.-5-style data)")
@@ -427,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-validate", help="Monte-Carlo oracle vs analytic channel")
     add_common(p)
-    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--lam", type=float, default=0.1)
     p.set_defaults(func=cmd_mc_validate)
 
     p = sub.add_parser("lambda-physical", help="dephasing strength from medium parameters")
@@ -441,17 +355,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
+    if args.config:
+        try:
+            values = _load_config_file(args.config)
+        except (OSError, UnicodeDecodeError, FockError) as exc:
+            print(f"dualrail: cannot read config file: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        _set_config_defaults(parser, args.command, values)
+        args = parser.parse_args(argv)
     try:
-        args._config_values = _load_config_file(config_path) if config_path else {}
-    except (OSError, FockError) as exc:
-        print(f"dualrail: cannot read config file: {exc}", file=sys.stderr)
+        if args.format not in FORMATS:
+            raise UsageError(f"unknown format {args.format!r}")
+        failures = args.func(args)  # each cmd_* returns its validation failures
+    except UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
     except FockError as exc:
         print(f"dualrail: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    for msg in failures:
+        print(f"{args.command}: {msg}", file=sys.stderr)
+    return EXIT_VALIDATION if failures else EXIT_OK
 
 
 def entry():

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    HERMITICITY_TOL,
     DensityOperator,
     FockError,
     FockSpace,
     LinearOperator,
     PureState,
+    basis_pure,
     index_of,
     occupation_of,
 )
@@ -185,6 +185,13 @@ def p_ec_closed(gamma: float) -> float:
     return (1.0 - 1.0 / math.cosh(gamma / 2.0)) / 2.0
 
 
+def p_plain_closed(lam: float) -> float:
+    """Exact which-path error of the uncorrected dephasing machine: (1 - e^-2lam)/2."""
+    if lam < 0:
+        raise FockError(f"lam must be >= 0, got {lam}")
+    return (1 - math.exp(-2 * lam)) / 2
+
+
 def p_projective_closed(lam: float) -> float:
     """Exact error of the projectively corrected dephasing machine.
 
@@ -202,6 +209,24 @@ def p_accept_projective_closed(lam: float) -> float:
     if lam < 0:
         raise FockError(f"lam must be >= 0, got {lam}")
     return (2.0 + math.exp(-lam)) / 3.0
+
+
+def lossy_gate_output_101(gamma: float) -> np.ndarray:
+    """Closed-form output of the lossy gate on |101><101| (modes a, b, c, loss on b, c)."""
+    sp = FockSpace(3, 1)
+    surv = math.exp(-gamma)
+    half = math.exp(-gamma / 2)
+
+    def ket(occ):
+        return basis_pure(sp, occ).amplitudes
+
+    phi01 = (1 + half) * ket((0, 1, 0)) + (1 - half) * ket((1, 0, 0))
+    phi10 = (1 + half) * ket((0, 1, 1)) + (1 - half) * ket((1, 0, 1))
+    out = (1 - surv) ** 2 / 2 * np.outer(ket((0, 0, 0)), ket((0, 0, 0)).conj())
+    out += surv * (1 - surv) / 2 * np.outer(ket((0, 0, 1)), ket((0, 0, 1)).conj())
+    out += (1 - surv) / 4 * np.outer(phi01, phi01.conj())
+    out += surv / 4 * np.outer(phi10, phi10.conj())
+    return out
 
 
 @dataclass(frozen=True)

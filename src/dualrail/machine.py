@@ -31,19 +31,16 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
-    KrausChannel,
     NoiseParams,
-    amplitude_damping_channel,
     balanced_lossy_fredkin_channel,
-    compose,
     dephased_fredkin_channel,
     dephased_fredkin_mc,
     fredkin_channel,
     lossy_fredkin_channel,
-    unitary_channel,
 )
 from .correction import (
     ZeroAcceptanceError,
+    _legal_occupation,
     legal_subspace,
     project_onto,
     projective_ec_step,
@@ -62,7 +59,6 @@ from .fock import (
 from .gates import (
     beamsplitter_unitary,
     fredkin_unitary,
-    kerr_unitary,
     phase_shift_unitary,
 )
 
@@ -90,7 +86,6 @@ class MachineConfig:
     """Switch settings, noise model, and correction strategy for one run."""
 
     k1: int
-    k0: int = 0  # carried as a label only; does not alter the pipeline
     noise: NoiseParams = field(default_factory=NoiseParams)
     noise_model: str = "none"
     noisy_gates: tuple[str, ...] | None = None
@@ -100,8 +95,8 @@ class MachineConfig:
     dualrail_postselect: bool = False
 
     def __post_init__(self):
-        if self.k1 not in (0, 1) or self.k0 not in (0, 1):
-            raise FockError("k1 and k0 must be 0 or 1")
+        if self.k1 not in (0, 1):
+            raise FockError("k1 must be 0 or 1")
         if self.noise_model not in NOISE_MODELS:
             raise FockError(f"noise_model must be one of {NOISE_MODELS}")
         if self.noisy_gates is not None:
@@ -161,29 +156,33 @@ def _wrong_outcome(occ4: Sequence[int], k1: int) -> bool:
     return occ4[MODE_D] == 1 if k1 == 1 else occ4[MODE_D] == 0
 
 
-def _legal(occ4: Sequence[int]) -> bool:
-    return occ4[0] + occ4[1] == 1 and occ4[2] + occ4[3] == 1
-
-
 def _kerr_arm_modes(config: MachineConfig) -> tuple[int, ...]:
     _, m_b, m_c = gate_modes(config.k1)
     return tuple(m for m in (m_b, m_c) if m < 4)
 
 
+def _conditional(dist4, postselect: bool, event) -> tuple[float, float]:
+    """(P(event), acceptance), conditioned on dual-rail legality when ``postselect``."""
+    if not postselect:
+        return sum(p for occ, p in dist4 if event(occ)), 1.0
+    accepted = sum(p for occ, p in dist4 if _legal_occupation(occ))
+    if accepted <= 0.0:
+        raise ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
+    hit = sum(p for occ, p in dist4 if _legal_occupation(occ) and event(occ))
+    return hit / accepted, accepted
+
+
 def _score(dist4, config: MachineConfig) -> tuple[float, float]:
     """(p_error, dual-rail acceptance) for a final a-d outcome distribution."""
-    k1 = config.k1
-    arms = _kerr_arm_modes(config)
+    wrong, accepted = _conditional(
+        dist4, config.dualrail_postselect,
+        lambda occ: _legal_occupation(occ) and _wrong_outcome(occ, config.k1))
     if config.dualrail_postselect:
-        accepted = sum(p for occ, p in dist4 if _legal(occ))
-        if accepted <= 0.0:
-            raise ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
-        wrong = sum(p for occ, p in dist4 if _legal(occ) and _wrong_outcome(occ, k1))
-        return wrong / accepted, accepted
-    wrong = sum(p for occ, p in dist4 if _legal(occ) and _wrong_outcome(occ, k1))
+        return wrong, accepted
+    arms = _kerr_arm_modes(config)
     lone = sum(p for occ, p in dist4
                if sum(occ) == 1 and any(occ[m] == 1 for m in arms))
-    return wrong + 0.5 * lone, 1.0
+    return wrong + 0.5 * lone, accepted
 
 
 def _gate_channel(space: FockSpace, config: MachineConfig, tag: str,
@@ -198,12 +197,11 @@ def _gate_channel(space: FockSpace, config: MachineConfig, tag: str,
         return lossy_fredkin_channel(space, *modes, config.noise.gamma,
                                      config.loss_placement).apply
     if model == "balanced-loss":
-        if config.k1 == 1:
-            return balanced_lossy_fredkin_channel(space, *modes, MODE_D,
-                                                  config.noise.gamma).apply
-        # k1 = 0: the gate couples (a, b, e) but the balanced design still
-        # damps the four rail modes a-d equally.
-        return _balanced_k0_channel(space, modes, config.noise.gamma).apply
+        # for either switch setting the balanced design damps the four rail
+        # modes a-d equally, including the bystander the gate does not touch
+        return balanced_lossy_fredkin_channel(space, *modes,
+                                              (MODE_A, MODE_B, MODE_C, MODE_D),
+                                              config.noise.gamma).apply
     if model == "dephasing":
         if mc_samples is not None:
             gate_index = GATE_TAGS.index(tag)
@@ -214,28 +212,11 @@ def _gate_channel(space: FockSpace, config: MachineConfig, tag: str,
     raise FockError(f"unhandled noise model {model!r}")
 
 
-def _balanced_k0_channel(space: FockSpace, modes: tuple[int, int, int],
-                         gamma: float) -> KrausChannel:
-    """Balanced loss for the k1 = 0 gate: B_ab, K_be, then damping on a-d, then B_ab^dag."""
-    m_a, m_b, m_c = modes
-    b = unitary_channel(beamsplitter_unitary(space, m_a, m_b))
-    k = unitary_channel(kerr_unitary(space, m_b, m_c))
-    chan = compose(k, b)
-    for m in (MODE_A, MODE_B, MODE_C, MODE_D):
-        chan = compose(amplitude_damping_channel(space, m, gamma), chan)
-    return compose(unitary_channel(beamsplitter_unitary(space, m_a, m_b).dagger), chan)
-
-
 def _propagated_legal_projector(space: FockSpace, config: MachineConfig) -> np.ndarray:
     """Legal span pushed through the ideal S_a and second gate (for late correction)."""
-    sub = legal_subspace(space)
     s = phase_shift_unitary(space, MODE_A, math.pi).matrix
-    f = fredkin_unitary(space, *gate_modes(config.k1)).matrix
-    proj = np.zeros((space.dim, space.dim), dtype=complex)
-    for state in sub.basis:
-        v = f @ (s @ state.amplitudes)
-        proj += np.outer(v, v.conj())
-    return proj
+    u = fredkin_unitary(space, *gate_modes(config.k1)).matrix @ s
+    return u @ legal_subspace(space).projector @ u.conj().T
 
 
 def run(config: MachineConfig, mc_samples: int | None = None,
@@ -272,22 +253,12 @@ def run(config: MachineConfig, mc_samples: int | None = None,
 
 def ideal_run(k1: int) -> RunResult:
     """Noise-free reference run, recording the pure intermediate states."""
-    config = MachineConfig(k1=k1)
     space = machine_space()
-    bcd = beamsplitter_unitary(space, MODE_C, MODE_D)
-    s_a = phase_shift_unitary(space, MODE_A, math.pi)
-    f = fredkin_unitary(space, *gate_modes(k1))
-
-    psi = machine_input(space).amplitudes
-    psi1 = bcd.matrix @ psi
-    psi2 = f.matrix @ psi1
-    psi3 = s_a.matrix @ psi2
-    final = bcd.matrix.conj().T @ (f.matrix @ psi3)
+    psi1 = beamsplitter_unitary(space, MODE_C, MODE_D).matrix @ machine_input(space).amplitudes
+    psi2 = fredkin_unitary(space, *gate_modes(k1)).matrix @ psi1
+    psi3 = phase_shift_unitary(space, MODE_A, math.pi).matrix @ psi2
     states = tuple(PureState(space, v) for v in (psi1, psi2, psi3))
-    rho = PureState(space, final).density()
-    dist4 = tuple(diagonal_distribution(partial_trace(rho, (0, 1, 2, 3))))
-    p_error, acc = _score(dist4, config)
-    return RunResult(config, rho, dist4, acc, p_error, intermediate_states=states)
+    return replace(run(MachineConfig(k1=k1)), intermediate_states=states)
 
 
 def error_probability(result: RunResult, k1: int | None = None) -> float:
@@ -311,13 +282,10 @@ def which_path_error(result: RunResult) -> float:
     pair; the projective correction improves exactly this quantity, from the
     uncorrected (1 - e^-2lam)/2 to (1 - q)(6 + 5q)/(6(2 + q)), q = e^-lam.
     """
-    dist = result.outcome_distribution
-    if result.config.dualrail_postselect:
-        accepted = sum(p for occ, p in dist if _legal(occ))
-        if accepted <= 0.0:
-            raise ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
-        return sum(p for occ, p in dist if _legal(occ) and occ[MODE_A] == 1) / accepted
-    return sum(p for occ, p in dist if occ[MODE_A] == 1)
+    p_wrong_path, _ = _conditional(result.outcome_distribution,
+                                   result.config.dualrail_postselect,
+                                   lambda occ: occ[MODE_A] == 1)
+    return p_wrong_path
 
 
 STRATEGY_FLAGS = {

@@ -29,6 +29,7 @@ from dualrail import (
     lossy_fredkin_channel,
     unitary_channel,
 )
+from dualrail.correction import lossy_gate_output_101
 from dualrail.gates import number_operator_diagonal
 from conftest import random_density
 
@@ -147,6 +148,11 @@ def test_lossy_fredkin_matches_reference_decomposition(gamma):
     assert abs(np.trace(ref).real - 1.0) < 1e-12  # reference itself is normalized
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 2.0])
+def test_library_lossy_gate_closed_form_matches_reference(gamma):
+    assert np.max(np.abs(lossy_gate_output_101(gamma) - lossy_reference_101(gamma))) < 1e-15
+
+
 @pytest.mark.parametrize("gamma", [0.1, 0.7])
 def test_lossy_fredkin_interchange_symmetry(gamma):
     swap = np.zeros((SPACE3.dim, SPACE3.dim))
@@ -212,7 +218,7 @@ def test_loss_placement_general_case_report():
 
 def test_balanced_lossy_zero_loss_is_fredkin():
     space = FockSpace(4, 1)
-    chan = balanced_lossy_fredkin_channel(space, 0, 1, 2, 3, 0.0)
+    chan = balanced_lossy_fredkin_channel(space, 0, 1, 2, (0, 1, 2, 3), 0.0)
     f = fredkin_unitary(space, 0, 1, 2)
     rho = random_density(space, np.random.default_rng(8))
     assert np.max(np.abs(chan.apply(rho).matrix - apply_unitary(rho, f).matrix)) < 1e-12
@@ -220,7 +226,27 @@ def test_balanced_lossy_zero_loss_is_fredkin():
 
 def test_balanced_lossy_rejects_mode_collision():
     with pytest.raises(FockError):
-        balanced_lossy_fredkin_channel(FockSpace(4, 1), 0, 1, 2, 2, 0.1)
+        balanced_lossy_fredkin_channel(FockSpace(4, 1), 0, 1, 2, (0, 1, 2, 2), 0.1)
+
+
+def test_balanced_lossy_rejects_out_of_range_mode():
+    with pytest.raises(FockError):
+        balanced_lossy_fredkin_channel(FockSpace(4, 1), 0, 1, 2, (0, 1, 2, 4), 0.1)
+
+
+def test_balanced_lossy_k0_gate_matches_composed_channel():
+    # the k1 = 0 gate couples (a, b, e) while the loss hits the rails a-d
+    space, gamma = FockSpace(5, 1), 0.35
+    chan = balanced_lossy_fredkin_channel(space, 0, 1, 4, (0, 1, 2, 3), gamma)
+    ref = compose(unitary_channel(kerr_unitary(space, 1, 4)),
+                  unitary_channel(beamsplitter_unitary(space, 0, 1)))
+    for m in (0, 1, 2, 3):
+        ref = compose(amplitude_damping_channel(space, m, gamma), ref)
+    ref = compose(unitary_channel(beamsplitter_unitary(space, 0, 1).dagger), ref)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        rho = random_density(space, rng)
+        assert np.max(np.abs(chan.apply(rho).matrix - ref.apply(rho).matrix)) < 1e-12
 
 
 # ---------------------------------------------------------------- dephasing
@@ -348,7 +374,7 @@ def _channel_zoo():
         ("amp-damp", SPACE3, amplitude_damping_channel(SPACE3, 1, 0.3)),
         ("lossy-fredkin", SPACE3, lossy_fredkin_channel(SPACE3, 0, 1, 2, 0.2)),
         ("lossy-split", SPACE3, lossy_fredkin_channel(SPACE3, 0, 1, 2, 0.6, "split")),
-        ("balanced", space4, balanced_lossy_fredkin_channel(space4, 0, 1, 2, 3, 0.2)),
+        ("balanced", space4, balanced_lossy_fredkin_channel(space4, 0, 1, 2, (0, 1, 2, 3), 0.2)),
         ("dephased", SPACE3, dephased_fredkin_channel(SPACE3, 0, 1, 2, 0.3)),
         ("unitary", SPACE3, unitary_channel(fredkin_unitary(SPACE3, 0, 1, 2))),
     ]

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualrail.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
@@ -135,3 +138,108 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("input,output")
+
+
+def run_any(argv):
+    """(exit code, stdout, stderr), counting argparse's SystemExit as an exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("line,command,message", [
+    ("grid-count=abc", "sweep-loss", "invalid int value: 'abc'"),
+    ("format=xml", "truthtable", "unknown format 'xml'"),
+    ("spacing=bogus", "sweep-loss", "unknown spacing 'bogus'"),
+])
+def test_malformed_config_value_is_usage_error(tmp_path, line, command, message):
+    config = tmp_path / "run.conf"
+    config.write_text(line + "\n")
+    code, out, err = run_any([command, "--config", str(config)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("func=oops\ngamma=abc\ngrid-count=2\n")
+    code, out, _ = run_any(["sweep-loss", "--config", str(config)])
+    assert code == EXIT_OK
+    assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lambda-physical", "--omega", "nan", "--intensity", "1e16"], "finite"),
+    (["lambda-physical", "--omega", "1e15", "--intensity", "inf"], "finite"),
+    (["sweep-loss", *SMALL_GRID, "--out", "/nonexistent-dir/x.csv"], "cannot write output"),
+    (["sweep-loss", "--grid-start=nan"], "finite"),
+    (["sweep-loss", "--grid-stop=inf"], "finite"),
+    (["sweep-loss", "--grid-start=-0.5", "--linear"], "finite and >= 0"),
+    (["sweep-dephasing", "--grid-stop=-1"], "finite and >= 0"),
+    (["sweep-loss", "--grid-stop=0", "--grid-count=2"], "positive grid stop"),
+    (["mc-validate", "--samples", "0"], "n_samples must be >= 1"),
+    (["mc-validate", "--seed=-1", "--samples", "10"], "seed must be >= 0"),
+    (["mc-validate", "--lam=1e308", "--samples", "10"], "lam must be >= 0"),
+    (["lossy-gate", "--gamma", "nan"], "gamma must be finite"),
+])
+def test_bad_values_are_usage_errors(argv, message):
+    code, _, err = run_any(argv)
+    assert code == EXIT_USAGE
+    assert message in err
+    assert "Traceback" not in err
+
+
+_FLOAT_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0", "1e-300", "0.3", "9", "1e308", "abc", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_OPTION_VALUES = {
+    "grid-start": _FLOAT_VALUES, "grid-stop": _FLOAT_VALUES, "gamma": _FLOAT_VALUES,
+    "lam": _FLOAT_VALUES, "omega": _FLOAT_VALUES, "intensity": _FLOAT_VALUES,
+    "seed": st.one_of(st.integers(-3, 2**40).map(str), st.sampled_from(["x", "1.5"])),
+    "format": st.sampled_from(["csv", "json", "xml", ""]),
+    "spacing": st.sampled_from(["log", "linear", "bogus"]),
+}
+_COMMANDS = ["truthtable", "lossy-gate", "sweep-loss", "sweep-dephasing", "mc-validate",
+             "lambda-physical"]
+
+
+@st.composite
+def _invocations(draw):
+    """A subcommand with drawn flags and config lines; grid and sample sizes stay small."""
+    argv, lines = [draw(st.sampled_from(_COMMANDS))], []
+    for key in draw(st.lists(st.sampled_from(sorted(_OPTION_VALUES)), max_size=5)):
+        entry = f"{key}={draw(_OPTION_VALUES[key])}"
+        if draw(st.booleans()):
+            lines.append(entry)
+        elif key != "spacing":  # spacing has no flag of its own, only --log/--linear
+            argv.append("--" + entry)
+    lines += draw(st.lists(st.sampled_from(["junk", "=", "# note", "func=x", "grid_count=9"]),
+                           max_size=2))
+    argv.append(draw(st.sampled_from(["", "--log", "--linear"])))
+    sizes = {"grid-count": st.integers(-1, 3), "samples": st.integers(-1, 2000)}
+    for key, values in sizes.items():
+        entry = f"{key}={draw(values)}"
+        if draw(st.booleans()):
+            lines.append(entry)
+        else:
+            argv.append("--" + entry)
+    return [a for a in argv if a], lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(_invocations())
+def test_cli_fuzz_exit_codes(tmp_path_factory, invocation):
+    # an exception escaping main() fails the test outright, like a traceback would
+    argv, lines = invocation
+    config = tmp_path_factory.mktemp("fuzz") / "run.conf"
+    config.write_text("\n".join(lines) + "\n")
+    code, _, err = run_any([*argv, "--config", str(config)])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE)
+    assert "Traceback" not in err

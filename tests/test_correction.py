@@ -26,6 +26,7 @@ from dualrail import (
     run,
     which_path_error,
 )
+from dualrail.correction import p_plain_closed
 from conftest import random_density, random_reachable_state
 
 SPACE = machine_space()
@@ -191,6 +192,12 @@ def test_projective_closed_forms_match_pipeline(lam):
                                noise_model="dephasing", projective_ec=True))
     assert which_path_error(result) == pytest.approx(p_projective_closed(lam), abs=1e-12)
     assert result.p_accept == pytest.approx(p_accept_projective_closed(lam), abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.5, 2.0])
+def test_plain_dephasing_closed_form_matches_pipeline(lam):
+    result = run(MachineConfig(k1=1, noise=NoiseParams(lam=lam), noise_model="dephasing"))
+    assert result.p_error == pytest.approx(p_plain_closed(lam), abs=1e-12)
 
 
 # ---------------------------------------------------------------- series fitting
