@@ -214,16 +214,56 @@ def balanced_lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: in
     return _gate_sandwich(space, m_a, m_b, stages)
 
 
-def _pair_photon_numbers(space: FockSpace, m_b: int, m_c: int) -> np.ndarray:
-    return number_operator_diagonal(space, m_b) + number_operator_diagonal(space, m_c)
+DensityMap = Callable[[DensityOperator], DensityOperator]
 
 
-def _suppression_factor(k: np.ndarray, lam: float) -> np.ndarray:
-    """<exp(i k eps)> = exp(-k^2 lam) for integer k; safe at lam = inf."""
-    k2 = np.asarray(k, dtype=float) ** 2
-    with np.errstate(invalid="ignore"):
-        out = np.exp(-k2 * lam)
-    return np.where(k2 == 0, 1.0, out)
+def _gaussian_phi(space: FockSpace, lam: float) -> np.ndarray:
+    """phi(k) = <exp(i k eps)> = exp(-k^2 lam), k = 0 .. 2 cutoff; safe at lam = inf."""
+    k = np.arange(1, 2 * space.cutoff + 1, dtype=float)
+    return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
+
+
+def _sampled_phi(space: FockSpace, eps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted mean of exp(i k eps_j) over the phases eps_j, k = 0 .. 2 cutoff.
+
+    Divided by its k = 0 entry, the sum of the weights, so phi(0) is exactly
+    1 and coherences within one cell photon-number sector pass unchanged.
+    """
+    k = np.arange(2 * space.cutoff + 1)
+    phi = np.exp(1j * np.outer(k, eps)) @ weights
+    return phi / phi[0]
+
+
+def _phase_correlation(phi: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """C[i, j] = phi(n_i - n_j), reading phi(-k) as conj phi(k)."""
+    d = n[:, None] - n[None, :]
+    c = phi[np.abs(d)]
+    return np.where(d < 0, c.conj(), c)
+
+
+def _cell_photon_numbers(space: FockSpace, m_b: int, m_c: int) -> np.ndarray:
+    """N = n_b + n_c, the photon number in the Kerr cell, per basis state."""
+    return (number_operator_diagonal(space, m_b) + number_operator_diagonal(space, m_c)).astype(int)
+
+
+def _phase_average(space: FockSpace, m_a: int, m_b: int, m_c: int,
+                   phi: np.ndarray) -> DensityMap:
+    """The phase-averaged gate rho -> E[V(eps) rho V(eps)^dag] for <exp(i k eps)> = phi[k].
+
+    V(eps) = B^dag exp(i eps N) K B, so the random phase multiplies the
+    coherence between cell photon numbers N and N' by exp(i eps (N - N'))
+    and the average is B^dag [(K B rho B^dag K^dag) o C] B with
+    C[i, j] = phi(N_i - N_j).  The phase law enters only through phi.
+    """
+    b = beamsplitter_unitary(space, m_a, m_b).matrix
+    kb = kerr_unitary(space, m_b, m_c).matrix @ b
+    corr = _phase_correlation(phi, _cell_photon_numbers(space, m_b, m_c))
+
+    def apply(rho: DensityOperator) -> DensityOperator:
+        mid = kb @ rho.matrix @ kb.conj().T
+        return DensityOperator(space, b.conj().T @ (mid * corr) @ b)
+
+    return apply
 
 
 def dephased_fredkin_apply(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -237,12 +277,7 @@ def dephased_fredkin_apply(space: FockSpace, m_a: int, m_b: int, m_c: int,
     """
     if not lam >= 0:
         raise FockError(f"lam must be >= 0, got {lam}")
-    b = beamsplitter_unitary(space, m_a, m_b).matrix
-    k = kerr_unitary(space, m_b, m_c).matrix
-    n = _pair_photon_numbers(space, m_b, m_c)
-    mid = (k @ b) @ rho.matrix @ (k @ b).conj().T
-    mid = mid * _suppression_factor(n[:, None] - n[None, :], lam)
-    return DensityOperator(space, b.conj().T @ mid @ b)
+    return _phase_average(space, m_a, m_b, m_c, _gaussian_phi(space, lam))(rho)
 
 
 def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -257,23 +292,11 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     """
     if not lam >= 0:
         raise FockError(f"lam must be >= 0, got {lam}")
-    n = _pair_photon_numbers(space, m_b, m_c).astype(int)
-    levels = np.arange(n.max() + 1)
-    corr = _suppression_factor(levels[:, None] - levels[None, :], lam)
-    evals, evecs = np.linalg.eigh(corr)
-    b = beamsplitter_unitary(space, m_a, m_b).matrix
-    k = kerr_unitary(space, m_b, m_c).matrix
-    kb = k @ b
-    ops = []
-    for w, v in zip(evals, evecs.T):
-        if w < 1e-14:
-            continue
-        diag = math.sqrt(w) * v[n]
-        ops.append(b.conj().T @ (diag[:, None] * kb))
-    return KrausChannel(space, tuple(ops))
-
-
-DensityMap = Callable[[DensityOperator], DensityOperator]
+    phi = _gaussian_phi(space, lam)
+    evals, evecs = np.linalg.eigh(_phase_correlation(phi, np.arange(len(phi))))
+    n = _cell_photon_numbers(space, m_b, m_c)
+    diagonals = [np.diag(math.sqrt(w) * v[n]) for w, v in zip(evals, evecs.T) if w >= 1e-14]
+    return _gate_sandwich(space, m_a, m_b, [[kerr_unitary(space, m_b, m_c).matrix], diagonals])
 
 
 def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: float,
@@ -282,10 +305,10 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
 
     Draws eps_i ~ Normal(0, 2 lam), so E[exp(i eps)] = exp(-lam), and returns
     the map rho -> (1/n) sum_i V(eps_i) rho V(eps_i)^dag.  The sum is
-    evaluated through the empirical Gram matrix of the per-sample phase
-    vectors, which is the literal sample mean rewritten; results are
-    bit-reproducible for a fixed seed.  Entrywise standard error scales as
-    1/sqrt(n_samples).
+    evaluated through the empirical characteristic function
+    phi(k) = (1/n) sum_i exp(i k eps_i), k = 0 .. 2 cutoff, which is the
+    literal sample mean rewritten; results are bit-reproducible for a fixed
+    seed.  Entrywise standard error scales as 1/sqrt(n_samples).
     """
     if n_samples < 1:
         raise FockError(f"n_samples must be >= 1, got {n_samples}")
@@ -293,18 +316,7 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
         raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(2 * lam), size=n_samples)
-    n = _pair_photon_numbers(space, m_b, m_c)
-    phases = np.exp(1j * np.outer(eps, n))               # (n_samples, dim)
-    gram = (phases.T @ phases.conj()) / n_samples        # [m, m'] = mean e^{i eps (N_m - N_m')}
-    b = beamsplitter_unitary(space, m_a, m_b).matrix
-    k = kerr_unitary(space, m_b, m_c).matrix
-    kb = k @ b
-
-    def apply(rho: DensityOperator) -> DensityOperator:
-        mid = kb @ rho.matrix @ kb.conj().T
-        return DensityOperator(space, b.conj().T @ (mid * gram) @ b)
-
-    return apply
+    return _phase_average(space, m_a, m_b, m_c, _sampled_phi(space, eps, np.ones(n_samples)))
 
 
 def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: float,
@@ -312,29 +324,15 @@ def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: fl
     """Gauss-Hermite quadrature oracle for the Gaussian phase average.
 
     Integrates V(eps) rho V(eps)^dag against the Normal(0, 2 lam) weight with
-    ``nodes`` abscissas; a second, independent check on the analytic channel.
+    ``nodes`` abscissas, through the node sum for phi(k); a second,
+    independent check on the analytic channel.
     """
     if nodes < 1:
         raise FockError(f"nodes must be >= 1, got {nodes}")
     if not (math.isfinite(lam) and lam >= 0):
         raise FockError(f"lam must be finite and >= 0, got {lam}")
     x, w = np.polynomial.hermite.hermgauss(nodes)
-    eps_values = 2.0 * math.sqrt(lam) * x
-    weights = w / math.sqrt(math.pi)
-    n = _pair_photon_numbers(space, m_b, m_c)
-    b = beamsplitter_unitary(space, m_a, m_b).matrix
-    k = kerr_unitary(space, m_b, m_c).matrix
-    kb = k @ b
-
-    def apply(rho: DensityOperator) -> DensityOperator:
-        mid = kb @ rho.matrix @ kb.conj().T
-        out = np.zeros_like(mid)
-        for eps, wt in zip(eps_values, weights):
-            phase = np.exp(1j * eps * n)
-            out = out + wt * (phase[:, None] * mid * phase.conj()[None, :])
-        return DensityOperator(space, b.conj().T @ out @ b)
-
-    return apply
+    return _phase_average(space, m_a, m_b, m_c, _sampled_phi(space, 2.0 * math.sqrt(lam) * x, w))
 
 
 def fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int) -> KrausChannel:

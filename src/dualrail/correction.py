@@ -27,9 +27,9 @@ from .fock import (
     FockSpace,
     LinearOperator,
     PureState,
+    apply_unitary,
     basis_pure,
     index_of,
-    occupation_of,
 )
 
 DUAL_RAIL_PAIRS = ((0, 1), (2, 3))
@@ -43,6 +43,11 @@ def _legal_occupation(occ, pairs=DUAL_RAIL_PAIRS) -> bool:
     return all(occ[i] + occ[j] == 1 for i, j in pairs)
 
 
+def _occupation_projector(space: FockSpace, keep) -> np.ndarray:
+    """Diagonal projector onto the basis states whose occupation satisfies ``keep``."""
+    return np.diag([1.0 if keep(occ) else 0.0 for occ in space.occupations()])
+
+
 def dualrail_postselect(rho: DensityOperator,
                         pairs=DUAL_RAIL_PAIRS) -> tuple[DensityOperator, float]:
     """Keep only outcomes with one photon per rail pair.
@@ -50,15 +55,8 @@ def dualrail_postselect(rho: DensityOperator,
     Returns the renormalized accepted state and the acceptance probability.
     Raises ZeroAcceptanceError when no legal mass remains.
     """
-    space = rho.space
-    mask = np.array([_legal_occupation(occupation_of(space, i), pairs)
-                     for i in range(space.dim)])
-    p_accept = float(np.real(np.diag(rho.matrix))[mask].sum())
-    if p_accept <= 0.0:
-        raise ZeroAcceptanceError("no probability mass passes dual-rail post-selection")
-    proj = np.where(mask, 1.0, 0.0)
-    accepted = rho.matrix * np.outer(proj, proj) / p_accept
-    return DensityOperator(space, accepted), p_accept
+    legal = _occupation_projector(rho.space, lambda occ: _legal_occupation(occ, pairs))
+    return project_onto(rho, legal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +96,7 @@ def project_onto(rho: DensityOperator, projector: np.ndarray) -> tuple[DensityOp
     out = projector @ rho.matrix @ projector.conj().T
     p_accept = float(np.trace(out).real)
     if p_accept <= 0.0:
-        raise ZeroAcceptanceError("projective correction accepted zero mass")
+        raise ZeroAcceptanceError("projection accepted zero mass")
     return DensityOperator(rho.space, out / p_accept), p_accept
 
 
@@ -152,17 +150,10 @@ def projective_ec_step_via_unitary(rho: DensityOperator) -> tuple[DensityOperato
     Channel-identical to ``projective_ec_step`` on states supported in the
     reachable span (asserted by the test suite).
     """
-    space = rho.space
-    u = restore_unitary(space).matrix
-    keep = np.array([occupation_of(space, i)[2] == 0 and occupation_of(space, i)[3] == 1
-                     for i in range(space.dim)], dtype=float)
-    rotated = u @ rho.matrix @ u.conj().T
-    kept = rotated * np.outer(keep, keep)
-    p_accept = float(np.trace(kept).real)
-    if p_accept <= 0.0:
-        raise ZeroAcceptanceError("measurement-based correction accepted zero mass")
-    restored = u.conj().T @ (kept / p_accept) @ u
-    return DensityOperator(space, restored), p_accept
+    u = restore_unitary(rho.space)
+    keep = _occupation_projector(rho.space, lambda occ: occ[2] == 0 and occ[3] == 1)
+    kept, p_accept = project_onto(apply_unitary(rho, u), keep)
+    return apply_unitary(kept, u.dagger), p_accept
 
 
 def p_noec_closed(gamma: float) -> float:

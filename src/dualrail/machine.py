@@ -46,6 +46,7 @@ from .correction import (
     projective_ec_step,
 )
 from .fock import (
+    PROB_OMIT_THRESHOLD,
     DensityOperator,
     FockError,
     FockSpace,
@@ -53,8 +54,6 @@ from .fock import (
     PureState,
     apply_unitary,
     basis_pure,
-    diagonal_distribution,
-    partial_trace,
 )
 from .gates import (
     beamsplitter_unitary,
@@ -129,8 +128,9 @@ class RunResult:
     """Final state and scored statistics of one machine run.
 
     ``output_state`` and ``outcome_distribution`` describe the machine output
-    before any post-selection (the distribution over modes a-d sums to 1);
-    ``p_accept`` and ``p_error`` carry the post-selected statistics.
+    before any post-selection (the distribution over modes a-d sums to 1 and
+    omits entries below PROB_OMIT_THRESHOLD); ``p_accept`` and ``p_error``
+    carry the post-selected statistics, scored from the full diagonal.
     """
 
     config: MachineConfig
@@ -156,32 +156,39 @@ def _wrong_outcome(occ4: Sequence[int], k1: int) -> bool:
     return occ4[MODE_D] == 1 if k1 == 1 else occ4[MODE_D] == 0
 
 
-def _kerr_arm_modes(config: MachineConfig) -> tuple[int, ...]:
-    _, m_b, m_c = gate_modes(config.k1)
-    return tuple(m for m in (m_b, m_c) if m < 4)
+def _rail_diagonal(rho: DensityOperator) -> list[tuple[OccupationVector, float]]:
+    """The full outcome diagonal over the rail modes a-d, tiny entries included."""
+    rails = FockSpace(4, rho.space.cutoff)
+    probs = np.real(np.diag(rho.matrix)).reshape(rails.dim, -1).sum(axis=1)
+    return list(zip(rails.occupations(), probs.tolist()))
 
 
-def _conditional(dist4, postselect: bool, event) -> tuple[float, float]:
-    """(P(event), acceptance), conditioned on dual-rail legality when ``postselect``."""
-    if not postselect:
-        return sum(p for occ, p in dist4 if event(occ)), 1.0
-    accepted = sum(p for occ, p in dist4 if _legal_occupation(occ))
-    if accepted <= 0.0:
-        raise ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
-    hit = sum(p for occ, p in dist4 if _legal_occupation(occ) and event(occ))
+def _conditional(diag4, postselect: bool, event) -> tuple[float, float]:
+    """(P(event), acceptance), conditioned on dual-rail legality when ``postselect``.
+
+    ``diag4`` is the full a-d diagonal; an outcome counts when its share of the
+    acceptance exceeds PROB_OMIT_THRESHOLD, so a tiny legal mass is still scored.
+    """
+    accepted = 1.0
+    if postselect:
+        diag4 = [(occ, p) for occ, p in diag4 if _legal_occupation(occ)]
+        accepted = sum(p for _, p in diag4)
+        if accepted <= 0.0:
+            raise ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
+    hit = sum(p for occ, p in diag4 if p / accepted > PROB_OMIT_THRESHOLD and event(occ))
     return hit / accepted, accepted
 
 
-def _score(dist4, config: MachineConfig) -> tuple[float, float]:
-    """(p_error, dual-rail acceptance) for a final a-d outcome distribution."""
+def _score(diag4, config: MachineConfig) -> tuple[float, float]:
+    """(p_error, dual-rail acceptance) for the full a-d outcome diagonal of a run."""
     wrong, accepted = _conditional(
-        dist4, config.dualrail_postselect,
+        diag4, config.dualrail_postselect,
         lambda occ: _legal_occupation(occ) and _wrong_outcome(occ, config.k1))
     if config.dualrail_postselect:
         return wrong, accepted
-    arms = _kerr_arm_modes(config)
-    lone = sum(p for occ, p in dist4
-               if sum(occ) == 1 and any(occ[m] == 1 for m in arms))
+    arms = [m for m in gate_modes(config.k1)[1:] if m < 4]  # the Kerr-cell rails
+    lone, _ = _conditional(diag4, False,
+                           lambda occ: sum(occ) == 1 and any(occ[m] == 1 for m in arms))
     return wrong + 0.5 * lone, accepted
 
 
@@ -245,9 +252,10 @@ def run(config: MachineConfig, mc_samples: int | None = None,
         p_accept *= acc
     rho = apply_unitary(rho, bcd.dagger)
 
-    dist4 = tuple(diagonal_distribution(partial_trace(rho, (0, 1, 2, 3))))
-    p_error, dualrail_acc = _score(dist4, config)
+    diag4 = _rail_diagonal(rho)
+    p_error, dualrail_acc = _score(diag4, config)
     p_accept *= dualrail_acc
+    dist4 = tuple((occ, p) for occ, p in diag4 if p > PROB_OMIT_THRESHOLD)
     return RunResult(config, rho, dist4, p_accept, p_error)
 
 
@@ -269,7 +277,7 @@ def error_probability(result: RunResult, k1: int | None = None) -> float:
     post-selection accepts nothing.
     """
     config = result.config if k1 is None else replace(result.config, k1=k1)
-    p_error, _ = _score(result.outcome_distribution, config)
+    p_error, _ = _score(_rail_diagonal(result.output_state), config)
     return p_error
 
 
@@ -282,7 +290,7 @@ def which_path_error(result: RunResult) -> float:
     pair; the projective correction improves exactly this quantity, from the
     uncorrected (1 - e^-2lam)/2 to (1 - q)(6 + 5q)/(6(2 + q)), q = e^-lam.
     """
-    p_wrong_path, _ = _conditional(result.outcome_distribution,
+    p_wrong_path, _ = _conditional(_rail_diagonal(result.output_state),
                                    result.config.dualrail_postselect,
                                    lambda occ: occ[MODE_A] == 1)
     return p_wrong_path

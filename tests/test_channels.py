@@ -30,10 +30,11 @@ from dualrail import (
     unitary_channel,
 )
 from dualrail.correction import lossy_gate_output_101
-from dualrail.gates import number_operator_diagonal
+from dualrail.gates import noisy_fredkin_sample, number_operator_diagonal
 from conftest import random_density
 
 SPACE3 = FockSpace(3, 1)
+SPACE3_CUTOFF2 = FockSpace(3, 2)  # cell photon numbers up to 4 use phi(3) and phi(4)
 REACHABLE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
@@ -277,13 +278,16 @@ def test_dephased_gate_zero_strength_is_fredkin():
     assert np.max(np.abs(out.matrix - apply_unitary(rho, f).matrix)) < 1e-12
 
 
-@pytest.mark.parametrize("lam", [0.05, 0.4, 2.0, math.inf])
-def test_dephased_suppression_and_kraus_forms_agree(lam):
+@pytest.mark.parametrize("lam,space", [
+    *(pytest.param(lam, SPACE3, id=str(lam)) for lam in (0.05, 0.4, 2.0, math.inf)),
+    pytest.param(0.4, SPACE3_CUTOFF2, id="cutoff2-0.4"),
+])
+def test_dephased_suppression_and_kraus_forms_agree(lam, space):
     rng = np.random.default_rng(33)
-    chan = dephased_fredkin_channel(SPACE3, 0, 1, 2, lam)
+    chan = dephased_fredkin_channel(space, 0, 1, 2, lam)
     for _ in range(10):
-        rho = random_density(SPACE3, rng)
-        a = dephased_fredkin_apply(SPACE3, 0, 1, 2, lam, rho).matrix
+        rho = random_density(space, rng)
+        a = dephased_fredkin_apply(space, 0, 1, 2, lam, rho).matrix
         b = chan.apply(rho).matrix
         assert np.max(np.abs(a - b)) < 1e-12
 
@@ -318,6 +322,35 @@ def test_gauss_hermite_oracle_matches_analytic(lam):
 
 
 # ---------------------------------------------------------------- Monte Carlo
+
+def _literal_phase_average(space, rho, eps_values, weights):
+    """sum_j w_j V(eps_j) rho V(eps_j)^dag, built sample by sample."""
+    out = np.zeros_like(rho.matrix)
+    for eps, w in zip(eps_values, weights):
+        v = noisy_fredkin_sample(space, 0, 1, 2, eps).matrix
+        out += w * (v @ rho.matrix @ v.conj().T)
+    return out
+
+
+@pytest.mark.parametrize("space", [SPACE3, SPACE3_CUTOFF2], ids=["cutoff1", "cutoff2"])
+def test_mc_oracle_is_the_literal_sample_mean(space):
+    lam, n, seed = 0.3, 200, 606
+    rho = random_density(space, np.random.default_rng(8))
+    eps = np.random.default_rng(seed).normal(0.0, math.sqrt(2 * lam), size=n)
+    literal = _literal_phase_average(space, rho, eps, np.full(n, 1.0 / n))
+    oracle = dephased_fredkin_mc(space, 0, 1, 2, lam, n, seed)
+    assert np.max(np.abs(oracle(rho).matrix - literal)) < 1e-13
+
+
+@pytest.mark.parametrize("space", [SPACE3, SPACE3_CUTOFF2], ids=["cutoff1", "cutoff2"])
+def test_quadrature_oracle_is_the_literal_node_sum(space):
+    lam = 0.3
+    rho = random_density(space, np.random.default_rng(9))
+    x, w = np.polynomial.hermite.hermgauss(40)
+    literal = _literal_phase_average(space, rho, 2 * math.sqrt(lam) * x, w / math.sqrt(math.pi))
+    quad = dephased_fredkin_ghq(space, 0, 1, 2, lam, nodes=40)
+    assert np.max(np.abs(quad(rho).matrix - literal)) < 1e-13
+
 
 def test_mc_zero_strength_exact():
     oracle = dephased_fredkin_mc(SPACE3, 0, 1, 2, 0.0, 100, seed=0)

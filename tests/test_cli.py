@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -43,6 +44,17 @@ def test_sweep_loss_columns_and_exit(capsys):
     assert lines[0] == ("gamma,loss_db,p_noec_sim,p_noec_closed,"
                         "p_ec_sim,p_ec_closed,p_balanced_ec")
     assert len(lines) == 6
+
+
+def test_sweep_loss_deep_grid_completes(capsys):
+    # past gamma ~ 8.1 the balanced legal mass e^-4gamma drops below 1e-14
+    code, out, err = run_cli(["sweep-loss", "--grid-start", "1", "--grid-stop", "40",
+                              "--grid-count", "8"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 8
+    assert float(rows[-1][0]) == 40.0
+    assert all(float(row[-1]) == 0.0 for row in rows)
 
 
 def test_sweep_dephasing_columns_and_fit_report(capsys):
@@ -134,8 +146,10 @@ def test_missing_config_file_is_usage_error(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports dualrail from wherever this process does (installed or src/)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "dualrail.cli", "truthtable"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("input,output")
 

@@ -134,6 +134,16 @@ def test_balanced_loss_postselected_error_is_zero():
         assert result0.p_error <= 1e-12
 
 
+def test_deep_balanced_loss_is_scored_not_rejected():
+    # the legal mass e^-4gamma = e^-48 lies far below the display threshold 1e-14
+    gamma = 12.0
+    result = run(cfg(1, "balanced-loss", gamma=gamma, dualrail_postselect=True))
+    assert result.p_error == 0.0
+    assert result.p_accept == pytest.approx(math.exp(-4 * gamma), rel=1e-9)
+    assert error_probability(result) == 0.0
+    assert which_path_error(result) == 0.0
+
+
 # ---------------------------------------------------------------- dephasing
 
 def test_dephasing_k0_diagonal():
