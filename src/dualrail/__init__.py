@@ -56,7 +56,6 @@ from .fock import (
     partial_trace,
 )
 from .gates import (
-    GateSpec,
     beamsplitter_unitary,
     fredkin_unitary,
     kerr_unitary,

@@ -28,14 +28,13 @@ from .fock import (
     FockError,
     FockSpace,
     LinearOperator,
-    index_of,
-    occupation_of,
+    mode_operator,
+    occupation_table,
 )
 from .gates import (
     beamsplitter_unitary,
     fredkin_unitary,
     kerr_unitary,
-    number_operator_diagonal,
 )
 
 LOSS_PLACEMENTS = ("before-kerr", "after-kerr", "split")
@@ -113,27 +112,17 @@ def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray
     from |n> to |n-k>; for cutoff 1 this is the familiar pair
     diag(1, e^(-gamma/2)) and sqrt(1 - e^(-gamma)) * lowering.
     """
-    if not 0 <= mode < space.n_modes:
-        raise FockError(f"mode {mode} outside [0, {space.n_modes})")
     if not (math.isfinite(gamma) and gamma >= 0):
         raise FockError(f"gamma must be finite and >= 0, got {gamma}")
     surv = math.exp(-gamma)
     ops = []
     for k in range(space.cutoff + 1):
-        kop = np.zeros((space.dim, space.dim), dtype=complex)
-        for i in range(space.dim):
-            occ = occupation_of(space, i)
-            n = occ[mode]
-            if k > n:
-                continue
+        jump = np.zeros((space.cutoff + 1,) * 2, dtype=complex)
+        for n in range(k, space.cutoff + 1):
             amp = math.sqrt(math.comb(n, k)) * surv ** ((n - k) / 2) * (1 - surv) ** (k / 2)
-            if amp == 0.0:
-                continue
-            lowered = list(occ)
-            lowered[mode] = n - k
-            kop[index_of(space, lowered), i] = amp
-        if np.any(kop != 0):
-            ops.append(kop)
+            jump[n - k, n] = amp
+        if np.any(jump != 0):
+            ops.append(mode_operator(space, mode, jump))
     return ops
 
 
@@ -243,7 +232,8 @@ def _phase_correlation(phi: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _cell_photon_numbers(space: FockSpace, m_b: int, m_c: int) -> np.ndarray:
     """N = n_b + n_c, the photon number in the Kerr cell, per basis state."""
-    return (number_operator_diagonal(space, m_b) + number_operator_diagonal(space, m_c)).astype(int)
+    table = occupation_table(space)
+    return table[:, m_b] + table[:, m_c]
 
 
 def _phase_average(space: FockSpace, m_a: int, m_b: int, m_c: int,

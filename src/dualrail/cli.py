@@ -44,7 +44,6 @@ from .fock import (
     basis_density,
     index_of,
     occupation_label,
-    occupation_of,
 )
 from .gates import fredkin_unitary
 from .machine import MachineConfig, run, sweep, which_path_error
@@ -148,13 +147,12 @@ def _set_config_defaults(parser: argparse.ArgumentParser, command: str,
 
 def cmd_truthtable(args) -> list[str]:
     f = fredkin_unitary(_TRUTH_TABLE_SPACE, 0, 1, 2).matrix
+    occupations = list(_TRUTH_TABLE_SPACE.occupations())
     records, failures = [], []
-    for i in range(_TRUTH_TABLE_SPACE.dim):
-        occ = occupation_of(_TRUTH_TABLE_SPACE, i)
-        col = f[:, i]
+    for occ, col in zip(occupations, f.T):
         j = int(np.argmax(np.abs(col)))
         amp = col[j]
-        target = occupation_of(_TRUTH_TABLE_SPACE, j)
+        target = occupations[j]
         # permutation-with-phase structure: one unit-modulus entry per column
         off = np.abs(col).sum() - abs(amp)
         if off > 1e-12 or abs(abs(amp) - 1.0) > 1e-12:
@@ -179,12 +177,9 @@ def cmd_lossy_gate(args) -> list[str]:
     if not (math.isfinite(gamma) and gamma >= 0):
         raise UsageError("gamma must be finite and >= 0")
     sp = _TRUTH_TABLE_SPACE
-    swap = np.zeros((sp.dim, sp.dim))
-    for i in range(sp.dim):
-        a, b, c = occupation_of(sp, i)
-        swap[index_of(sp, (b, a, c)), i] = 1.0
+    swapped = [index_of(sp, (b, a, c)) for a, b, c in sp.occupations()]  # a <-> b, an involution
     ref101 = lossy_gate_output_101(gamma)
-    ref011 = swap @ ref101 @ swap.T
+    ref011 = ref101[np.ix_(swapped, swapped)]
     records, ok = [], True
     for placement in ("after-kerr", "before-kerr", "split"):
         chan = lossy_fredkin_channel(sp, 0, 1, 2, gamma, placement)

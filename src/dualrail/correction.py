@@ -39,8 +39,8 @@ class ZeroAcceptanceError(FockError):
     """Post-selection accepted zero probability mass; conditional stats undefined."""
 
 
-def _legal_occupation(occ, pairs=DUAL_RAIL_PAIRS) -> bool:
-    return all(occ[i] + occ[j] == 1 for i, j in pairs)
+def _legal_occupation(occ) -> bool:
+    return all(occ[i] + occ[j] == 1 for i, j in DUAL_RAIL_PAIRS)
 
 
 def _occupation_projector(space: FockSpace, keep) -> np.ndarray:
@@ -48,14 +48,13 @@ def _occupation_projector(space: FockSpace, keep) -> np.ndarray:
     return np.diag([1.0 if keep(occ) else 0.0 for occ in space.occupations()])
 
 
-def dualrail_postselect(rho: DensityOperator,
-                        pairs=DUAL_RAIL_PAIRS) -> tuple[DensityOperator, float]:
+def dualrail_postselect(rho: DensityOperator) -> tuple[DensityOperator, float]:
     """Keep only outcomes with one photon per rail pair.
 
     Returns the renormalized accepted state and the acceptance probability.
     Raises ZeroAcceptanceError when no legal mass remains.
     """
-    legal = _occupation_projector(rho.space, lambda occ: _legal_occupation(occ, pairs))
+    legal = _occupation_projector(rho.space, _legal_occupation)
     return project_onto(rho, legal)
 
 
@@ -229,15 +228,13 @@ class SeriesFit:
     max_rel_residual: float
 
 
-def fit_series(points: list[tuple[float, float]], order: int = 2) -> SeriesFit:
+def fit_series(points: list[tuple[float, float]]) -> SeriesFit:
     """Least-squares fit p = c1 x + c2 x^2 through the origin.
 
     Intended for small-parameter grids (x <= 0.05) where cubic contamination
     is negligible; ``max_rel_residual`` reports the worst relative misfit so
     callers can decide whether to trust the coefficients.
     """
-    if order != 2:
-        raise FockError("only order-2 fits are supported")
     if len(points) < 4:
         raise FockError("need at least 4 grid points for a stable quadratic fit")
     x = np.array([p[0] for p in points], dtype=float)

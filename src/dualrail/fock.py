@@ -8,6 +8,9 @@ most significant digit of the basis index:
 
 so for five modes at cutoff 1 the occupation reads like a binary string.
 This convention is normative for all file output produced by the CLI.
+Only this module relies on it: other modules get occupations, embedded
+single-mode operators and marginals from ``occupation_table``,
+``mode_operator`` and ``marginal_distribution``.
 
 Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely between threads.
@@ -16,6 +19,7 @@ pure functions, so values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,8 +66,27 @@ class FockSpace:
 
     def occupations(self) -> Iterable[OccupationVector]:
         """All basis occupations in index order."""
-        for i in range(self.dim):
-            yield occupation_of(self, i)
+        return map(tuple, occupation_table(self).tolist())
+
+
+@lru_cache(maxsize=None)
+def occupation_table(space: FockSpace) -> np.ndarray:
+    """Read-only int array of shape (dim, n_modes): row i is the occupation of index i.
+
+    The single definition of the basis convention: C order over one axis of
+    length cutoff + 1 per mode, so mode 0 is the most significant digit.
+    """
+    shape = (space.cutoff + 1,) * space.n_modes
+    return _readonly(np.indices(shape).reshape(space.n_modes, -1).T)
+
+
+def mode_operator(space: FockSpace, mode: int, single: np.ndarray) -> np.ndarray:
+    """Embed a (cutoff + 1)-square single-mode matrix on ``mode``, identity elsewhere."""
+    if not 0 <= mode < space.n_modes:
+        raise FockError(f"mode {mode} outside [0, {space.n_modes})")
+    base = space.cutoff + 1
+    before, after = np.eye(base ** mode), np.eye(base ** (space.n_modes - 1 - mode))
+    return np.kron(np.kron(before, single), after)
 
 
 def index_of(space: FockSpace, occ: Sequence[int]) -> int:
@@ -83,11 +106,7 @@ def occupation_of(space: FockSpace, index: int) -> OccupationVector:
     """Inverse of :func:`index_of`."""
     if not 0 <= index < space.dim:
         raise FockError(f"index {index} outside [0, {space.dim})")
-    base = space.cutoff + 1
-    counts = []
-    for m in range(space.n_modes):
-        counts.append(index // base ** (space.n_modes - 1 - m) % base)
-    return tuple(counts)
+    return tuple(occupation_table(space)[index].tolist())
 
 
 def occupation_label(occ: Sequence[int]) -> str:
@@ -203,24 +222,28 @@ def diagonal_distribution(rho: DensityOperator) -> list[tuple[OccupationVector, 
     Entries below PROB_OMIT_THRESHOLD are omitted; the retained
     probabilities still sum to 1 within TRACE_TOL.
     """
-    probs = np.real(np.diag(rho.matrix))
-    out = []
-    for i, p in enumerate(probs):
-        if p > PROB_OMIT_THRESHOLD:
-            out.append((occupation_of(rho.space, i), float(p)))
-    return out
+    probs = np.real(np.diag(rho.matrix)).tolist()
+    return [(occ, p) for occ, p in zip(rho.space.occupations(), probs)
+            if p > PROB_OMIT_THRESHOLD]
+
+
+def marginal_distribution(rho: DensityOperator, modes: Sequence[int]) -> np.ndarray:
+    """Diagonal of ``rho`` summed over every mode not in ``modes``.
+
+    Entry i is the probability of occupation i of the kept modes, taken in
+    ascending mode order as a space of their own.
+    """
+    space = rho.space
+    if any(not 0 <= m < space.n_modes for m in modes):
+        raise FockError(f"modes {tuple(modes)} outside [0, {space.n_modes})")
+    probs = np.real(np.diag(rho.matrix)).reshape((space.cutoff + 1,) * space.n_modes)
+    traced = tuple(m for m in range(space.n_modes) if m not in modes)
+    return probs.sum(axis=traced).ravel()
 
 
 def marginal_mode_distribution(rho: DensityOperator, mode: int) -> np.ndarray:
     """Photon-number distribution of one mode, marginalized over the rest."""
-    space = rho.space
-    if not 0 <= mode < space.n_modes:
-        raise FockError(f"mode {mode} outside [0, {space.n_modes})")
-    probs = np.real(np.diag(rho.matrix))
-    out = np.zeros(space.cutoff + 1)
-    for i, p in enumerate(probs):
-        out[occupation_of(space, i)[mode]] += p
-    return out
+    return marginal_distribution(rho, (mode,))
 
 
 def partial_trace(rho: DensityOperator, keep_modes: Sequence[int]) -> DensityOperator:

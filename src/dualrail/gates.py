@@ -9,7 +9,6 @@ matrix exponential) is memoized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,30 +17,21 @@ from .fock import (
     FockError,
     FockSpace,
     LinearOperator,
-    index_of,
     matrix_exponential,
-    occupation_of,
+    mode_operator,
+    occupation_table,
 )
 
 
 def annihilation_operator(space: FockSpace, mode: int) -> np.ndarray:
     """Truncated annihilation operator for one mode, embedded in the full space."""
-    if not 0 <= mode < space.n_modes:
-        raise FockError(f"mode {mode} outside [0, {space.n_modes})")
-    a = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(space.dim):
-        occ = occupation_of(space, i)
-        n = occ[mode]
-        if n > 0:
-            lowered = list(occ)
-            lowered[mode] = n - 1
-            a[index_of(space, lowered), i] = math.sqrt(n)
-    return a
+    lowering = np.diag(np.sqrt(np.arange(1, space.cutoff + 1)), 1).astype(complex)
+    return mode_operator(space, mode, lowering)
 
 
 def number_operator_diagonal(space: FockSpace, mode: int) -> np.ndarray:
     """Diagonal of the photon-number operator for one mode."""
-    return np.array([occupation_of(space, i)[mode] for i in range(space.dim)], dtype=float)
+    return occupation_table(space)[:, mode].astype(float)
 
 
 def _check_distinct(space: FockSpace, *modes: int):
@@ -117,44 +107,3 @@ def noisy_fredkin_sample(space: FockSpace, m_a: int, m_b: int, m_c: int,
     phase = np.exp(1j * epsilon * n_pair)
     v = b.matrix.conj().T @ (phase[:, None] * (k.matrix @ b.matrix))
     return LinearOperator(space, v, unitary=True)
-
-
-_GATE_KINDS = ("beamsplitter", "kerr", "phase-shift", "fredkin", "fredkin-noisy")
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """Declarative description of a gate, buildable on any compatible space.
-
-    ``parameter`` carries the angle or phase; leaving it at 0 selects the
-    canonical value (pi/4 beamsplitter, pi Kerr, the random phase for the
-    noisy Fredkin).
-    """
-
-    kind: str
-    modes: tuple[int, ...]
-    parameter: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _GATE_KINDS:
-            raise FockError(f"unknown gate kind {self.kind!r}")
-        if len(set(self.modes)) != len(self.modes):
-            raise FockError(f"modes {self.modes} must be distinct")
-        if not math.isfinite(self.parameter):
-            raise FockError("gate parameter must be finite")
-
-    def build(self, space: FockSpace) -> LinearOperator:
-        if self.kind == "beamsplitter":
-            i, j = self.modes
-            theta = self.parameter if self.parameter else math.pi / 4
-            return beamsplitter_unitary(space, i, j, theta)
-        if self.kind == "kerr":
-            i, j = self.modes
-            chi = self.parameter if self.parameter else math.pi
-            return kerr_unitary(space, i, j, chi)
-        if self.kind == "phase-shift":
-            (m,) = self.modes
-            return phase_shift_unitary(space, m, self.parameter)
-        if self.kind == "fredkin":
-            return fredkin_unitary(space, *self.modes)
-        return noisy_fredkin_sample(space, *self.modes, self.parameter)

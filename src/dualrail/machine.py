@@ -54,6 +54,7 @@ from .fock import (
     PureState,
     apply_unitary,
     basis_pure,
+    marginal_distribution,
 )
 from .gates import (
     beamsplitter_unitary,
@@ -158,9 +159,9 @@ def _wrong_outcome(occ4: Sequence[int], k1: int) -> bool:
 
 def _rail_diagonal(rho: DensityOperator) -> list[tuple[OccupationVector, float]]:
     """The full outcome diagonal over the rail modes a-d, tiny entries included."""
-    rails = FockSpace(4, rho.space.cutoff)
-    probs = np.real(np.diag(rho.matrix)).reshape(rails.dim, -1).sum(axis=1)
-    return list(zip(rails.occupations(), probs.tolist()))
+    rails = (MODE_A, MODE_B, MODE_C, MODE_D)
+    probs = marginal_distribution(rho, rails)
+    return list(zip(FockSpace(len(rails), rho.space.cutoff).occupations(), probs.tolist()))
 
 
 def _conditional(diag4, postselect: bool, event) -> tuple[float, float]:

@@ -29,3 +29,24 @@ def random_reachable_state(space: FockSpace, basis_vectors, rng: np.random.Gener
     m /= np.trace(m)
     vecs = np.column_stack(basis_vectors)
     return DensityOperator(space, vecs @ m @ vecs.conj().T)
+
+
+def digits_of(space: FockSpace, index: int) -> list[int]:
+    """Occupation of a basis index by positional arithmetic, mode 0 most significant.
+
+    Independent of ``fock.occupation_table``; the reference loops below use it.
+    """
+    base = space.cutoff + 1
+    return [index // base ** (space.n_modes - 1 - m) % base for m in range(space.n_modes)]
+
+
+def index_from_digits(space: FockSpace, occ) -> int:
+    index = 0
+    for n in occ:
+        index = index * (space.cutoff + 1) + n
+    return index
+
+
+def assert_bit_equal(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()

@@ -29,9 +29,10 @@ from dualrail import (
     lossy_fredkin_channel,
     unitary_channel,
 )
+from dualrail.channels import _damping_kraus
 from dualrail.correction import lossy_gate_output_101
 from dualrail.gates import noisy_fredkin_sample, number_operator_diagonal
-from conftest import random_density
+from conftest import assert_bit_equal, digits_of, index_from_digits, random_density
 
 SPACE3 = FockSpace(3, 1)
 SPACE3_CUTOFF2 = FockSpace(3, 2)  # cell photon numbers up to 4 use phi(3) and phi(4)
@@ -95,6 +96,38 @@ def test_amplitude_damping_multiphoton_mean_decay():
     out = chan.apply(basis_density(space, (2,))).matrix
     mean_n = sum(n * out[n, n].real for n in range(3))
     assert mean_n == pytest.approx(2 * math.exp(-gamma), abs=1e-12)
+
+
+def loop_damping_kraus(space, mode, gamma):
+    """The k-photon jump operators built entry by entry over the basis indices."""
+    surv = math.exp(-gamma)
+    ops = []
+    for k in range(space.cutoff + 1):
+        kop = np.zeros((space.dim, space.dim), dtype=complex)
+        for i in range(space.dim):
+            occ = digits_of(space, i)
+            n = occ[mode]
+            if k > n:
+                continue
+            amp = math.sqrt(math.comb(n, k)) * surv ** ((n - k) / 2) * (1 - surv) ** (k / 2)
+            if amp == 0.0:
+                continue
+            occ[mode] = n - k
+            kop[index_from_digits(space, occ), i] = amp
+        if np.any(kop != 0):
+            ops.append(kop)
+    return ops
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 5.0])
+@pytest.mark.parametrize("space", [SPACE3, SPACE3_CUTOFF2], ids=str)
+def test_damping_kraus_matches_index_loop(space, gamma):
+    for mode in range(space.n_modes):
+        ops = _damping_kraus(space, mode, gamma)
+        ref = loop_damping_kraus(space, mode, gamma)
+        assert len(ops) == len(ref) == (1 if gamma == 0.0 else space.cutoff + 1)
+        for op, want in zip(ops, ref):
+            assert_bit_equal(op, want)
 
 
 def test_noise_params_validation():

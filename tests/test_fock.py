@@ -20,7 +20,9 @@ from dualrail import (
     occupation_of,
     partial_trace,
 )
-from conftest import random_density
+from dualrail.fock import marginal_distribution, occupation_table
+from dualrail.gates import annihilation_operator
+from conftest import assert_bit_equal, digits_of, index_from_digits, random_density
 
 ROUND_TRIP_SPACES = [FockSpace(3, 1), FockSpace(4, 1), FockSpace(5, 1), FockSpace(3, 2)]
 
@@ -49,6 +51,38 @@ def test_index_round_trip_full_basis(space):
         assert index_of(space, occ) == i
         seen.add(occ)
     assert len(seen) == space.dim
+
+
+@pytest.mark.parametrize("space", ROUND_TRIP_SPACES, ids=str)
+def test_occupation_table_rows_round_trip(space):
+    table = occupation_table(space)
+    assert table.shape == (space.dim, space.n_modes)
+    assert [index_of(space, row) for row in table] == list(range(space.dim))
+    assert list(space.occupations()) == [tuple(digits_of(space, i)) for i in range(space.dim)]
+    assert occupation_table(space) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+def loop_annihilation(space, mode):
+    """The annihilation operator built entry by entry over the basis indices."""
+    a = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(space.dim):
+        occ = digits_of(space, i)
+        n = occ[mode]
+        if n > 0:
+            occ[mode] = n - 1
+            a[index_from_digits(space, occ), i] = math.sqrt(n)
+    return a
+
+
+@pytest.mark.parametrize("space", [FockSpace(3, 1), FockSpace(5, 1), FockSpace(3, 2)], ids=str)
+def test_annihilation_operator_matches_index_loop(space):
+    for mode in range(space.n_modes):
+        assert_bit_equal(annihilation_operator(space, mode), loop_annihilation(space, mode))
+    for mode in (-1, space.n_modes):
+        with pytest.raises(FockError):
+            annihilation_operator(space, mode)
 
 
 @given(data=st.data())
@@ -146,6 +180,14 @@ def test_marginal_mode_distribution():
     assert marg == pytest.approx([0.5, 0.5])
     with pytest.raises(FockError):
         marginal_mode_distribution(basis_density(space, (0, 1, 0, 1)), 4)
+
+
+@pytest.mark.parametrize("space", [FockSpace(5, 1), FockSpace(3, 2)], ids=str)
+def test_marginal_distribution_is_the_partial_trace_diagonal(space):
+    rho = random_density(space, np.random.default_rng(7))
+    for keep in ((0,), (space.n_modes - 1,), (0, 2), tuple(range(space.n_modes - 1))):
+        reduced = np.real(np.diag(partial_trace(rho, keep).matrix))
+        assert np.max(np.abs(marginal_distribution(rho, keep) - reduced)) < 1e-15
 
 
 def test_partial_trace_product_state():

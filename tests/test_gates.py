@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from dualrail import (
     FockError,
     FockSpace,
-    GateSpec,
     basis_pure,
     beamsplitter_unitary,
     fredkin_unitary,
@@ -165,17 +164,3 @@ def test_noisy_fredkin_unitary_for_any_phase(eps):
     v = noisy_fredkin_sample(space, 0, 1, 2, eps).matrix
     assert np.max(np.abs(v.conj().T @ v - np.eye(space.dim))) < 1e-12
 
-
-def test_gate_spec_validation_and_build():
-    space = FockSpace(3, 1)
-    spec = GateSpec("fredkin", (0, 1, 2))
-    f = spec.build(space).matrix
-    assert np.max(np.abs(f - fredkin_unitary(space, 0, 1, 2).matrix)) < 1e-14
-    bs = GateSpec("beamsplitter", (0, 1)).build(space).matrix
-    assert np.max(np.abs(bs - beamsplitter_unitary(space, 0, 1).matrix)) < 1e-14
-    with pytest.raises(FockError):
-        GateSpec("swap", (0, 1))
-    with pytest.raises(FockError):
-        GateSpec("kerr", (1, 1))
-    with pytest.raises(FockError):
-        GateSpec("phase-shift", (0,), math.inf)
