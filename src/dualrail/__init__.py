@@ -23,12 +23,13 @@ from .channels import (
     unitary_channel,
 )
 from .correction import (
-    LegalSubspace,
     SeriesFit,
     ZeroAcceptanceError,
     dualrail_postselect,
     fit_series,
-    legal_subspace,
+    legal_basis,
+    legal_mask,
+    legal_projector,
     p_accept_projective_closed,
     p_ec_closed,
     p_noec_closed,
@@ -47,13 +48,10 @@ from .fock import (
     apply_unitary,
     basis_density,
     basis_pure,
-    diagonal_distribution,
     index_of,
-    marginal_mode_distribution,
-    matrix_exponential,
+    marginal_distribution,
     occupation_label,
     occupation_of,
-    partial_trace,
 )
 from .gates import (
     beamsplitter_unitary,
@@ -65,14 +63,11 @@ from .gates import (
 from .machine import (
     MachineConfig,
     RunResult,
-    SweepRecord,
-    error_probability,
     gate_modes,
     ideal_run,
     machine_input,
     machine_space,
     run,
-    sweep,
     which_path_error,
 )
 

@@ -46,7 +46,7 @@ from .fock import (
     occupation_label,
 )
 from .gates import fredkin_unitary
-from .machine import MachineConfig, run, sweep, which_path_error
+from .machine import MachineConfig, run, which_path_error
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -196,22 +196,22 @@ def cmd_lossy_gate(args) -> list[str]:
 
 
 def cmd_sweep_loss(args) -> list[str]:
-    grid = _grid(args)
-    loss_tpl = MachineConfig(k1=1, noise_model="loss")
-    bal_tpl = MachineConfig(k1=1, noise_model="balanced-loss")
-    loss_records = sweep(loss_tpl, "gamma", grid, ("none", "dualrail"))
-    bal_records = sweep(bal_tpl, "gamma", grid, ("dualrail",))
     records, ok = [], True
-    for rec, bal in zip(loss_records, bal_records):
-        g = rec.value
+    for gamma in _grid(args):
+        noise = NoiseParams(gamma=gamma)
+        plain = run(MachineConfig(k1=1, noise=noise, noise_model="loss"))
+        ec = run(MachineConfig(k1=1, noise=noise, noise_model="loss", dualrail_postselect=True))
+        bal = run(MachineConfig(k1=1, noise=noise, noise_model="balanced-loss",
+                                dualrail_postselect=True))
+        g = float(gamma)
         row = {
             "gamma": g,
             "loss_db": decibels(g),
-            "p_noec_sim": rec.p_error["none"],
+            "p_noec_sim": plain.p_error,
             "p_noec_closed": p_noec_closed(g),
-            "p_ec_sim": rec.p_error["dualrail"],
+            "p_ec_sim": ec.p_error,
             "p_ec_closed": p_ec_closed(g),
-            "p_balanced_ec": bal.p_error["dualrail"],
+            "p_balanced_ec": bal.p_error,
         }
         ok = ok and abs(row["p_noec_sim"] - row["p_noec_closed"]) <= 1e-10
         ok = ok and abs(row["p_ec_sim"] - row["p_ec_closed"]) <= 1e-10

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from .fock import (
     FockError,
     FockSpace,
     LinearOperator,
-    PureState,
     apply_unitary,
     basis_pure,
     index_of,
+    occupation_table,
 )
 
 DUAL_RAIL_PAIRS = ((0, 1), (2, 3))
@@ -39,13 +40,21 @@ class ZeroAcceptanceError(FockError):
     """Post-selection accepted zero probability mass; conditional stats undefined."""
 
 
-def _legal_occupation(occ) -> bool:
-    return all(occ[i] + occ[j] == 1 for i, j in DUAL_RAIL_PAIRS)
+@lru_cache(maxsize=None)
+def legal_mask(space: FockSpace) -> np.ndarray:
+    """Read-only boolean per basis index: True where each rail pair holds one photon.
 
-
-def _occupation_projector(space: FockSpace, keep) -> np.ndarray:
-    """Diagonal projector onto the basis states whose occupation satisfies ``keep``."""
-    return np.diag([1.0 if keep(occ) else 0.0 for occ in space.occupations()])
+    The one definition of dual-rail legality; post-selection and the machine
+    scoring both read it.
+    """
+    if space.n_modes < 4:
+        raise FockError("dual-rail legality needs at least the four rail modes")
+    table = occupation_table(space)
+    legal = np.ones(space.dim, dtype=bool)
+    for i, j in DUAL_RAIL_PAIRS:
+        legal &= table[:, i] + table[:, j] == 1
+    legal.setflags(write=False)
+    return legal
 
 
 def dualrail_postselect(rho: DensityOperator) -> tuple[DensityOperator, float]:
@@ -54,20 +63,7 @@ def dualrail_postselect(rho: DensityOperator) -> tuple[DensityOperator, float]:
     Returns the renormalized accepted state and the acceptance probability.
     Raises ZeroAcceptanceError when no legal mass remains.
     """
-    legal = _occupation_projector(rho.space, _legal_occupation)
-    return project_onto(rho, legal)
-
-
-@dataclass(frozen=True, eq=False)
-class LegalSubspace:
-    """Orthonormal basis of permitted mid-computation states plus its projector."""
-
-    basis: tuple[PureState, ...]
-    projector: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
+    return project_onto(rho, np.diag(legal_mask(rho.space).astype(float)))
 
 
 def _embed(space: FockSpace, weights: dict[tuple[int, ...], float]) -> np.ndarray:
@@ -79,15 +75,23 @@ def _embed(space: FockSpace, weights: dict[tuple[int, ...], float]) -> np.ndarra
     return amps
 
 
-def legal_subspace(space: FockSpace) -> LegalSubspace:
-    """The two-dimensional legal span {psi0, psi1} embedded in ``space``."""
+def legal_basis(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal basis (psi0, psi1) of the legal span, embedded in ``space``."""
     if space.n_modes < 4:
         raise FockError("legal subspace needs at least the four rail modes")
     psi0 = _embed(space, {(0, 1, 0, 1): 1 / math.sqrt(2), (1, 0, 1, 0): 1 / math.sqrt(2)})
     psi1 = _embed(space, {(0, 1, 0, 1): 1 / math.sqrt(6), (0, 1, 1, 0): 2 / math.sqrt(6),
                           (1, 0, 1, 0): -1 / math.sqrt(6)})
+    return psi0, psi1
+
+
+@lru_cache(maxsize=None)
+def legal_projector(space: FockSpace) -> np.ndarray:
+    """Read-only projector onto the two-dimensional legal span."""
+    psi0, psi1 = legal_basis(space)
     proj = np.outer(psi0, psi0.conj()) + np.outer(psi1, psi1.conj())
-    return LegalSubspace((PureState(space, psi0), PureState(space, psi1)), proj)
+    proj.setflags(write=False)
+    return proj
 
 
 def project_onto(rho: DensityOperator, projector: np.ndarray) -> tuple[DensityOperator, float]:
@@ -99,15 +103,12 @@ def project_onto(rho: DensityOperator, projector: np.ndarray) -> tuple[DensityOp
     return DensityOperator(rho.space, out / p_accept), p_accept
 
 
-def projective_ec_step(rho: DensityOperator,
-                       subspace: LegalSubspace | None = None) -> tuple[DensityOperator, float]:
+def projective_ec_step(rho: DensityOperator) -> tuple[DensityOperator, float]:
     """Project the mid-computation state onto the legal span and renormalize.
 
     Only meaningful in a photon-number-preserving (no-loss) context.
     """
-    if subspace is None:
-        subspace = legal_subspace(rho.space)
-    return project_onto(rho, subspace.projector)
+    return project_onto(rho, legal_projector(rho.space))
 
 
 def restore_unitary(space: FockSpace) -> LinearOperator:
@@ -121,14 +122,11 @@ def restore_unitary(space: FockSpace) -> LinearOperator:
     reachable states: the measurement cannot distinguish the two accepted
     images, so coherence inside the legal span survives.
     """
-    sub = legal_subspace(space)
-    psi0 = sub.basis[0].amplitudes
-    psi1 = sub.basis[1].amplitudes
+    psi0, psi1 = legal_basis(space)
     # Orthogonal complement of the legal span inside the reachable 4-space.
     comp_a = _embed(space, {(0, 1, 0, 1): 1 / math.sqrt(3), (1, 0, 1, 0): -1 / math.sqrt(3),
                             (0, 1, 1, 0): -1 / math.sqrt(3)})
     comp_b = _embed(space, {(1, 0, 0, 1): 1.0})
-    pad = (0,) * (space.n_modes - 4)
     targets = [
         _embed(space, {(0, 1, 0, 1): 1.0}),   # cd = 01, accepted
         _embed(space, {(1, 0, 0, 1): 1.0}),   # cd = 01, accepted
@@ -150,7 +148,8 @@ def projective_ec_step_via_unitary(rho: DensityOperator) -> tuple[DensityOperato
     reachable span (asserted by the test suite).
     """
     u = restore_unitary(rho.space)
-    keep = _occupation_projector(rho.space, lambda occ: occ[2] == 0 and occ[3] == 1)
+    table = occupation_table(rho.space)
+    keep = np.diag(((table[:, 2] == 0) & (table[:, 3] == 1)).astype(float))
     kept, p_accept = project_onto(apply_unitary(rho, u), keep)
     return apply_unitary(kept, u.dagger), p_accept
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 # Central numerical tolerances.  Tests import these, do not inline the values.
 HERMITICITY_TOL = 1e-12
@@ -55,6 +55,9 @@ class FockSpace:
     cutoff: int = 1
 
     def __post_init__(self):
+        if not all(isinstance(v, Integral) for v in (self.n_modes, self.cutoff)):
+            raise FockError(f"n_modes and cutoff must be integers, got {self.n_modes!r}, "
+                            f"{self.cutoff!r}")
         if self.n_modes < 1:
             raise FockError(f"n_modes must be positive, got {self.n_modes}")
         if self.cutoff < 1:
@@ -91,14 +94,14 @@ def mode_operator(space: FockSpace, mode: int, single: np.ndarray) -> np.ndarray
 
 def index_of(space: FockSpace, occ: Sequence[int]) -> int:
     """Basis index of an occupation vector (mode 0 most significant)."""
-    occ = tuple(int(n) for n in occ)
+    occ = tuple(occ)
     if len(occ) != space.n_modes:
         raise FockError(f"expected {space.n_modes} modes, got {len(occ)}")
     index = 0
     for n in occ:
-        if not 0 <= n <= space.cutoff:
-            raise FockError(f"occupation {occ} exceeds cutoff {space.cutoff}")
-        index = index * (space.cutoff + 1) + n
+        if not (isinstance(n, Integral) and 0 <= n <= space.cutoff):
+            raise FockError(f"occupation {occ} is not an integer in [0, {space.cutoff}]")
+        index = index * (space.cutoff + 1) + int(n)
     return index
 
 
@@ -193,38 +196,12 @@ def basis_density(space: FockSpace, occ: Sequence[int]) -> DensityOperator:
     return basis_pure(space, occ).density()
 
 
-def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a dense square complex matrix.
-
-    Delegates to scipy's Pade scaling-and-squaring implementation, which
-    meets the 1e-12 relative accuracy needed for the anti-Hermitian
-    generators used by the gate constructors.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise FockError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise FockError("matrix contains non-finite entries")
-    return _scipy_expm(a)
-
-
 def apply_unitary(rho: DensityOperator, u: LinearOperator) -> DensityOperator:
     """Conjugate a density operator: rho -> U rho U^dag."""
     if u.space != rho.space:
         raise FockError("operator and state live on different spaces")
     m = u.matrix
     return DensityOperator(rho.space, m @ rho.matrix @ m.conj().T)
-
-
-def diagonal_distribution(rho: DensityOperator) -> list[tuple[OccupationVector, float]]:
-    """Measurement distribution over basis occupations.
-
-    Entries below PROB_OMIT_THRESHOLD are omitted; the retained
-    probabilities still sum to 1 within TRACE_TOL.
-    """
-    probs = np.real(np.diag(rho.matrix)).tolist()
-    return [(occ, p) for occ, p in zip(rho.space.occupations(), probs)
-            if p > PROB_OMIT_THRESHOLD]
 
 
 def marginal_distribution(rho: DensityOperator, modes: Sequence[int]) -> np.ndarray:
@@ -240,28 +217,3 @@ def marginal_distribution(rho: DensityOperator, modes: Sequence[int]) -> np.ndar
     traced = tuple(m for m in range(space.n_modes) if m not in modes)
     return probs.sum(axis=traced).ravel()
 
-
-def marginal_mode_distribution(rho: DensityOperator, mode: int) -> np.ndarray:
-    """Photon-number distribution of one mode, marginalized over the rest."""
-    return marginal_distribution(rho, (mode,))
-
-
-def partial_trace(rho: DensityOperator, keep_modes: Sequence[int]) -> DensityOperator:
-    """Reduced density operator on ``keep_modes`` (in ascending mode order)."""
-    space = rho.space
-    keep = sorted(set(int(m) for m in keep_modes))
-    if not keep:
-        raise FockError("keep_modes must be nonempty")
-    if keep[0] < 0 or keep[-1] >= space.n_modes:
-        raise FockError(f"keep_modes {keep} outside [0, {space.n_modes})")
-    n, base = space.n_modes, space.cutoff + 1
-    traced = [m for m in range(n) if m not in keep]
-    tensor = rho.matrix.reshape((base,) * (2 * n))
-    # Move kept axes to the front within each of the bra/ket halves.
-    order = keep + traced
-    perm = order + [n + m for m in order]
-    tensor = np.transpose(tensor, perm)
-    dk, dt = base ** len(keep), base ** len(traced)
-    tensor = tensor.reshape(dk, dt, dk, dt)
-    reduced = np.einsum("atbt->ab", tensor)
-    return DensityOperator(FockSpace(len(keep), space.cutoff), reduced)

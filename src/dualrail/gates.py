@@ -2,8 +2,8 @@
 
 All constructors return operators on the full space (identity on untouched
 modes) so they compose freely; nothing acts in place.  Everything returned
-is immutable, so the beamsplitter (the only constructor that pays for a
-matrix exponential) is memoized.
+is immutable, so the beamsplitter (the only constructor that pays for an
+eigendecomposition) is memoized.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .fock import (
     FockError,
     FockSpace,
     LinearOperator,
-    matrix_exponential,
     mode_operator,
     occupation_table,
 )
@@ -53,10 +52,14 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int,
     truncated; use cutoff >= total pair occupation for exact two-photon physics.
     """
     _check_distinct(space, mode_i, mode_j)
+    if not math.isfinite(theta):
+        raise FockError(f"theta must be finite, got {theta}")
     ai = annihilation_operator(space, mode_i)
     aj = annihilation_operator(space, mode_j)
     gen = theta * (ai.conj().T @ aj - aj.conj().T @ ai)
-    return LinearOperator(space, matrix_exponential(gen), unitary=True)
+    # gen is anti-Hermitian, so exp(gen) = V exp(-i w) V^dag from the eigenpairs of i gen
+    w, v = np.linalg.eigh(1j * gen)
+    return LinearOperator(space, (v * np.exp(-1j * w)) @ v.conj().T, unitary=True)
 
 
 def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -38,13 +37,7 @@ from .channels import (
     fredkin_channel,
     lossy_fredkin_channel,
 )
-from .correction import (
-    ZeroAcceptanceError,
-    _legal_occupation,
-    legal_subspace,
-    project_onto,
-    projective_ec_step,
-)
+from .correction import ZeroAcceptanceError, legal_mask, projective_ec_step
 from .fock import (
     PROB_OMIT_THRESHOLD,
     DensityOperator,
@@ -55,6 +48,7 @@ from .fock import (
     apply_unitary,
     basis_pure,
     marginal_distribution,
+    occupation_table,
 )
 from .gates import (
     beamsplitter_unitary,
@@ -63,6 +57,7 @@ from .gates import (
 )
 
 MODE_A, MODE_B, MODE_C, MODE_D, MODE_E = range(5)
+RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
 
 NOISE_MODELS = ("none", "loss", "balanced-loss", "dephasing")
 GATE_TAGS = ("first", "second")
@@ -89,9 +84,7 @@ class MachineConfig:
     noise: NoiseParams = field(default_factory=NoiseParams)
     noise_model: str = "none"
     noisy_gates: tuple[str, ...] | None = None
-    loss_placement: str = "after-kerr"
     projective_ec: bool = False
-    projective_ec_both: bool = False
     dualrail_postselect: bool = False
 
     def __post_init__(self):
@@ -105,8 +98,6 @@ class MachineConfig:
                 raise FockError(f"unknown gate tags {sorted(bad)}")
         if self.projective_ec and self.noise_model in ("loss", "balanced-loss"):
             raise FockError("projective correction requires a photon-number-preserving run")
-        if self.projective_ec_both and not self.projective_ec:
-            raise FockError("projective_ec_both requires projective_ec")
 
     def resolved_noisy_gates(self) -> tuple[str, ...]:
         """Default noise placement.
@@ -142,55 +133,39 @@ class RunResult:
     intermediate_states: tuple[PureState, ...] | None = None
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Per-grid-point error and acceptance probabilities, one entry per strategy."""
-
-    parameter: str
-    value: float
-    p_error: dict[str, float]
-    p_accept: dict[str, float]
+def _rail_outcomes(rho: DensityOperator) -> tuple[np.ndarray, FockSpace]:
+    """The full outcome diagonal over the rail modes a-d, tiny entries included, and their space."""
+    return marginal_distribution(rho, RAIL_MODES), FockSpace(len(RAIL_MODES), rho.space.cutoff)
 
 
-def _wrong_outcome(occ4: Sequence[int], k1: int) -> bool:
-    # correct readout: mode d clicks for k1 = 0, stays dark for k1 = 1
-    return occ4[MODE_D] == 1 if k1 == 1 else occ4[MODE_D] == 0
+def _conditional(probs: np.ndarray, legal: np.ndarray | None,
+                 event: np.ndarray) -> tuple[float, float]:
+    """(P(event), acceptance) from a-d outcome masks, conditioned on ``legal`` unless None.
 
-
-def _rail_diagonal(rho: DensityOperator) -> list[tuple[OccupationVector, float]]:
-    """The full outcome diagonal over the rail modes a-d, tiny entries included."""
-    rails = (MODE_A, MODE_B, MODE_C, MODE_D)
-    probs = marginal_distribution(rho, rails)
-    return list(zip(FockSpace(len(rails), rho.space.cutoff).occupations(), probs.tolist()))
-
-
-def _conditional(diag4, postselect: bool, event) -> tuple[float, float]:
-    """(P(event), acceptance), conditioned on dual-rail legality when ``postselect``.
-
-    ``diag4`` is the full a-d diagonal; an outcome counts when its share of the
-    acceptance exceeds PROB_OMIT_THRESHOLD, so a tiny legal mass is still scored.
+    An outcome counts when its share of the acceptance exceeds
+    PROB_OMIT_THRESHOLD, so a tiny legal mass is still scored.  The sums add
+    sequentially in index order, which fixes the last digits the CLI prints.
     """
     accepted = 1.0
-    if postselect:
-        diag4 = [(occ, p) for occ, p in diag4 if _legal_occupation(occ)]
-        accepted = sum(p for _, p in diag4)
+    if legal is not None:
+        event = event & legal
+        accepted = sum(probs[legal].tolist())
         if accepted <= 0.0:
             raise ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
-    hit = sum(p for occ, p in diag4 if p / accepted > PROB_OMIT_THRESHOLD and event(occ))
+    hit = sum(probs[event & (probs / accepted > PROB_OMIT_THRESHOLD)].tolist())
     return hit / accepted, accepted
 
 
-def _score(diag4, config: MachineConfig) -> tuple[float, float]:
+def _score(probs: np.ndarray, rails: FockSpace, config: MachineConfig) -> tuple[float, float]:
     """(p_error, dual-rail acceptance) for the full a-d outcome diagonal of a run."""
-    wrong, accepted = _conditional(
-        diag4, config.dualrail_postselect,
-        lambda occ: _legal_occupation(occ) and _wrong_outcome(occ, config.k1))
+    table, legal = occupation_table(rails), legal_mask(rails)
+    # correct readout: mode d clicks for k1 = 0, stays dark for k1 = 1
+    wrong = legal & (table[:, MODE_D] == config.k1)
     if config.dualrail_postselect:
-        return wrong, accepted
-    arms = [m for m in gate_modes(config.k1)[1:] if m < 4]  # the Kerr-cell rails
-    lone, _ = _conditional(diag4, False,
-                           lambda occ: sum(occ) == 1 and any(occ[m] == 1 for m in arms))
-    return wrong + 0.5 * lone, accepted
+        return _conditional(probs, legal, wrong)
+    arms = [m for m in gate_modes(config.k1)[1:] if m in RAIL_MODES]  # the Kerr-cell rails
+    lone = (table.sum(axis=1) == 1) & (table[:, arms] == 1).any(axis=1)
+    return _conditional(probs, None, wrong)[0] + 0.5 * _conditional(probs, None, lone)[0], 1.0
 
 
 def _gate_channel(space: FockSpace, config: MachineConfig, tag: str,
@@ -202,13 +177,11 @@ def _gate_channel(space: FockSpace, config: MachineConfig, tag: str,
         return fredkin_channel(space, *modes).apply
     model = config.noise_model
     if model == "loss":
-        return lossy_fredkin_channel(space, *modes, config.noise.gamma,
-                                     config.loss_placement).apply
+        return lossy_fredkin_channel(space, *modes, config.noise.gamma).apply
     if model == "balanced-loss":
         # for either switch setting the balanced design damps the four rail
         # modes a-d equally, including the bystander the gate does not touch
-        return balanced_lossy_fredkin_channel(space, *modes,
-                                              (MODE_A, MODE_B, MODE_C, MODE_D),
+        return balanced_lossy_fredkin_channel(space, *modes, RAIL_MODES,
                                               config.noise.gamma).apply
     if model == "dephasing":
         if mc_samples is not None:
@@ -218,13 +191,6 @@ def _gate_channel(space: FockSpace, config: MachineConfig, tag: str,
                                        mc_samples, seed)
         return dephased_fredkin_channel(space, *modes, config.noise.lam).apply
     raise FockError(f"unhandled noise model {model!r}")
-
-
-def _propagated_legal_projector(space: FockSpace, config: MachineConfig) -> np.ndarray:
-    """Legal span pushed through the ideal S_a and second gate (for late correction)."""
-    s = phase_shift_unitary(space, MODE_A, math.pi).matrix
-    u = fredkin_unitary(space, *gate_modes(config.k1)).matrix @ s
-    return u @ legal_subspace(space).projector @ u.conj().T
 
 
 def run(config: MachineConfig, mc_samples: int | None = None,
@@ -237,26 +203,22 @@ def run(config: MachineConfig, mc_samples: int | None = None,
     space = machine_space()
     bcd = beamsplitter_unitary(space, MODE_C, MODE_D)
     s_a = phase_shift_unitary(space, MODE_A, math.pi)
-    sub = legal_subspace(space)
 
     rho = machine_input(space).density()
     rho = apply_unitary(rho, bcd)
     rho = _gate_channel(space, config, "first", mc_samples, mc_seed)(rho)
     p_accept = 1.0
     if config.projective_ec:
-        rho, acc = projective_ec_step(rho, sub)
-        p_accept *= acc
+        rho, p_accept = projective_ec_step(rho)
     rho = apply_unitary(rho, s_a)
     rho = _gate_channel(space, config, "second", mc_samples, mc_seed)(rho)
-    if config.projective_ec_both:
-        rho, acc = project_onto(rho, _propagated_legal_projector(space, config))
-        p_accept *= acc
     rho = apply_unitary(rho, bcd.dagger)
 
-    diag4 = _rail_diagonal(rho)
-    p_error, dualrail_acc = _score(diag4, config)
+    probs, rails = _rail_outcomes(rho)
+    p_error, dualrail_acc = _score(probs, rails, config)
     p_accept *= dualrail_acc
-    dist4 = tuple((occ, p) for occ, p in diag4 if p > PROB_OMIT_THRESHOLD)
+    dist4 = tuple((occ, p) for occ, p in zip(rails.occupations(), probs.tolist())
+                  if p > PROB_OMIT_THRESHOLD)
     return RunResult(config, rho, dist4, p_accept, p_error)
 
 
@@ -270,18 +232,6 @@ def ideal_run(k1: int) -> RunResult:
     return replace(run(MachineConfig(k1=k1)), intermediate_states=states)
 
 
-def error_probability(result: RunResult, k1: int | None = None) -> float:
-    """Mode-d readout error of a run, conditioned on any active post-selection.
-
-    See the module docstring for the lone-photon charge applied to
-    unpost-selected loss runs.  Raises ZeroAcceptanceError when
-    post-selection accepts nothing.
-    """
-    config = result.config if k1 is None else replace(result.config, k1=k1)
-    p_error, _ = _score(_rail_diagonal(result.output_state), config)
-    return p_error
-
-
 def which_path_error(result: RunResult) -> float:
     """Probability that the a/b interferometer released its photon in mode a.
 
@@ -291,43 +241,8 @@ def which_path_error(result: RunResult) -> float:
     pair; the projective correction improves exactly this quantity, from the
     uncorrected (1 - e^-2lam)/2 to (1 - q)(6 + 5q)/(6(2 + q)), q = e^-lam.
     """
-    p_wrong_path, _ = _conditional(_rail_diagonal(result.output_state),
-                                   result.config.dualrail_postselect,
-                                   lambda occ: occ[MODE_A] == 1)
+    probs, rails = _rail_outcomes(result.output_state)
+    legal = legal_mask(rails) if result.config.dualrail_postselect else None
+    p_wrong_path, _ = _conditional(probs, legal, occupation_table(rails)[:, MODE_A] == 1)
     return p_wrong_path
 
-
-STRATEGY_FLAGS = {
-    "none": dict(dualrail_postselect=False, projective_ec=False, projective_ec_both=False),
-    "dualrail": dict(dualrail_postselect=True, projective_ec=False, projective_ec_both=False),
-    "projective": dict(dualrail_postselect=False, projective_ec=True, projective_ec_both=False),
-    "projective-both": dict(dualrail_postselect=False, projective_ec=True, projective_ec_both=True),
-}
-
-
-def sweep(template: MachineConfig, parameter: str, grid: Sequence[float],
-          strategies: Sequence[str] = ("none",)) -> list[SweepRecord]:
-    """Run the machine over a noise grid, once per correction strategy.
-
-    ``parameter`` is "gamma" or "lam"; records are returned in grid order.
-    """
-    if parameter not in ("gamma", "lam"):
-        raise FockError(f"unknown sweep parameter {parameter!r}")
-    if len(grid) == 0:
-        raise FockError("sweep grid is empty")
-    unknown = set(strategies) - set(STRATEGY_FLAGS)
-    if unknown:
-        raise FockError(f"unknown strategies {sorted(unknown)}")
-    records = []
-    for value in grid:
-        if value < 0:
-            raise FockError(f"grid values must be >= 0, got {value}")
-        noise = NoiseParams(gamma=value) if parameter == "gamma" else NoiseParams(lam=value)
-        errors, accepts = {}, {}
-        for name in strategies:
-            config = replace(template, noise=noise, **STRATEGY_FLAGS[name])
-            result = run(config)
-            errors[name] = result.p_error
-            accepts[name] = result.p_accept
-        records.append(SweepRecord(parameter, float(value), errors, accepts))
-    return records

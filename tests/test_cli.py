@@ -154,6 +154,14 @@ def test_console_script_entry_point():
     assert proc.stdout.startswith("input,output")
 
 
+def test_cli_imports_without_scipy():
+    # numpy is the only runtime dependency
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import dualrail.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def run_any(argv):
     """(exit code, stdout, stderr), counting argparse's SystemExit as an exit code."""
     out, err = io.StringIO(), io.StringIO()

@@ -6,6 +6,7 @@ import pytest
 from dualrail import (
     DensityOperator,
     FockError,
+    FockSpace,
     MachineConfig,
     NoiseParams,
     ZeroAcceptanceError,
@@ -13,7 +14,9 @@ from dualrail import (
     basis_pure,
     dualrail_postselect,
     fit_series,
-    legal_subspace,
+    legal_basis,
+    legal_mask,
+    legal_projector,
     machine_space,
     occupation_of,
     p_accept_projective_closed,
@@ -75,20 +78,29 @@ def test_dualrail_mass_accounting_on_random_states():
 
 # ---------------------------------------------------------------- legal span
 
+@pytest.mark.parametrize("space", [FockSpace(4, 1), FockSpace(5, 1), FockSpace(4, 2)], ids=str)
+def test_legal_mask_is_one_photon_per_rail_pair(space):
+    rule = [occ[0] + occ[1] == 1 and occ[2] + occ[3] == 1 for occ in space.occupations()]
+    assert legal_mask(space).tolist() == rule
+
+
 def test_legal_subspace_is_orthonormal_rank_two():
-    sub = legal_subspace(SPACE)
-    psi0, psi1 = (s.amplitudes for s in sub.basis)
+    psi0, psi1 = legal_basis(SPACE)
+    projector = legal_projector(SPACE)
     assert abs(np.vdot(psi0, psi1)) < 1e-12
     assert np.linalg.norm(psi0) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(psi1) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.matrix_rank(sub.projector) == 2
-    assert np.max(np.abs(sub.projector @ sub.projector - sub.projector)) < 1e-12
-    assert np.max(np.abs(sub.projector - sub.projector.conj().T)) < 1e-12
+    assert np.linalg.matrix_rank(projector) == 2
+    assert np.max(np.abs(projector @ projector - projector)) < 1e-12
+    assert np.max(np.abs(projector - projector.conj().T)) < 1e-12
+    assert legal_projector(SPACE) is projector
+    with pytest.raises(ValueError):
+        projector[0, 0] = 1
 
 
 def test_legal_subspace_contains_both_ideal_candidates():
-    sub = legal_subspace(SPACE)
-    psi0, psi1 = (s.amplitudes for s in sub.basis)
+    psi0, psi1 = legal_basis(SPACE)
+    projector = legal_projector(SPACE)
     cand_swap = (ket5((0, 1, 0, 1)) + ket5((1, 0, 1, 0))) / SQ2
     cand_pass = (ket5((0, 1, 0, 1)) + ket5((0, 1, 1, 0))) / SQ2
     # inner-product expansion: cand_pass = psi0/2 + sqrt(3)/2 psi1
@@ -96,16 +108,15 @@ def test_legal_subspace_contains_both_ideal_candidates():
     assert np.vdot(psi1, cand_pass) == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
     recon = 0.5 * psi0 + math.sqrt(3) / 2 * psi1
     assert np.max(np.abs(recon - cand_pass)) < 1e-12
-    assert np.max(np.abs(sub.projector @ cand_swap - cand_swap)) < 1e-12
-    assert np.max(np.abs(sub.projector @ cand_pass - cand_pass)) < 1e-12
+    assert np.max(np.abs(projector @ cand_swap - cand_swap)) < 1e-12
+    assert np.max(np.abs(projector @ cand_pass - cand_pass)) < 1e-12
 
 
 # ---------------------------------------------------------------- projective step
 
 def test_projective_step_keeps_in_span_state():
-    sub = legal_subspace(SPACE)
-    rho = DensityOperator(SPACE, np.outer(sub.basis[0].amplitudes,
-                                          sub.basis[0].amplitudes.conj()))
+    psi0, _ = legal_basis(SPACE)
+    rho = DensityOperator(SPACE, np.outer(psi0, psi0.conj()))
     corrected, p = projective_ec_step(rho)
     assert p == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(corrected.matrix - rho.matrix)) < 1e-12
@@ -113,12 +124,11 @@ def test_projective_step_keeps_in_span_state():
 
 def test_projective_step_filters_orthogonal_component():
     # (|0101> - |1010>)/sqrt(2) is orthogonal to psi0 but not to psi1
-    sub = legal_subspace(SPACE)
-    psi0 = sub.basis[0].amplitudes
+    psi0, _ = legal_basis(SPACE)
     odd = (ket5((0, 1, 0, 1)) - ket5((1, 0, 1, 0))) / SQ2
     m = 0.5 * np.outer(psi0, psi0.conj()) + 0.5 * np.outer(odd, odd.conj())
     corrected, p = projective_ec_step(DensityOperator(SPACE, m))
-    proj_odd = sub.projector @ odd
+    proj_odd = legal_projector(SPACE) @ odd
     expected_acc = 0.5 + 0.5 * np.vdot(proj_odd, proj_odd).real
     assert p == pytest.approx(expected_acc, abs=1e-12)
     expected = (0.5 * np.outer(psi0, psi0.conj())
@@ -150,9 +160,9 @@ def test_projector_and_measurement_realizations_agree():
 def test_restore_unitary_images():
     u = restore_unitary(SPACE).matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(SPACE.dim))) < 1e-12
-    sub = legal_subspace(SPACE)
-    assert np.max(np.abs(u @ sub.basis[0].amplitudes - ket5((0, 1, 0, 1)))) < 1e-12
-    assert np.max(np.abs(u @ sub.basis[1].amplitudes - ket5((1, 0, 0, 1)))) < 1e-12
+    psi0, psi1 = legal_basis(SPACE)
+    assert np.max(np.abs(u @ psi0 - ket5((0, 1, 0, 1)))) < 1e-12
+    assert np.max(np.abs(u @ psi1 - ket5((1, 0, 0, 1)))) < 1e-12
     # complement of the legal span inside the reachable states lands on cd = 10
     comp = (ket5((0, 1, 0, 1)) - ket5((1, 0, 1, 0)) - ket5((0, 1, 1, 0))) / math.sqrt(3)
     image = u @ comp
@@ -162,10 +172,9 @@ def test_restore_unitary_images():
 
 
 def test_projective_step_zero_acceptance():
-    sub = legal_subspace(SPACE)
     comp = DensityOperator(SPACE, np.outer(ket5((1, 0, 0, 1)), ket5((1, 0, 0, 1)).conj()))
     with pytest.raises(ZeroAcceptanceError):
-        projective_ec_step(comp, sub)
+        projective_ec_step(comp)
 
 
 # ---------------------------------------------------------------- closed forms
@@ -246,19 +255,6 @@ def test_projective_series_linear_coefficient():
     # the fitted value carries a little cubic contamination from the grid
     assert fit.c2 == pytest.approx(-41 / 108, rel=0.05)
     assert fit.max_rel_residual < 1e-3  # coefficients trustworthy on this grid
-
-
-def test_projective_both_gates_variant_reported():
-    lam = 0.05
-    single = run(MachineConfig(k1=0, noise=NoiseParams(lam=lam),
-                               noise_model="dephasing", projective_ec=True))
-    both = run(MachineConfig(k1=0, noise=NoiseParams(lam=lam), noise_model="dephasing",
-                             projective_ec=True, projective_ec_both=True))
-    print(f"projective correction at lam={lam}: after-first-gate error="
-          f"{which_path_error(single):.8f}, after-both-gates error="
-          f"{which_path_error(both):.8f} (reported, not asserted)")
-    assert 0.0 <= which_path_error(both) <= 1.0
-    assert both.p_accept <= single.p_accept + 1e-12
 
 
 def test_balanced_loss_with_dualrail_is_error_free_over_gamma_range():

@@ -74,6 +74,12 @@ def test_beamsplitter_rejects_mode_collision():
         beamsplitter_unitary(FockSpace(2, 1), 0, 0)
 
 
+def test_beamsplitter_rejects_non_finite_theta():
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(FockError):
+            beamsplitter_unitary(FockSpace(2, 1), 0, 1, theta)
+
+
 def test_kerr_phases():
     space = FockSpace(2, 1)
     k = kerr_unitary(space, 0, 1).matrix

@@ -8,17 +8,17 @@ from dualrail import (
     MachineConfig,
     NoiseParams,
     basis_pure,
-    error_probability,
     ideal_run,
+    index_of,
     machine_space,
-    marginal_mode_distribution,
+    marginal_distribution,
     p_ec_closed,
     p_noec_closed,
-    partial_trace,
     run,
-    sweep,
     which_path_error,
 )
+from dualrail import correction
+from dualrail.cli import main
 
 SPACE = machine_space()
 SQ2 = math.sqrt(2)
@@ -58,17 +58,17 @@ def test_ideal_run_outcomes():
     assert dist_dict(r0) == {(0, 1, 0, 1): pytest.approx(1.0, abs=1e-12)}
     assert r0.p_error == pytest.approx(0.0, abs=1e-12)
     # the class readout: the mode-d marginal is deterministic on both settings
-    assert marginal_mode_distribution(r0.output_state, 3)[1] == pytest.approx(1.0, abs=1e-12)
-    assert marginal_mode_distribution(r1.output_state, 3)[0] == pytest.approx(1.0, abs=1e-12)
+    assert marginal_distribution(r0.output_state, (3,))[1] == pytest.approx(1.0, abs=1e-12)
+    assert marginal_distribution(r1.output_state, (3,))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mode_e_stays_vacuum_and_carries_no_content():
     result = run(cfg(0))
     full = dist_dict(result)
-    reduced = partial_trace(result.output_state, (0, 1, 2, 3))
+    diagonal = np.real(np.diag(result.output_state.matrix))
     for occ4, p in full.items():
-        i = sum(n * 2 ** (3 - m) for m, n in enumerate(occ4))
-        assert reduced.matrix[i, i].real == pytest.approx(p, abs=1e-12)
+        assert diagonal[index_of(SPACE, occ4 + (0,))] == pytest.approx(p, abs=1e-12)
+    assert marginal_distribution(result.output_state, (4,))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- loss
@@ -140,7 +140,6 @@ def test_deep_balanced_loss_is_scored_not_rejected():
     result = run(cfg(1, "balanced-loss", gamma=gamma, dualrail_postselect=True))
     assert result.p_error == 0.0
     assert result.p_accept == pytest.approx(math.exp(-4 * gamma), rel=1e-9)
-    assert error_probability(result) == 0.0
     assert which_path_error(result) == 0.0
 
 
@@ -242,12 +241,6 @@ def test_mc_pipeline_agrees_with_analytic():
         assert abs(da.get(occ, 0.0) - ds.get(occ, 0.0)) < tol
 
 
-def test_error_probability_accessor():
-    result = run(cfg(1, "dephasing", lam=0.2))
-    assert error_probability(result) == pytest.approx(result.p_error, abs=1e-15)
-    assert error_probability(result, k1=1) == pytest.approx(result.p_error, abs=1e-15)
-
-
 # ---------------------------------------------------------------- config validation
 
 def test_config_rejects_projective_ec_with_loss():
@@ -264,8 +257,6 @@ def test_config_rejects_bad_values():
         cfg(1, "thermal")
     with pytest.raises(FockError):
         cfg(1, "loss", gamma=0.1, noisy_gates=("middle",))
-    with pytest.raises(FockError):
-        MachineConfig(k1=1, projective_ec_both=True)
 
 
 def test_default_noisy_gates_resolution():
@@ -274,27 +265,40 @@ def test_default_noisy_gates_resolution():
     assert cfg(1).resolved_noisy_gates() == ()
 
 
+def test_only_projective_runs_read_the_legal_span(monkeypatch):
+    spaces = []
+    build = correction.legal_projector
+    monkeypatch.setattr(correction, "legal_projector", lambda space: spaces.append(space)
+                        or build(space))
+    for config in CONFIGS:
+        run(config)
+        assert len(spaces) == config.projective_ec
+        spaces.clear()
+
+
 # ---------------------------------------------------------------- sweeps
 
-def test_sweep_loss_columns_match_closed_forms():
-    grid = [0.01, 0.1, 0.5]
-    records = sweep(cfg(1, "loss"), "gamma", grid, ("none", "dualrail"))
-    assert [r.value for r in records] == grid
-    for r in records:
-        assert r.p_error["none"] == pytest.approx(p_noec_closed(r.value), abs=1e-10)
-        assert r.p_error["dualrail"] == pytest.approx(p_ec_closed(r.value), abs=1e-10)
+def sweep_loss_rows(capsys, *grid_args):
+    """Rows of ``dualrail sweep-loss`` as {column: float} dicts."""
+    assert main(["sweep-loss", *grid_args]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
 
 
-def test_sweep_without_noise_is_error_free():
-    records = sweep(cfg(1), "gamma", [0.0, 0.0, 0.0], ("none", "dualrail"))
-    assert all(r.p_error["none"] == pytest.approx(0.0, abs=1e-12) for r in records)
-    assert all(r.p_error["dualrail"] == pytest.approx(0.0, abs=1e-12) for r in records)
+def test_sweep_loss_columns_match_closed_forms(capsys):
+    rows = sweep_loss_rows(capsys, "--grid-start", "0.01", "--grid-stop", "0.5",
+                           "--grid-count", "3")
+    assert [r["gamma"] for r in rows] == pytest.approx([0.01, 0.01 * 50 ** 0.5, 0.5], rel=1e-11)
+    for r in rows:
+        assert r["p_noec_sim"] == pytest.approx(p_noec_closed(r["gamma"]), abs=1e-10)
+        assert r["p_ec_sim"] == pytest.approx(p_ec_closed(r["gamma"]), abs=1e-10)
 
 
-def test_sweep_rejects_bad_requests():
-    with pytest.raises(FockError):
-        sweep(cfg(1, "loss"), "kappa", [0.1])
-    with pytest.raises(FockError):
-        sweep(cfg(1, "loss"), "gamma", [])
-    with pytest.raises(FockError):
-        sweep(cfg(1, "loss"), "gamma", [0.1], ("magic",))
+def test_sweep_without_noise_is_error_free(capsys):
+    rows = sweep_loss_rows(capsys, "--grid-start", "0", "--grid-stop", "0",
+                           "--grid-count", "3", "--linear")
+    assert len(rows) == 3
+    for r in rows:
+        assert r["p_noec_sim"] == pytest.approx(0.0, abs=1e-12)
+        assert r["p_ec_sim"] == pytest.approx(0.0, abs=1e-12)
+        assert r["p_balanced_ec"] == pytest.approx(0.0, abs=1e-12)
