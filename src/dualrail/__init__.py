@@ -17,7 +17,6 @@ from .channels import (
     dephased_fredkin_channel,
     dephased_fredkin_ghq,
     dephased_fredkin_mc,
-    fredkin_channel,
     lambda_from_physical,
     lossy_fredkin_channel,
     unitary_channel,

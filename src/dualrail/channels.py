@@ -31,13 +31,10 @@ from .fock import (
     mode_operator,
     occupation_table,
 )
-from .gates import (
-    beamsplitter_unitary,
-    fredkin_unitary,
-    kerr_unitary,
-)
+from .gates import beamsplitter_unitary, kerr_unitary
 
 LOSS_PLACEMENTS = ("before-kerr", "after-kerr", "split")
+GHQ_NODES = 40  # Gauss-Hermite abscissas of the quadrature oracle
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,6 @@ class KrausChannel:
 
 def unitary_channel(u: LinearOperator) -> KrausChannel:
     """Wrap a unitary as a single-Kraus channel."""
-    if not u.unitary:
-        raise FockError("unitary_channel requires unitary=True")
     return KrausChannel(u.space, (u.matrix,))
 
 
@@ -166,10 +161,10 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     """
     if placement not in LOSS_PLACEMENTS:
         raise FockError(f"placement must be one of {LOSS_PLACEMENTS}, got {placement!r}")
-    k = kerr_unitary(space, m_b, m_c).matrix
     if placement == "after-kerr":
-        stages = [[k], _damping_kraus(space, m_b, gamma), _damping_kraus(space, m_c, gamma)]
-    elif placement == "before-kerr":
+        return balanced_lossy_fredkin_channel(space, m_a, m_b, m_c, (m_b, m_c), gamma)
+    k = kerr_unitary(space, m_b, m_c).matrix
+    if placement == "before-kerr":
         stages = [
             _frame_conjugate(_damping_kraus(space, m_b, gamma), k),
             _frame_conjugate(_damping_kraus(space, m_c, gamma), k),
@@ -190,9 +185,10 @@ def balanced_lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: in
                                    damped: Sequence[int], gamma: float) -> KrausChannel:
     """Fredkin gate with equal loss, after the Kerr cell, on every mode in ``damped``.
 
-    The gate itself acts on (m_a, m_b, m_c) as usual; damping the rail modes
-    beyond the gate's own restores the interferometric symmetry that makes
-    post-selected outcomes error-free.
+    The gate itself acts on (m_a, m_b, m_c) as usual.  Damping (m_b, m_c) is
+    the plain lossy gate; damping the rail modes beyond the gate's own
+    restores the interferometric symmetry that makes post-selected outcomes
+    error-free.
     """
     if len(set(damped)) != len(damped):
         raise FockError(f"damped modes {damped} must be distinct")
@@ -209,7 +205,8 @@ DensityMap = Callable[[DensityOperator], DensityOperator]
 def _gaussian_phi(space: FockSpace, lam: float) -> np.ndarray:
     """phi(k) = <exp(i k eps)> = exp(-k^2 lam), k = 0 .. 2 cutoff; safe at lam = inf."""
     k = np.arange(1, 2 * space.cutoff + 1, dtype=float)
-    return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
+    with np.errstate(over="ignore"):  # a huge finite lam overflows to the lam = inf limit
+        return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
 
 
 def _sampled_phi(space: FockSpace, eps: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -290,15 +287,17 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
 
 
 def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: float,
-                        n_samples: int, seed: int) -> DensityMap:
+                        n_samples: int, seed: int | Sequence[int]) -> DensityMap:
     """Monte-Carlo oracle for the dephased gate.
 
     Draws eps_i ~ Normal(0, 2 lam), so E[exp(i eps)] = exp(-lam), and returns
     the map rho -> (1/n) sum_i V(eps_i) rho V(eps_i)^dag.  The sum is
     evaluated through the empirical characteristic function
     phi(k) = (1/n) sum_i exp(i k eps_i), k = 0 .. 2 cutoff, which is the
-    literal sample mean rewritten; results are bit-reproducible for a fixed
-    seed.  Entrywise standard error scales as 1/sqrt(n_samples).
+    literal sample mean rewritten.  ``seed`` is an int or a sequence of ints,
+    as ``numpy.random.default_rng`` accepts (the machine passes
+    ``[mc_seed, gate]``); results are bit-reproducible for a fixed seed.
+    Entrywise standard error scales as 1/sqrt(n_samples).
     """
     if n_samples < 1:
         raise FockError(f"n_samples must be >= 1, got {n_samples}")
@@ -309,25 +308,18 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
     return _phase_average(space, m_a, m_b, m_c, _sampled_phi(space, eps, np.ones(n_samples)))
 
 
-def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: float,
-                         nodes: int = 40) -> DensityMap:
+def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
+                         lam: float) -> DensityMap:
     """Gauss-Hermite quadrature oracle for the Gaussian phase average.
 
     Integrates V(eps) rho V(eps)^dag against the Normal(0, 2 lam) weight with
-    ``nodes`` abscissas, through the node sum for phi(k); a second,
+    GHQ_NODES abscissas, through the node sum for phi(k); a second,
     independent check on the analytic channel.
     """
-    if nodes < 1:
-        raise FockError(f"nodes must be >= 1, got {nodes}")
     if not (math.isfinite(lam) and lam >= 0):
         raise FockError(f"lam must be finite and >= 0, got {lam}")
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x, w = np.polynomial.hermite.hermgauss(GHQ_NODES)
     return _phase_average(space, m_a, m_b, m_c, _sampled_phi(space, 2.0 * math.sqrt(lam) * x, w))
-
-
-def fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int) -> KrausChannel:
-    """Noise-free Fredkin gate as a channel."""
-    return unitary_channel(fredkin_unitary(space, m_a, m_b, m_c))
 
 
 def lambda_from_physical(omega: float, intensity: float) -> float:

@@ -94,6 +94,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """A float rounded as the CSV prints it, or null when it is not finite (RFC 8259)."""
+    if not isinstance(value, float):
+        return value
+    value = float(_fmt(value))
+    return value if math.isfinite(value) else None
+
+
 def _emit(records: list[dict], args: argparse.Namespace):
     """Write the records, whose keys in order are the output columns."""
     columns = list(records[0])
@@ -103,14 +111,9 @@ def _emit(records: list[dict], args: argparse.Namespace):
             lines.append(",".join(_fmt(rec[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
-        rounded = []
-        for rec in records:
-            row = {}
-            for c in columns:
-                v = rec[c]
-                row[c] = float(_fmt(v)) if isinstance(v, float) else v
-            rounded.append(row)
-        text = json.dumps({"columns": columns, "records": rounded}, indent=2) + "\n"
+        rounded = [{c: _json_value(rec[c]) for c in columns} for rec in records]
+        text = json.dumps({"columns": columns, "records": rounded}, indent=2,
+                          allow_nan=False) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -138,7 +138,7 @@ def restore_unitary(space: FockSpace) -> LinearOperator:
     # Replace the action on the 4-space: U = sum |target><source| + identity outside.
     span_proj = sum(np.outer(s, s.conj()) for s in sources)
     u = u - span_proj + sum(np.outer(t, s.conj()) for t, s in zip(targets, sources))
-    return LinearOperator(space, u, unitary=True)
+    return LinearOperator(space, u)
 
 
 def projective_ec_step_via_unitary(rho: DensityOperator) -> tuple[DensityOperator, float]:

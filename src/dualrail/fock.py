@@ -163,26 +163,24 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
-    """Dense operator on the full space; set ``unitary`` to enforce U^dag U = I."""
+    """Dense unitary operator on the full space; U^dag U = I is enforced."""
 
     space: FockSpace
     matrix: np.ndarray
-    unitary: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         d = self.space.dim
         if m.shape != (d, d):
             raise FockError(f"matrix has shape {m.shape}, expected ({d}, {d})")
-        if self.unitary:
-            dev = np.max(np.abs(m.conj().T @ m - np.eye(d)))
-            if dev > UNITARITY_TOL:
-                raise FockError(f"unitarity violated by {dev:.2e}")
+        dev = np.max(np.abs(m.conj().T @ m - np.eye(d)))
+        if dev > UNITARITY_TOL:
+            raise FockError(f"unitarity violated by {dev:.2e}")
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
     def dagger(self) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix.conj().T, unitary=self.unitary)
+        return LinearOperator(self.space, self.matrix.conj().T)
 
 
 def basis_pure(space: FockSpace, occ: Sequence[int]) -> PureState:

@@ -42,8 +42,7 @@ def _check_distinct(space: FockSpace, *modes: int):
 
 
 @lru_cache(maxsize=None)
-def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int,
-                         theta: float = math.pi / 4) -> LinearOperator:
+def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     """50/50 beamsplitter B = exp[theta (a_i^dag a_j - a_j^dag a_i)] at theta = pi/4.
 
     Orientation: B|01> = (|01> + |10>)/sqrt(2) and B|10> = (|10> - |01>)/sqrt(2)
@@ -52,23 +51,20 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int,
     truncated; use cutoff >= total pair occupation for exact two-photon physics.
     """
     _check_distinct(space, mode_i, mode_j)
-    if not math.isfinite(theta):
-        raise FockError(f"theta must be finite, got {theta}")
     ai = annihilation_operator(space, mode_i)
     aj = annihilation_operator(space, mode_j)
-    gen = theta * (ai.conj().T @ aj - aj.conj().T @ ai)
+    gen = math.pi / 4 * (ai.conj().T @ aj - aj.conj().T @ ai)
     # gen is anti-Hermitian, so exp(gen) = V exp(-i w) V^dag from the eigenpairs of i gen
     w, v = np.linalg.eigh(1j * gen)
-    return LinearOperator(space, (v * np.exp(-1j * w)) @ v.conj().T, unitary=True)
+    return LinearOperator(space, (v * np.exp(-1j * w)) @ v.conj().T)
 
 
-def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int,
-                 chi: float = math.pi) -> LinearOperator:
-    """Cross-phase modulation K = exp[i chi n_i n_j]; chi = pi gives the sign flip."""
+def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
+    """Cross-phase modulation K = exp[i pi n_i n_j], the sign flip on |11>."""
     _check_distinct(space, mode_i, mode_j)
     ni = number_operator_diagonal(space, mode_i)
     nj = number_operator_diagonal(space, mode_j)
-    return LinearOperator(space, np.diag(np.exp(1j * chi * ni * nj)), unitary=True)
+    return LinearOperator(space, np.diag(np.exp(1j * math.pi * ni * nj)))
 
 
 def phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperator:
@@ -76,7 +72,7 @@ def phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperat
     if not 0 <= mode < space.n_modes:
         raise FockError(f"mode {mode} outside [0, {space.n_modes})")
     n = number_operator_diagonal(space, mode)
-    return LinearOperator(space, np.diag(np.exp(1j * phi * n)), unitary=True)
+    return LinearOperator(space, np.diag(np.exp(1j * phi * n)))
 
 
 def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOperator:
@@ -90,7 +86,7 @@ def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOpe
     b = beamsplitter_unitary(space, m_a, m_b)
     k = kerr_unitary(space, m_b, m_c)
     f = b.matrix.conj().T @ k.matrix @ b.matrix
-    return LinearOperator(space, f, unitary=True)
+    return LinearOperator(space, f)
 
 
 def noisy_fredkin_sample(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -109,4 +105,4 @@ def noisy_fredkin_sample(space: FockSpace, m_a: int, m_b: int, m_c: int,
     n_pair = number_operator_diagonal(space, m_b) + number_operator_diagonal(space, m_c)
     phase = np.exp(1j * epsilon * n_pair)
     v = b.matrix.conj().T @ (phase[:, None] * (k.matrix @ b.matrix))
-    return LinearOperator(space, v, unitary=True)
+    return LinearOperator(space, v)

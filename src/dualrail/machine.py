@@ -30,12 +30,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import (
+    DensityMap,
     NoiseParams,
     balanced_lossy_fredkin_channel,
     dephased_fredkin_channel,
     dephased_fredkin_mc,
-    fredkin_channel,
-    lossy_fredkin_channel,
 )
 from .correction import ZeroAcceptanceError, legal_mask, projective_ec_step
 from .fock import (
@@ -59,12 +58,9 @@ from .gates import (
 MODE_A, MODE_B, MODE_C, MODE_D, MODE_E = range(5)
 RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
 
-NOISE_MODELS = ("none", "loss", "balanced-loss", "dephasing")
-GATE_TAGS = ("first", "second")
 
-
-def machine_space(cutoff: int = 1) -> FockSpace:
-    return FockSpace(5, cutoff)
+def machine_space() -> FockSpace:
+    return FockSpace(5, 1)
 
 
 def machine_input(space: FockSpace) -> PureState:
@@ -76,6 +72,21 @@ def gate_modes(k1: int) -> tuple[int, int, int]:
     return (MODE_A, MODE_B, MODE_C) if k1 == 1 else (MODE_A, MODE_B, MODE_E)
 
 
+# Noise placement, the one statement of it: noise model -> (noisy gate slots,
+# 0 = first and 1 = second, and for the loss models the modes each noisy gate
+# damps, as a function of k1).  Plain loss hits the Kerr cell of the second
+# gate only; the balanced design damps the four rails a-d equally in both
+# gates, the bystander the gate does not touch included, which is what makes
+# the post-selected outcomes error-free; dephasing hits both Kerr cells.
+NOISE_PLACEMENT = {
+    "none": ((), None),
+    "loss": ((1,), lambda k1: gate_modes(k1)[1:]),
+    "balanced-loss": ((0, 1), lambda k1: RAIL_MODES),
+    "dephasing": ((0, 1), None),
+}
+NOISE_MODELS = tuple(NOISE_PLACEMENT)
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Switch settings, noise model, and correction strategy for one run."""
@@ -83,7 +94,6 @@ class MachineConfig:
     k1: int
     noise: NoiseParams = field(default_factory=NoiseParams)
     noise_model: str = "none"
-    noisy_gates: tuple[str, ...] | None = None
     projective_ec: bool = False
     dualrail_postselect: bool = False
 
@@ -92,27 +102,8 @@ class MachineConfig:
             raise FockError("k1 must be 0 or 1")
         if self.noise_model not in NOISE_MODELS:
             raise FockError(f"noise_model must be one of {NOISE_MODELS}")
-        if self.noisy_gates is not None:
-            bad = set(self.noisy_gates) - set(GATE_TAGS)
-            if bad:
-                raise FockError(f"unknown gate tags {sorted(bad)}")
-        if self.projective_ec and self.noise_model in ("loss", "balanced-loss"):
+        if self.projective_ec and NOISE_PLACEMENT[self.noise_model][1] is not None:
             raise FockError("projective correction requires a photon-number-preserving run")
-
-    def resolved_noisy_gates(self) -> tuple[str, ...]:
-        """Default noise placement.
-
-        Plain loss hits the second gate only; dephasing hits both gates; the
-        balanced design damps every rail in both gates (that is what makes
-        the two-photon weights come out as powers of e^-2gamma).
-        """
-        if self.noise_model == "none":
-            return ()
-        if self.noisy_gates is not None:
-            return self.noisy_gates
-        if self.noise_model == "loss":
-            return ("second",)
-        return ("first", "second")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,37 +159,30 @@ def _score(probs: np.ndarray, rails: FockSpace, config: MachineConfig) -> tuple[
     return _conditional(probs, None, wrong)[0] + 0.5 * _conditional(probs, None, lone)[0], 1.0
 
 
-def _gate_channel(space: FockSpace, config: MachineConfig, tag: str,
-                  mc_samples: int | None, mc_seed: int | None):
-    """Channel (or Monte-Carlo map) implementing one gate slot."""
+def _gate_channel(space: FockSpace, config: MachineConfig, slot: int,
+                  mc_samples: int | None, mc_seed: int) -> DensityMap:
+    """Channel (or Monte-Carlo map) implementing gate slot 0 or 1."""
     modes = gate_modes(config.k1)
-    noisy = tag in config.resolved_noisy_gates()
-    if not noisy:
-        return fredkin_channel(space, *modes).apply
-    model = config.noise_model
-    if model == "loss":
-        return lossy_fredkin_channel(space, *modes, config.noise.gamma).apply
-    if model == "balanced-loss":
-        # for either switch setting the balanced design damps the four rail
-        # modes a-d equally, including the bystander the gate does not touch
-        return balanced_lossy_fredkin_channel(space, *modes, RAIL_MODES,
+    noisy_slots, damped = NOISE_PLACEMENT[config.noise_model]
+    if slot not in noisy_slots:
+        fredkin = fredkin_unitary(space, *modes)
+        return lambda rho: apply_unitary(rho, fredkin)
+    if damped is not None:
+        return balanced_lossy_fredkin_channel(space, *modes, damped(config.k1),
                                               config.noise.gamma).apply
-    if model == "dephasing":
-        if mc_samples is not None:
-            gate_index = GATE_TAGS.index(tag)
-            seed = [0 if mc_seed is None else mc_seed, gate_index]
-            return dephased_fredkin_mc(space, *modes, config.noise.lam,
-                                       mc_samples, seed)
-        return dephased_fredkin_channel(space, *modes, config.noise.lam).apply
-    raise FockError(f"unhandled noise model {model!r}")
+    if mc_samples is not None:
+        return dephased_fredkin_mc(space, *modes, config.noise.lam, mc_samples,
+                                   [mc_seed, slot])
+    return dephased_fredkin_channel(space, *modes, config.noise.lam).apply
 
 
 def run(config: MachineConfig, mc_samples: int | None = None,
-        mc_seed: int | None = None) -> RunResult:
+        mc_seed: int = 0) -> RunResult:
     """Run the machine pipeline for one configuration.
 
     Passing ``mc_samples`` replaces the analytic dephasing channels with the
-    seeded Monte-Carlo oracle (one independent phase stream per gate).
+    seeded Monte-Carlo oracle, with one phase stream per gate: seed
+    ``[mc_seed, 0]`` for the first gate and ``[mc_seed, 1]`` for the second.
     """
     space = machine_space()
     bcd = beamsplitter_unitary(space, MODE_C, MODE_D)
@@ -206,12 +190,12 @@ def run(config: MachineConfig, mc_samples: int | None = None,
 
     rho = machine_input(space).density()
     rho = apply_unitary(rho, bcd)
-    rho = _gate_channel(space, config, "first", mc_samples, mc_seed)(rho)
+    rho = _gate_channel(space, config, 0, mc_samples, mc_seed)(rho)
     p_accept = 1.0
     if config.projective_ec:
         rho, p_accept = projective_ec_step(rho)
     rho = apply_unitary(rho, s_a)
-    rho = _gate_channel(space, config, "second", mc_samples, mc_seed)(rho)
+    rho = _gate_channel(space, config, 1, mc_samples, mc_seed)(rho)
     rho = apply_unitary(rho, bcd.dagger)
 
     probs, rails = _rail_outcomes(rho)

@@ -204,7 +204,7 @@ def test_criterion_08_oracle_agreement():
     lam, n = 0.1, 10**5
     analytic = dephased_fredkin_channel(SPACE3, 0, 1, 2, lam)
     mc = dephased_fredkin_mc(SPACE3, 0, 1, 2, lam, n, seed=424242)
-    quad = dephased_fredkin_ghq(SPACE3, 0, 1, 2, lam, nodes=40)
+    quad = dephased_fredkin_ghq(SPACE3, 0, 1, 2, lam)
     bound = 5.0 / math.sqrt(n)
     worst_mc = worst_q = 0.0
     for occ in TRUTH_INPUTS:

@@ -142,7 +142,7 @@ def test_noise_params_validation():
 
 def test_compose_with_identity_on_matrix_units():
     chan = amplitude_damping_channel(SPACE3, 1, 0.4)
-    ident = unitary_channel(LinearOperator(SPACE3, np.eye(SPACE3.dim), unitary=True))
+    ident = unitary_channel(LinearOperator(SPACE3, np.eye(SPACE3.dim)))
     combined = compose(ident, chan)
     for i in range(SPACE3.dim):
         for j in range(SPACE3.dim):
@@ -343,7 +343,7 @@ def test_fully_dephasing_limit():
 
 @pytest.mark.parametrize("lam", [0.01, 0.1, 0.5])
 def test_gauss_hermite_oracle_matches_analytic(lam):
-    quad = dephased_fredkin_ghq(SPACE3, 0, 1, 2, lam, nodes=40)
+    quad = dephased_fredkin_ghq(SPACE3, 0, 1, 2, lam)
     worst = 0.0
     for occ in REACHABLE:
         rho = basis_density(SPACE3, occ)
@@ -381,7 +381,7 @@ def test_quadrature_oracle_is_the_literal_node_sum(space):
     rho = random_density(space, np.random.default_rng(9))
     x, w = np.polynomial.hermite.hermgauss(40)
     literal = _literal_phase_average(space, rho, 2 * math.sqrt(lam) * x, w / math.sqrt(math.pi))
-    quad = dephased_fredkin_ghq(space, 0, 1, 2, lam, nodes=40)
+    quad = dephased_fredkin_ghq(space, 0, 1, 2, lam)
     assert np.max(np.abs(quad(rho).matrix - literal)) < 1e-13
 
 

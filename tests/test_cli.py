@@ -110,6 +110,22 @@ def test_json_format(capsys):
     assert payload["records"][0]["gamma"] == 0.01
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["lambda-physical", "--omega", "1e308", "--intensity", "1e-300"], "damping_db"),
+    (["sweep-dephasing", "--grid-start", "5e307", "--grid-stop", "5e307",
+      "--grid-count", "1"], "damping_db"),
+])
+def test_json_format_is_strict_for_non_finite_values(argv, column, capsys):
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["records"][0][column] is None
+
+
 def test_output_file_and_byte_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep-loss", *SMALL_GRID, "--out", str(out1)]) == EXIT_OK

@@ -122,13 +122,13 @@ def test_basis_pure():
 def _random_unitary(space, rng):
     g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
     q, _ = np.linalg.qr(g)
-    return LinearOperator(space, q, unitary=True)
+    return LinearOperator(space, q)
 
 
 def test_apply_unitary_identity():
     space = FockSpace(3, 1)
     rho = basis_density(space, (1, 0, 1))
-    ident = LinearOperator(space, np.eye(space.dim), unitary=True)
+    ident = LinearOperator(space, np.eye(space.dim))
     assert np.array_equal(apply_unitary(rho, ident).matrix, rho.matrix)
 
 
@@ -198,5 +198,4 @@ def test_pure_state_validation():
 def test_linear_operator_unitarity_check():
     space = FockSpace(1, 1)
     with pytest.raises(FockError):
-        LinearOperator(space, np.diag([1.0, 2.0]), unitary=True)
-    LinearOperator(space, np.diag([1.0, 2.0]))  # fine when not flagged unitary
+        LinearOperator(space, np.diag([1.0, 2.0]))

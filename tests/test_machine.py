@@ -7,17 +7,24 @@ from dualrail import (
     FockError,
     MachineConfig,
     NoiseParams,
+    apply_unitary,
     basis_pure,
+    beamsplitter_unitary,
+    dephased_fredkin_mc,
+    gate_modes,
     ideal_run,
     index_of,
+    machine_input,
     machine_space,
     marginal_distribution,
     p_ec_closed,
     p_noec_closed,
+    phase_shift_unitary,
     run,
     which_path_error,
 )
 from dualrail import correction
+from dualrail.machine import NOISE_PLACEMENT, RAIL_MODES
 from dualrail.cli import main
 
 SPACE = machine_space()
@@ -193,12 +200,6 @@ def test_dephasing_error_value_and_postselection_does_not_help():
     assert selected.p_error == pytest.approx(plain.p_error, abs=1e-12)
 
 
-def test_dephasing_single_noisy_gate_override():
-    lam = 0.3
-    result = run(cfg(1, "dephasing", lam=lam, noisy_gates=("second",)))
-    assert result.p_error == pytest.approx((1 - math.exp(-lam)) / 2, abs=1e-12)
-
-
 # ---------------------------------------------------------------- generic invariants
 
 CONFIGS = [
@@ -241,6 +242,22 @@ def test_mc_pipeline_agrees_with_analytic():
         assert abs(da.get(occ, 0.0) - ds.get(occ, 0.0)) < tol
 
 
+def test_mc_run_seeds_gate_streams_from_mc_seed():
+    # run keys gate g's phase stream as [mc_seed, g]; the default seed is 0
+    n, lam = 2000, 0.2
+    config = cfg(1, "dephasing", lam=lam)
+    space = machine_space()
+    bcd = beamsplitter_unitary(space, 2, 3)
+    rho = apply_unitary(machine_input(space).density(), bcd)
+    rho = dephased_fredkin_mc(space, *gate_modes(1), lam, n, seed=[5, 0])(rho)
+    rho = apply_unitary(rho, phase_shift_unitary(space, 0, math.pi))
+    rho = dephased_fredkin_mc(space, *gate_modes(1), lam, n, seed=[5, 1])(rho)
+    rho = apply_unitary(rho, bcd.dagger)
+    assert np.array_equal(run(config, mc_samples=n, mc_seed=5).output_state.matrix, rho.matrix)
+    assert np.array_equal(run(config, mc_samples=n).output_state.matrix,
+                          run(config, mc_samples=n, mc_seed=0).output_state.matrix)
+
+
 # ---------------------------------------------------------------- config validation
 
 def test_config_rejects_projective_ec_with_loss():
@@ -255,14 +272,17 @@ def test_config_rejects_bad_values():
         MachineConfig(k1=2)
     with pytest.raises(FockError):
         cfg(1, "thermal")
-    with pytest.raises(FockError):
-        cfg(1, "loss", gamma=0.1, noisy_gates=("middle",))
 
 
 def test_default_noisy_gates_resolution():
-    assert cfg(1, "loss", gamma=0.1).resolved_noisy_gates() == ("second",)
-    assert cfg(1, "dephasing", lam=0.1).resolved_noisy_gates() == ("first", "second")
-    assert cfg(1).resolved_noisy_gates() == ()
+    # noise model -> (noisy gate slots, damped modes for k1): loss damps the
+    # second gate's Kerr cell, (b, c) for k1 = 1 and (b, e) for k1 = 0
+    slots = {model: placement[0] for model, placement in NOISE_PLACEMENT.items()}
+    assert slots == {"none": (), "loss": (1,), "balanced-loss": (0, 1), "dephasing": (0, 1)}
+    damped = {model: placement[1] for model, placement in NOISE_PLACEMENT.items()}
+    assert damped["none"] is None and damped["dephasing"] is None
+    assert [damped["loss"](k1) for k1 in (0, 1)] == [(1, 4), (1, 2)]
+    assert [damped["balanced-loss"](k1) for k1 in (0, 1)] == [RAIL_MODES, RAIL_MODES]
 
 
 def test_only_projective_runs_read_the_legal_span(monkeypatch):
