@@ -28,6 +28,7 @@ from .fock import (
     FockError,
     FockSpace,
     LinearOperator,
+    check_modes,
     mode_operator,
     occupation_table,
 )
@@ -107,8 +108,7 @@ def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray
     from |n> to |n-k>; for cutoff 1 this is the familiar pair
     diag(1, e^(-gamma/2)) and sqrt(1 - e^(-gamma)) * lowering.
     """
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise FockError(f"gamma must be finite and >= 0, got {gamma}")
+    NoiseParams(gamma=gamma)  # raises FockError unless gamma is finite and >= 0
     surv = math.exp(-gamma)
     ops = []
     for k in range(space.cutoff + 1):
@@ -190,8 +190,7 @@ def balanced_lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: in
     restores the interferometric symmetry that makes post-selected outcomes
     error-free.
     """
-    if len(set(damped)) != len(damped):
-        raise FockError(f"damped modes {damped} must be distinct")
+    check_modes(space, *damped)
     k = kerr_unitary(space, m_b, m_c).matrix
     stages = [[k]]
     for m in damped:
@@ -262,8 +261,7 @@ def dephased_fredkin_apply(space: FockSpace, m_a: int, m_b: int, m_c: int,
     Gaussian average of V(eps) rho V(eps)^dag; lam = inf keeps only the
     block-diagonal part.
     """
-    if not lam >= 0:
-        raise FockError(f"lam must be >= 0, got {lam}")
+    NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
     return _phase_average(space, m_a, m_b, m_c, _gaussian_phi(space, lam))(rho)
 
 
@@ -277,8 +275,7 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     operator per nonzero eigenvalue, each of the form
     B^dag diag(w) K B.  Agrees with ``dephased_fredkin_apply`` to 1e-12.
     """
-    if not lam >= 0:
-        raise FockError(f"lam must be >= 0, got {lam}")
+    NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
     phi = _gaussian_phi(space, lam)
     evals, evecs = np.linalg.eigh(_phase_correlation(phi, np.arange(len(phi))))
     n = _cell_photon_numbers(space, m_b, m_c)
@@ -304,7 +301,7 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
     if not (math.isfinite(2 * lam) and lam >= 0):  # the phase variance is 2 lam
         raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
     rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, math.sqrt(2 * lam), size=n_samples)
+    eps = rng.normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)  # numpy rejects scale -0.0
     return _phase_average(space, m_a, m_b, m_c, _sampled_phi(space, eps, np.ones(n_samples)))
 
 

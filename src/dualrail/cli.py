@@ -9,9 +9,10 @@ sweep-dephasing   error curves vs dephasing, plain and projectively corrected
 mc-validate       Monte-Carlo dephasing oracle vs the analytic channel
 lambda-physical   convert medium parameters to a dephasing strength
 
-Numbers are serialized with 12 significant digits; identical flags and seed
-produce byte-identical output.  Exit codes: 0 success, 1 validation failure,
-2 usage error.
+Each subcommand declares only the options it reads, except that sweep-loss
+also accepts an unused --seed.  Numbers are serialized with 12 significant
+digits; identical flags and seed produce byte-identical output.  Exit codes:
+0 success, 1 validation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .machine import MachineConfig, run, which_path_error
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
+FORMATS = ("csv", "json")
 
 _TRUTH_TABLE_SPACE = FockSpace(3, 1)
 _KNOWN_ROWS = {
@@ -62,15 +64,12 @@ _KNOWN_ROWS = {
 }
 
 
-FORMATS = ("csv", "json")
-
-
 class UsageError(Exception):
     """A malformed option value; reported as ``<subcommand>: <message>``, exit 2."""
 
 
-def _grid(args: argparse.Namespace) -> np.ndarray:
-    """The sweep grid the grid options describe."""
+def _grid(args: argparse.Namespace) -> list[float]:
+    """The sweep grid the grid options describe, as Python floats, which overflow quietly."""
     start, stop, count = args.grid_start, args.grid_stop, args.grid_count
     if count < 1:
         raise UsageError("grid count must be >= 1")
@@ -82,10 +81,10 @@ def _grid(args: argparse.Namespace) -> np.ndarray:
         if args.spacing == "log" and value <= 0:
             raise UsageError(f"log spacing requires a positive grid {name}")
     if count == 1:
-        return np.array([start])
+        return [start]
     if args.spacing == "log":
-        return np.logspace(math.log10(start), math.log10(stop), count)
-    return np.linspace(start, stop, count)
+        return np.logspace(math.log10(start), math.log10(stop), count).tolist()
+    return np.linspace(start, stop, count).tolist()
 
 
 def _fmt(value) -> str:
@@ -176,9 +175,10 @@ def cmd_truthtable(args) -> list[str]:
 
 
 def cmd_lossy_gate(args) -> list[str]:
-    gamma = args.gamma
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise UsageError("gamma must be finite and >= 0")
+    try:
+        gamma = NoiseParams(gamma=args.gamma).gamma
+    except FockError as exc:
+        raise UsageError(exc) from None
     sp = _TRUTH_TABLE_SPACE
     swapped = [index_of(sp, (b, a, c)) for a, b, c in sp.occupations()]  # a <-> b, an involution
     ref101 = lossy_gate_output_101(gamma)
@@ -200,13 +200,12 @@ def cmd_lossy_gate(args) -> list[str]:
 
 def cmd_sweep_loss(args) -> list[str]:
     records, ok = [], True
-    for gamma in _grid(args):
-        noise = NoiseParams(gamma=gamma)
+    for g in _grid(args):
+        noise = NoiseParams(gamma=g)
         plain = run(MachineConfig(k1=1, noise=noise, noise_model="loss"))
         ec = run(MachineConfig(k1=1, noise=noise, noise_model="loss", dualrail_postselect=True))
         bal = run(MachineConfig(k1=1, noise=noise, noise_model="balanced-loss",
                                 dualrail_postselect=True))
-        g = float(gamma)
         row = {
             "gamma": g,
             "loss_db": decibels(g),
@@ -225,17 +224,16 @@ def cmd_sweep_loss(args) -> list[str]:
 
 
 def cmd_sweep_dephasing(args) -> list[str]:
-    grid = _grid(args)
     records, ok = [], True
     fit_points = []
-    for lam in grid:
+    for lam in _grid(args):
         noise = NoiseParams(lam=lam)
         plain = run(MachineConfig(k1=1, noise=noise, noise_model="dephasing"))
         proj = run(MachineConfig(k1=0, noise=noise, noise_model="dephasing",
                                  projective_ec=True))
         row = {
-            "lambda": float(lam),
-            "damping_db": decibels(float(lam)),
+            "lambda": lam,
+            "damping_db": decibels(lam),
             "p_plain": plain.p_error,
             "p_projective": which_path_error(proj),
             "p_accept_projective": proj.p_accept,
@@ -247,7 +245,7 @@ def cmd_sweep_dephasing(args) -> list[str]:
             print(f"sweep-dephasing: no improvement at lambda={lam:.6g} (reported only)",
                   file=sys.stderr)
         if lam <= 0.05:
-            fit_points.append((float(lam), row["p_projective"]))
+            fit_points.append((lam, row["p_projective"]))
         records.append(row)
     _emit(records, args)
     if len(fit_points) >= 4:
@@ -305,7 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, func, help):
+        """A subparser with the options every subcommand accepts."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=FORMATS, default="csv")
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument("--config", default=None, help="key=value defaults file")
+        p.set_defaults(func=func)
+        return p
+
+    def sweep(name, func, help):
+        p = command(name, func, help)
         p.add_argument("--grid-start", type=float, default=1e-3)
         p.add_argument("--grid-stop", type=float, default=1.0)
         p.add_argument("--grid-count", type=int, default=61)
@@ -314,39 +322,22 @@ def build_parser() -> argparse.ArgumentParser:
                              default="log", help="log-spaced grid (default)")
         spacing.add_argument("--linear", dest="spacing", action="store_const",
                              const="linear", help="linearly spaced grid")
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--samples", type=int, default=100_000)
-        p.add_argument("--format", choices=FORMATS, default="csv")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--config", default=None, help="key=value defaults file")
+        return p
 
-    p = sub.add_parser("truthtable", help="verify the Fredkin gate truth table")
-    add_common(p)
-    p.set_defaults(func=cmd_truthtable)
-
-    p = sub.add_parser("lossy-gate", help="verify the lossy gate decomposition")
-    add_common(p)
+    command("truthtable", cmd_truthtable, "verify the Fredkin gate truth table")
+    p = command("lossy-gate", cmd_lossy_gate, "verify the lossy gate decomposition")
     p.add_argument("--gamma", type=float, default=0.1)
-    p.set_defaults(func=cmd_lossy_gate)
-
-    p = sub.add_parser("sweep-loss", help="error vs photon loss (Fig.-5-style data)")
-    add_common(p)
-    p.set_defaults(func=cmd_sweep_loss)
-
-    p = sub.add_parser("sweep-dephasing", help="error vs dephasing (Fig.-6-style data)")
-    add_common(p)
-    p.set_defaults(func=cmd_sweep_dephasing)
-
-    p = sub.add_parser("mc-validate", help="Monte-Carlo oracle vs analytic channel")
-    add_common(p)
+    p = sweep("sweep-loss", cmd_sweep_loss, "error vs photon loss (Fig.-5-style data)")
+    p.add_argument("--seed", type=int, default=12345, help="unused; the sweep is deterministic")
+    sweep("sweep-dephasing", cmd_sweep_dephasing, "error vs dephasing (Fig.-6-style data)")
+    p = command("mc-validate", cmd_mc_validate, "Monte-Carlo oracle vs analytic channel")
     p.add_argument("--lam", type=float, default=0.1)
-    p.set_defaults(func=cmd_mc_validate)
-
-    p = sub.add_parser("lambda-physical", help="dephasing strength from medium parameters")
-    add_common(p)
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=12345)
+    p = command("lambda-physical", cmd_lambda_physical,
+                "dephasing strength from medium parameters")
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--intensity", type=float, default=None)
-    p.set_defaults(func=cmd_lambda_physical)
     return parser
 
 

@@ -159,7 +159,7 @@ def p_noec_closed(gamma: float) -> float:
 
     (1 + e^-gamma - 2 e^(-3 gamma / 2)) / 4; grows as gamma/2 for small loss.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # nan fails, +inf passes
         raise FockError(f"gamma must be >= 0, got {gamma}")
     return (1.0 + math.exp(-gamma) - 2.0 * math.exp(-1.5 * gamma)) / 4.0
 
@@ -169,14 +169,14 @@ def p_ec_closed(gamma: float) -> float:
 
     (1 - sech(gamma/2)) / 2; grows as gamma^2/16 for small loss.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # nan fails, +inf passes
         raise FockError(f"gamma must be >= 0, got {gamma}")
     return (1.0 - 1.0 / math.cosh(gamma / 2.0)) / 2.0
 
 
 def p_plain_closed(lam: float) -> float:
     """Exact which-path error of the uncorrected dephasing machine: (1 - e^-2lam)/2."""
-    if lam < 0:
+    if not lam >= 0:  # nan fails, +inf passes
         raise FockError(f"lam must be >= 0, got {lam}")
     return (1 - math.exp(-2 * lam)) / 2
 
@@ -187,7 +187,7 @@ def p_projective_closed(lam: float) -> float:
     With q = e^-lam:  (1 - q)(6 + 5q) / (6 (2 + q)), whose small-lam series
     starts 11 lam / 18 - 41 lam^2 / 108.
     """
-    if lam < 0:
+    if not lam >= 0:  # nan fails, +inf passes
         raise FockError(f"lam must be >= 0, got {lam}")
     q = math.exp(-lam)
     return (1.0 - q) * (6.0 + 5.0 * q) / (6.0 * (2.0 + q))
@@ -195,7 +195,7 @@ def p_projective_closed(lam: float) -> float:
 
 def p_accept_projective_closed(lam: float) -> float:
     """Exact acceptance probability of the projective correction step: (2 + e^-lam)/3."""
-    if lam < 0:
+    if not lam >= 0:  # nan fails, +inf passes
         raise FockError(f"lam must be >= 0, got {lam}")
     return (2.0 + math.exp(-lam)) / 3.0
 

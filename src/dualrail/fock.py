@@ -83,10 +83,18 @@ def occupation_table(space: FockSpace) -> np.ndarray:
     return _readonly(np.indices(shape).reshape(space.n_modes, -1).T)
 
 
+def check_modes(space: FockSpace, *modes: int):
+    """Reject mode indices outside [0, n_modes) or repeated: the one mode-index rule."""
+    for m in modes:
+        if not 0 <= m < space.n_modes:
+            raise FockError(f"mode {m} outside [0, {space.n_modes})")
+    if len(set(modes)) != len(modes):
+        raise FockError(f"modes {modes} must be distinct")
+
+
 def mode_operator(space: FockSpace, mode: int, single: np.ndarray) -> np.ndarray:
     """Embed a (cutoff + 1)-square single-mode matrix on ``mode``, identity elsewhere."""
-    if not 0 <= mode < space.n_modes:
-        raise FockError(f"mode {mode} outside [0, {space.n_modes})")
+    check_modes(space, mode)
     base = space.cutoff + 1
     before, after = np.eye(base ** mode), np.eye(base ** (space.n_modes - 1 - mode))
     return np.kron(np.kron(before, single), after)
@@ -209,8 +217,7 @@ def marginal_distribution(rho: DensityOperator, modes: Sequence[int]) -> np.ndar
     ascending mode order as a space of their own.
     """
     space = rho.space
-    if any(not 0 <= m < space.n_modes for m in modes):
-        raise FockError(f"modes {tuple(modes)} outside [0, {space.n_modes})")
+    check_modes(space, *modes)
     probs = np.real(np.diag(rho.matrix)).reshape((space.cutoff + 1,) * space.n_modes)
     traced = tuple(m for m in range(space.n_modes) if m not in modes)
     return probs.sum(axis=traced).ravel()

@@ -17,6 +17,7 @@ from .fock import (
     FockError,
     FockSpace,
     LinearOperator,
+    check_modes,
     mode_operator,
     occupation_table,
 )
@@ -30,15 +31,8 @@ def annihilation_operator(space: FockSpace, mode: int) -> np.ndarray:
 
 def number_operator_diagonal(space: FockSpace, mode: int) -> np.ndarray:
     """Diagonal of the photon-number operator for one mode."""
+    check_modes(space, mode)
     return occupation_table(space)[:, mode].astype(float)
-
-
-def _check_distinct(space: FockSpace, *modes: int):
-    if len(set(modes)) != len(modes):
-        raise FockError(f"modes {modes} must be distinct")
-    for m in modes:
-        if not 0 <= m < space.n_modes:
-            raise FockError(f"mode {m} outside [0, {space.n_modes})")
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +44,7 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOp
     action on states with more total photons than ``cutoff`` allows per mode is
     truncated; use cutoff >= total pair occupation for exact two-photon physics.
     """
-    _check_distinct(space, mode_i, mode_j)
+    check_modes(space, mode_i, mode_j)
     ai = annihilation_operator(space, mode_i)
     aj = annihilation_operator(space, mode_j)
     gen = math.pi / 4 * (ai.conj().T @ aj - aj.conj().T @ ai)
@@ -61,7 +55,7 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOp
 
 def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     """Cross-phase modulation K = exp[i pi n_i n_j], the sign flip on |11>."""
-    _check_distinct(space, mode_i, mode_j)
+    check_modes(space, mode_i, mode_j)
     ni = number_operator_diagonal(space, mode_i)
     nj = number_operator_diagonal(space, mode_j)
     return LinearOperator(space, np.diag(np.exp(1j * math.pi * ni * nj)))
@@ -69,8 +63,6 @@ def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
 
 def phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperator:
     """Single-mode phase shift exp[i phi n_mode]."""
-    if not 0 <= mode < space.n_modes:
-        raise FockError(f"mode {mode} outside [0, {space.n_modes})")
     n = number_operator_diagonal(space, mode)
     return LinearOperator(space, np.diag(np.exp(1j * phi * n)))
 
@@ -82,7 +74,7 @@ def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOpe
     On single-photon occupations this swaps modes m_a and m_b conditioned on a
     photon in m_c.  F is Hermitian, so F is its own inverse.
     """
-    _check_distinct(space, m_a, m_b, m_c)
+    check_modes(space, m_a, m_b, m_c)
     b = beamsplitter_unitary(space, m_a, m_b)
     k = kerr_unitary(space, m_b, m_c)
     f = b.matrix.conj().T @ k.matrix @ b.matrix
@@ -97,7 +89,7 @@ def noisy_fredkin_sample(space: FockSpace, m_a: int, m_b: int, m_c: int,
     passing through it, between the cross-phase interaction and the closing
     beamsplitter:  V(eps) = B^dag exp[i eps (n_b + n_c)] K B.  V(0) = F.
     """
-    _check_distinct(space, m_a, m_b, m_c)
+    check_modes(space, m_a, m_b, m_c)
     if not math.isfinite(epsilon):
         raise FockError(f"epsilon must be finite, got {epsilon}")
     b = beamsplitter_unitary(space, m_a, m_b)

@@ -87,6 +87,12 @@ NOISE_PLACEMENT = {
 NOISE_MODELS = tuple(NOISE_PLACEMENT)
 
 
+def _read_strength(noise_model: str) -> str | None:
+    """The NoiseParams field a model reads: gamma if it damps, lam if it dephases, else None."""
+    slots, damped = NOISE_PLACEMENT[noise_model]
+    return "gamma" if damped is not None else "lam" if slots else None
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Switch settings, noise model, and correction strategy for one run."""
@@ -102,8 +108,12 @@ class MachineConfig:
             raise FockError("k1 must be 0 or 1")
         if self.noise_model not in NOISE_MODELS:
             raise FockError(f"noise_model must be one of {NOISE_MODELS}")
-        if self.projective_ec and NOISE_PLACEMENT[self.noise_model][1] is not None:
+        read = _read_strength(self.noise_model)
+        if self.projective_ec and read == "gamma":
             raise FockError("projective correction requires a photon-number-preserving run")
+        for name in ("gamma", "lam"):
+            if name != read and getattr(self.noise, name) != 0:
+                raise FockError(f"noise model {self.noise_model!r} does not read {name}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +190,13 @@ def run(config: MachineConfig, mc_samples: int | None = None,
         mc_seed: int = 0) -> RunResult:
     """Run the machine pipeline for one configuration.
 
-    Passing ``mc_samples`` replaces the analytic dephasing channels with the
-    seeded Monte-Carlo oracle, with one phase stream per gate: seed
-    ``[mc_seed, 0]`` for the first gate and ``[mc_seed, 1]`` for the second.
+    Passing ``mc_samples`` (dephasing model only) replaces the analytic
+    dephasing channels with the seeded Monte-Carlo oracle, with one phase
+    stream per gate: seed ``[mc_seed, 0]`` for the first gate and
+    ``[mc_seed, 1]`` for the second.
     """
+    if mc_samples is not None and _read_strength(config.noise_model) != "lam":
+        raise FockError("mc_samples requires the dephasing noise model")
     space = machine_space()
     bcd = beamsplitter_unitary(space, MODE_C, MODE_D)
     s_a = phase_shift_unitary(space, MODE_A, math.pi)

@@ -386,10 +386,11 @@ def test_quadrature_oracle_is_the_literal_node_sum(space):
 
 
 def test_mc_zero_strength_exact():
-    oracle = dephased_fredkin_mc(SPACE3, 0, 1, 2, 0.0, 100, seed=0)
     f = fredkin_unitary(SPACE3, 0, 1, 2)
     rho = basis_density(SPACE3, (1, 0, 1))
-    assert np.max(np.abs(oracle(rho).matrix - apply_unitary(rho, f).matrix)) < 1e-12
+    for lam in (0.0, -0.0):  # a negative zero passes the lam >= 0 rule
+        oracle = dephased_fredkin_mc(SPACE3, 0, 1, 2, lam, 100, seed=0)
+        assert np.max(np.abs(oracle(rho).matrix - apply_unitary(rho, f).matrix)) < 1e-12
 
 
 def test_mc_diagonal_weights_within_three_sigma():

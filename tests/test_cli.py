@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualrail.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from dualrail.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 
 SMALL_GRID = ["--grid-start", "0.01", "--grid-stop", "0.5", "--grid-count", "5"]
 
@@ -118,6 +119,8 @@ def _reject_constant(name):
     (["lambda-physical", "--omega", "1e308", "--intensity", "1e-300"], "damping_db"),
     (["sweep-dephasing", "--grid-start", "5e307", "--grid-stop", "5e307",
       "--grid-count", "1"], "damping_db"),
+    (["sweep-dephasing", "--grid-start", "1e308", "--grid-stop", "1e308",
+      "--grid-count", "1"], "damping_db"),
 ])
 def test_json_format_is_strict_for_non_finite_values(argv, column, capsys):
     code, out, _ = run_cli([*argv, "--format", "json"], capsys)
@@ -206,10 +209,62 @@ def test_malformed_config_value_is_usage_error(tmp_path, line, command, message)
 
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
     config = tmp_path / "run.conf"
-    config.write_text("func=oops\ngamma=abc\ngrid-count=2\n")
+    config.write_text("func=oops\ngamma=abc\nsamples=1e5\nlam=abc\ngrid-count=2\n")
     code, out, _ = run_any(["sweep-loss", "--config", str(config)])
     assert code == EXIT_OK
     assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["truthtable", "--grid-start", "1"],
+    ["lossy-gate", "--samples", "5"],
+    ["sweep-loss", "--samples", "10"],
+    ["sweep-dephasing", "--samples", "3"],
+    ["mc-validate", "--grid-count", "3"],
+    ["lambda-physical", "--grid-count", "2"],
+    ["sweep-dephasing", "--seed", "7"],
+], ids=lambda argv: argv[0] + argv[1])
+def test_flags_of_other_subcommands_are_usage_errors(argv):
+    code, out, err = run_any(argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+_SMALL_ARGV = {
+    "truthtable": [],
+    "lossy-gate": [],
+    "sweep-loss": ["--grid-count", "2"],
+    "sweep-dephasing": ["--grid-count", "2"],
+    "mc-validate": ["--samples", "100"],
+    "lambda-physical": ["--omega", "1", "--intensity", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_ARGV))
+def test_every_declared_option_is_read(command, capsys):
+    # sweep-loss keeps --seed, unread, because the seeded determinism check passes it
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    declared = {a.dest for a in subparsers.choices[command]._actions} - {"help", "config"}
+    if command == "sweep-loss":
+        declared.discard("seed")
+    args = _ReadRecorder(_reads=set())
+    parser.parse_args([command, *_SMALL_ARGV[command]], namespace=args)
+    args._reads.clear()  # argparse reads while it parses
+    assert args.func(args) == []
+    capsys.readouterr()
+    assert declared - args._reads == set()
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -237,22 +292,36 @@ _FLOAT_VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0", "1e-300", "0.3", "9", "1e308", "abc", ""]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
+_SIZES = {"grid-count": st.integers(-1, 3), "samples": st.integers(-1, 2000)}
 _OPTION_VALUES = {
     "grid-start": _FLOAT_VALUES, "grid-stop": _FLOAT_VALUES, "gamma": _FLOAT_VALUES,
     "lam": _FLOAT_VALUES, "omega": _FLOAT_VALUES, "intensity": _FLOAT_VALUES,
     "seed": st.one_of(st.integers(-3, 2**40).map(str), st.sampled_from(["x", "1.5"])),
     "format": st.sampled_from(["csv", "json", "xml", ""]),
     "spacing": st.sampled_from(["log", "linear", "bogus"]),
+    **_SIZES,
 }
-_COMMANDS = ["truthtable", "lossy-gate", "sweep-loss", "sweep-dephasing", "mc-validate",
-             "lambda-physical"]
+_GRID = ("grid-start", "grid-stop", "grid-count", "spacing")
+_OWN_OPTIONS = {  # besides format, which every subcommand reads
+    "truthtable": (), "lossy-gate": ("gamma",), "sweep-loss": (*_GRID, "seed"),
+    "sweep-dephasing": _GRID, "mc-validate": ("lam", "samples", "seed"),
+    "lambda-physical": ("omega", "intensity"),
+}
 
 
 @st.composite
 def _invocations(draw):
-    """A subcommand with drawn flags and config lines; grid and sample sizes stay small."""
-    argv, lines = [draw(st.sampled_from(_COMMANDS))], []
-    for key in draw(st.lists(st.sampled_from(sorted(_OPTION_VALUES)), max_size=5)):
+    """A subcommand with drawn flags and config lines, mostly its own options.
+
+    At most one key belongs to another subcommand.  Grid and sample sizes
+    stay small: a subcommand that reads one always gets it.
+    """
+    command = draw(st.sampled_from(sorted(_OWN_OPTIONS)))
+    own = {"format", *_OWN_OPTIONS[command]}
+    argv, lines = [command], []
+    keys = draw(st.lists(st.sampled_from(sorted(own - set(_SIZES))), max_size=5))
+    keys += draw(st.lists(st.sampled_from(sorted(set(_OPTION_VALUES) - own)), max_size=1))
+    for key in keys + [key for key in _SIZES if key in own]:
         entry = f"{key}={draw(_OPTION_VALUES[key])}"
         if draw(st.booleans()):
             lines.append(entry)
@@ -260,14 +329,8 @@ def _invocations(draw):
             argv.append("--" + entry)
     lines += draw(st.lists(st.sampled_from(["junk", "=", "# note", "func=x", "grid_count=9"]),
                            max_size=2))
-    argv.append(draw(st.sampled_from(["", "--log", "--linear"])))
-    sizes = {"grid-count": st.integers(-1, 3), "samples": st.integers(-1, 2000)}
-    for key, values in sizes.items():
-        entry = f"{key}={draw(values)}"
-        if draw(st.booleans()):
-            lines.append(entry)
-        else:
-            argv.append("--" + entry)
+    if "spacing" in own:
+        argv.append(draw(st.sampled_from(["", "--log", "--linear"])))
     return [a for a in argv if a], lines
 
 

@@ -195,6 +195,17 @@ def test_loss_closed_forms_small_gamma_asymptotics():
     assert p_ec_closed(gamma) / gamma**2 == pytest.approx(1 / 16, rel=0.01)
 
 
+@pytest.mark.parametrize("closed_form", [p_noec_closed, p_ec_closed, p_plain_closed,
+                                         p_projective_closed, p_accept_projective_closed],
+                         ids=lambda f: f.__name__)
+def test_closed_forms_reject_nan_and_accept_inf(closed_form):
+    with pytest.raises(FockError):
+        closed_form(math.nan)
+    with pytest.raises(FockError):
+        closed_form(-0.1)
+    assert math.isfinite(closed_form(math.inf))
+
+
 @pytest.mark.parametrize("lam", [0.01, 0.1, 0.5, 1.0])
 def test_projective_closed_forms_match_pipeline(lam):
     result = run(MachineConfig(k1=0, noise=NoiseParams(lam=lam),

@@ -165,6 +165,8 @@ def test_marginal_mode_distribution():
     assert marg == pytest.approx([0.5, 0.5])
     with pytest.raises(FockError):
         marginal_distribution(basis_density(space, (0, 1, 0, 1)), (4,))
+    with pytest.raises(FockError):  # a repeated mode is not a marginal
+        marginal_distribution(basis_density(space, (0, 1, 0, 1)), (0, 0))
 
 
 @pytest.mark.parametrize("space", [FockSpace(5, 1), FockSpace(3, 2)], ids=str)

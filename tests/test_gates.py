@@ -16,6 +16,7 @@ from dualrail import (
     occupation_of,
     phase_shift_unitary,
 )
+from dualrail.gates import number_operator_diagonal
 
 SQ2 = math.sqrt(2)
 
@@ -65,6 +66,15 @@ def test_beamsplitter_two_photon_bunching():
 def test_beamsplitter_rejects_mode_collision():
     with pytest.raises(FockError):
         beamsplitter_unitary(FockSpace(2, 1), 0, 0)
+
+
+def test_number_diagonal_rejects_out_of_range_modes():
+    # a negative mode would otherwise index the occupation table from the end
+    for mode in (-1, 2):
+        with pytest.raises(FockError):
+            number_operator_diagonal(FockSpace(2, 1), mode)
+        with pytest.raises(FockError):
+            phase_shift_unitary(FockSpace(2, 1), mode, 0.1)
 
 
 def test_kerr_phases():

@@ -274,6 +274,22 @@ def test_config_rejects_bad_values():
         cfg(1, "thermal")
 
 
+@pytest.mark.parametrize("model, strengths", [
+    ("none", {"gamma": 0.3}), ("none", {"lam": 0.3}),
+    ("loss", {"lam": 0.1}), ("balanced-loss", {"lam": math.inf}),
+    ("dephasing", {"gamma": 0.2}),
+])
+def test_config_rejects_strengths_its_model_does_not_read(model, strengths):
+    with pytest.raises(FockError, match="does not read"):
+        MachineConfig(k1=1, noise=NoiseParams(**strengths), noise_model=model)
+
+
+@pytest.mark.parametrize("config", [cfg(1, "loss", gamma=0.1), cfg(0)], ids=["loss", "none"])
+def test_mc_samples_require_the_dephasing_model(config):
+    with pytest.raises(FockError, match="mc_samples"):
+        run(config, mc_samples=100)
+
+
 def test_default_noisy_gates_resolution():
     # noise model -> (noisy gate slots, damped modes for k1): loss damps the
     # second gate's Kerr cell, (b, c) for k1 = 1 and (b, e) for k1 = 0
