@@ -24,7 +24,6 @@ from .channels import (
 from .correction import (
     SeriesFit,
     ZeroAcceptanceError,
-    dualrail_postselect,
     fit_series,
     legal_basis,
     legal_mask,
@@ -63,9 +62,9 @@ from .machine import (
     MachineConfig,
     RunResult,
     gate_modes,
-    ideal_run,
     machine_input,
     machine_space,
+    readout_error,
     run,
     which_path_error,
 )

@@ -47,7 +47,7 @@ from .fock import (
     occupation_label,
 )
 from .gates import fredkin_unitary
-from .machine import MachineConfig, run, which_path_error
+from .machine import MachineConfig, readout_error, run, which_path_error
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -203,17 +203,15 @@ def cmd_sweep_loss(args) -> list[str]:
     for g in _grid(args):
         noise = NoiseParams(gamma=g)
         plain = run(MachineConfig(k1=1, noise=noise, noise_model="loss"))
-        ec = run(MachineConfig(k1=1, noise=noise, noise_model="loss", dualrail_postselect=True))
-        bal = run(MachineConfig(k1=1, noise=noise, noise_model="balanced-loss",
-                                dualrail_postselect=True))
+        balanced = run(MachineConfig(k1=1, noise=noise, noise_model="balanced-loss"))
         row = {
             "gamma": g,
             "loss_db": decibels(g),
-            "p_noec_sim": plain.p_error,
+            "p_noec_sim": readout_error(plain)[0],
             "p_noec_closed": p_noec_closed(g),
-            "p_ec_sim": ec.p_error,
+            "p_ec_sim": readout_error(plain, postselect=True)[0],
             "p_ec_closed": p_ec_closed(g),
-            "p_balanced_ec": bal.p_error,
+            "p_balanced_ec": readout_error(balanced, postselect=True)[0],
         }
         ok = ok and abs(row["p_noec_sim"] - row["p_noec_closed"]) <= 1e-10
         ok = ok and abs(row["p_ec_sim"] - row["p_ec_closed"]) <= 1e-10
@@ -234,18 +232,20 @@ def cmd_sweep_dephasing(args) -> list[str]:
         row = {
             "lambda": lam,
             "damping_db": decibels(lam),
-            "p_plain": plain.p_error,
+            "p_plain": readout_error(plain)[0],
             "p_projective": which_path_error(proj),
             "p_accept_projective": proj.p_accept,
         }
         ok = ok and abs(row["p_plain"] - p_plain_closed(lam)) <= 1e-10
-        if lam <= 0.1:
+        if lam == 0:  # noise-free: nothing to improve, both errors vanish
+            ok = ok and max(row["p_plain"], row["p_projective"]) <= 1e-12
+        elif lam <= 0.1:
             ok = ok and row["p_projective"] < row["p_plain"]
+            if lam <= 0.05:
+                fit_points.append((lam, row["p_projective"]))
         elif row["p_projective"] >= row["p_plain"]:
             print(f"sweep-dephasing: no improvement at lambda={lam:.6g} (reported only)",
                   file=sys.stderr)
-        if lam <= 0.05:
-            fit_points.append((lam, row["p_projective"]))
         records.append(row)
     _emit(records, args)
     if len(fit_points) >= 4:
@@ -358,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
         failures = args.func(args)  # each cmd_* returns its validation failures
     except UsageError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # a grid or sample count too large to allocate
+        print(f"{args.command}: not enough memory for this request", file=sys.stderr)
         return EXIT_USAGE
     except FockError as exc:
         print(f"dualrail: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Error-correction strategies: dual-rail post-selection and projective correction.
+"""Error-correction strategies: dual-rail legality and projective correction.
 
 Dual-rail legality: each rail pair carries exactly one photon, so |01> and
 |10> per pair are legal while |00>/|11> herald a lost or doubled photon.
@@ -44,8 +44,8 @@ class ZeroAcceptanceError(FockError):
 def legal_mask(space: FockSpace) -> np.ndarray:
     """Read-only boolean per basis index: True where each rail pair holds one photon.
 
-    The one definition of dual-rail legality; post-selection and the machine
-    scoring both read it.
+    The one definition of dual-rail legality; ``machine.readout_error``
+    post-selects on it.
     """
     if space.n_modes < 4:
         raise FockError("dual-rail legality needs at least the four rail modes")
@@ -55,15 +55,6 @@ def legal_mask(space: FockSpace) -> np.ndarray:
         legal &= table[:, i] + table[:, j] == 1
     legal.setflags(write=False)
     return legal
-
-
-def dualrail_postselect(rho: DensityOperator) -> tuple[DensityOperator, float]:
-    """Keep only outcomes with one photon per rail pair.
-
-    Returns the renormalized accepted state and the acceptance probability.
-    Raises ZeroAcceptanceError when no legal mass remains.
-    """
-    return project_onto(rho, np.diag(legal_mask(rho.space).astype(float)))
 
 
 def _embed(space: FockSpace, weights: dict[tuple[int, ...], float]) -> np.ndarray:
@@ -171,7 +162,8 @@ def p_ec_closed(gamma: float) -> float:
     """
     if not gamma >= 0:  # nan fails, +inf passes
         raise FockError(f"gamma must be >= 0, got {gamma}")
-    return (1.0 - 1.0 / math.cosh(gamma / 2.0)) / 2.0
+    # math.cosh overflows past gamma ~ 1420; from 1400 on, sech is below 1e-300
+    return (1.0 - 1.0 / math.cosh(min(gamma, 1400.0) / 2.0)) / 2.0
 
 
 def p_plain_closed(lam: float) -> float:

@@ -10,12 +10,14 @@ on (a, b, c) for k1 = 1.  Noise-free, the machine ends in |0101> for k1 = 0
 and |0110> for k1 = 1, and the function class is read from the mode-d
 detector: a click answers for k1 = 0, no click for k1 = 1.
 
-Two error figures are exposed.  ``RunResult.p_error`` scores the mode-d
-readout against the correct class; without post-selection it additionally
-charges half of the probability of lone-photon outcomes left on the noisy
-gate's Kerr-cell rails, since a run that lost its partner photon inside the
-cell carries no which-rail information.  With this scoring the uncorrected
-lossy machine reproduces the closed form (1 + e^-g - 2 e^(-3g/2))/4 exactly.
+A run yields its output state; both error figures are read from it.
+``readout_error`` scores the mode-d readout against the correct class;
+without post-selection it additionally charges half of the probability of
+lone-photon outcomes left on the noisy gate's Kerr-cell rails, since a run
+that lost its partner photon inside the cell carries no which-rail
+information.  With this scoring the uncorrected lossy machine reproduces the
+closed form (1 + e^-g - 2 e^(-3g/2))/4 exactly, and the same state scored
+with dual-rail post-selection gives (1 - sech(g/2))/2.
 ``which_path_error`` instead scores the a/b interferometer (a photon exiting
 in mode a took the wrong path); for k1 = 0, where every valid outcome clicks
 d and the readout is uninformative, this is the figure the dephasing
@@ -25,7 +27,7 @@ experiments and the projective correction act on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,7 +103,6 @@ class MachineConfig:
     noise: NoiseParams = field(default_factory=NoiseParams)
     noise_model: str = "none"
     projective_ec: bool = False
-    dualrail_postselect: bool = False
 
     def __post_init__(self):
         if self.k1 not in (0, 1):
@@ -118,20 +119,17 @@ class MachineConfig:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Final state and scored statistics of one machine run.
+    """Final state of one machine run; ``readout_error`` and ``which_path_error`` score it.
 
-    ``output_state`` and ``outcome_distribution`` describe the machine output
-    before any post-selection (the distribution over modes a-d sums to 1 and
-    omits entries below PROB_OMIT_THRESHOLD); ``p_accept`` and ``p_error``
-    carry the post-selected statistics, scored from the full diagonal.
+    ``outcome_distribution`` is the output over modes a-d (it sums to 1 and
+    omits entries below PROB_OMIT_THRESHOLD); ``p_accept`` is the acceptance
+    of the projective correction, 1 for a run without it.
     """
 
     config: MachineConfig
     output_state: DensityOperator
     outcome_distribution: tuple[tuple[OccupationVector, float], ...]
     p_accept: float
-    p_error: float
-    intermediate_states: tuple[PureState, ...] | None = None
 
 
 def _rail_outcomes(rho: DensityOperator) -> tuple[np.ndarray, FockSpace]:
@@ -153,20 +151,10 @@ def _conditional(probs: np.ndarray, legal: np.ndarray | None,
         accepted = sum(probs[legal].tolist())
         if accepted <= 0.0:
             raise ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
-    hit = sum(probs[event & (probs / accepted > PROB_OMIT_THRESHOLD)].tolist())
+    with np.errstate(over="ignore"):  # a share of a subnormal acceptance may overflow to inf
+        share = probs / accepted
+    hit = sum(probs[event & (share > PROB_OMIT_THRESHOLD)].tolist())
     return hit / accepted, accepted
-
-
-def _score(probs: np.ndarray, rails: FockSpace, config: MachineConfig) -> tuple[float, float]:
-    """(p_error, dual-rail acceptance) for the full a-d outcome diagonal of a run."""
-    table, legal = occupation_table(rails), legal_mask(rails)
-    # correct readout: mode d clicks for k1 = 0, stays dark for k1 = 1
-    wrong = legal & (table[:, MODE_D] == config.k1)
-    if config.dualrail_postselect:
-        return _conditional(probs, legal, wrong)
-    arms = [m for m in gate_modes(config.k1)[1:] if m in RAIL_MODES]  # the Kerr-cell rails
-    lone = (table.sum(axis=1) == 1) & (table[:, arms] == 1).any(axis=1)
-    return _conditional(probs, None, wrong)[0] + 0.5 * _conditional(probs, None, lone)[0], 1.0
 
 
 def _gate_channel(space: FockSpace, config: MachineConfig, slot: int,
@@ -212,34 +200,38 @@ def run(config: MachineConfig, mc_samples: int | None = None,
     rho = apply_unitary(rho, bcd.dagger)
 
     probs, rails = _rail_outcomes(rho)
-    p_error, dualrail_acc = _score(probs, rails, config)
-    p_accept *= dualrail_acc
     dist4 = tuple((occ, p) for occ, p in zip(rails.occupations(), probs.tolist())
                   if p > PROB_OMIT_THRESHOLD)
-    return RunResult(config, rho, dist4, p_accept, p_error)
+    return RunResult(config, rho, dist4, p_accept)
 
 
-def ideal_run(k1: int) -> RunResult:
-    """Noise-free reference run, recording the pure intermediate states."""
-    space = machine_space()
-    psi1 = beamsplitter_unitary(space, MODE_C, MODE_D).matrix @ machine_input(space).amplitudes
-    psi2 = fredkin_unitary(space, *gate_modes(k1)).matrix @ psi1
-    psi3 = phase_shift_unitary(space, MODE_A, math.pi).matrix @ psi2
-    states = tuple(PureState(space, v) for v in (psi1, psi2, psi3))
-    return replace(run(MachineConfig(k1=k1)), intermediate_states=states)
+def readout_error(result: RunResult, postselect: bool = False) -> tuple[float, float]:
+    """(Error probability, dual-rail acceptance) of the mode-d class readout of a run.
+
+    With ``postselect`` the error is conditioned on one photon per rail pair
+    and the acceptance is the legal mass; raises ZeroAcceptanceError
+    when none remains.  Without it the acceptance is 1.
+    """
+    probs, rails = _rail_outcomes(result.output_state)
+    table, legal = occupation_table(rails), legal_mask(rails)
+    k1 = result.config.k1
+    # correct readout: mode d clicks for k1 = 0, stays dark for k1 = 1
+    wrong = legal & (table[:, MODE_D] == k1)
+    if postselect:
+        return _conditional(probs, legal, wrong)
+    arms = [m for m in gate_modes(k1)[1:] if m in RAIL_MODES]  # the Kerr-cell rails
+    lone = (table.sum(axis=1) == 1) & (table[:, arms] == 1).any(axis=1)
+    return _conditional(probs, None, wrong)[0] + 0.5 * _conditional(probs, None, lone)[0], 1.0
 
 
 def which_path_error(result: RunResult) -> float:
-    """Probability that the a/b interferometer released its photon in mode a.
+    """Probability that the a/b interferometer released its photon in mode a, unconditioned.
 
-    Conditioned on dual-rail acceptance when the run post-selects.  This is
-    the phase-noise figure of merit: for k1 = 0 the mode-d readout never
-    errs, and what decoherence damages is the which-path purity of the a/b
-    pair; the projective correction improves exactly this quantity, from the
-    uncorrected (1 - e^-2lam)/2 to (1 - q)(6 + 5q)/(6(2 + q)), q = e^-lam.
+    This is the phase-noise figure of merit: for k1 = 0 the mode-d readout
+    never errs, and what decoherence damages is the which-path purity of the
+    a/b pair; the projective correction improves exactly this quantity, from
+    the uncorrected (1 - e^-2lam)/2 to (1 - q)(6 + 5q)/(6(2 + q)), q = e^-lam.
     """
     probs, rails = _rail_outcomes(result.output_state)
-    legal = legal_mask(rails) if result.config.dualrail_postselect else None
-    p_wrong_path, _ = _conditional(probs, legal, occupation_table(rails)[:, MODE_A] == 1)
-    return p_wrong_path
+    return _conditional(probs, None, occupation_table(rails)[:, MODE_A] == 1)[0]
 

@@ -28,6 +28,7 @@ from dualrail import (
     lossy_fredkin_channel,
     p_ec_closed,
     p_noec_closed,
+    readout_error,
     run,
     which_path_error,
 )
@@ -86,10 +87,9 @@ def test_criterion_03_closed_form_cross_check():
     for gamma in grid:
         noise = NoiseParams(gamma=gamma)
         plain = run(MachineConfig(k1=1, noise=noise, noise_model="loss"))
-        sel = run(MachineConfig(k1=1, noise=noise, noise_model="loss",
-                                dualrail_postselect=True))
-        worst_noec = max(worst_noec, abs(plain.p_error - p_noec_closed(gamma)))
-        worst_ec = max(worst_ec, abs(sel.p_error - p_ec_closed(gamma)))
+        p_noec, p_ec = readout_error(plain)[0], readout_error(plain, postselect=True)[0]
+        worst_noec = max(worst_noec, abs(p_noec - p_noec_closed(gamma)))
+        worst_ec = max(worst_ec, abs(p_ec - p_ec_closed(gamma)))
     g0 = 1e-3
     ratio1 = p_noec_closed(g0) / g0
     ratio2 = p_ec_closed(g0) / g0**2
@@ -119,9 +119,9 @@ def test_criterion_04_balanced_loss():
                        f"gamma={gamma}: lone-photon weights vs uniform (e2-e4)/2, "
                        f"worst dev={dev_singles:.2e} (coherent recombination keeps "
                        f"them rail-twinned; pairwise sums do match)"))
-    worst_err = max(run(MachineConfig(k1=1, noise=NoiseParams(gamma=g),
-                                      noise_model="balanced-loss",
-                                      dualrail_postselect=True)).p_error
+    worst_err = max(readout_error(run(MachineConfig(k1=1, noise=NoiseParams(gamma=g),
+                                                    noise_model="balanced-loss")),
+                                  postselect=True)[0]
                     for g in np.linspace(0.0, 2.0, 9))
     checks.append((worst_err <= 1e-12,
                    f"post-selected error <= 1e-12 for gamma in [0, 2]: worst={worst_err:.2e}"))
@@ -179,8 +179,8 @@ def test_criterion_07_series_improvement():
     plain_pts, proj_pts = [], []
     for lam in grid:
         noise = NoiseParams(lam=lam)
-        plain_pts.append((lam, run(MachineConfig(k1=1, noise=noise,
-                                                 noise_model="dephasing")).p_error))
+        plain = run(MachineConfig(k1=1, noise=noise, noise_model="dephasing"))
+        plain_pts.append((lam, readout_error(plain)[0]))
         proj = run(MachineConfig(k1=0, noise=noise, noise_model="dephasing",
                                  projective_ec=True))
         proj_pts.append((lam, which_path_error(proj)))

@@ -56,6 +56,10 @@ def test_sweep_loss_deep_grid_completes(capsys):
     assert len(rows) == 8
     assert float(rows[-1][0]) == 40.0
     assert all(float(row[-1]) == 0.0 for row in rows)
+    # at gamma = 180 the legal mass e^-720 is subnormal and shares of it overflow to inf
+    code, out, err = run_cli(["sweep-loss", "--grid-start", "180", "--grid-count", "1"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1].endswith(",0")
 
 
 def test_sweep_dephasing_columns_and_fit_report(capsys):
@@ -65,6 +69,18 @@ def test_sweep_dephasing_columns_and_fit_report(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "lambda,damping_db,p_plain,p_projective,p_accept_projective"
     assert "small-lambda fit" in err
+
+
+def test_sweep_dephasing_noise_free_points_pass(capsys):
+    code, out, err = run_cli(["sweep-dephasing", "--grid-start", "0", "--grid-stop", "0.1",
+                              "--grid-count", "3", "--linear"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1] == "0,0,0,0,1"
+    # an all-zero grid long enough for the small-lambda fit, which skips lambda = 0
+    code, out, err = run_cli(["sweep-dephasing", "--grid-start", "0", "--grid-stop", "0",
+                              "--grid-count", "5", "--linear"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1:] == ["0,0,0,0,1"] * 5
 
 
 def test_mc_validate_passes_with_seed(capsys):
@@ -280,6 +296,9 @@ def test_every_declared_option_is_read(command, capsys):
     (["mc-validate", "--seed=-1", "--samples", "10"], "seed must be >= 0"),
     (["mc-validate", "--lam=1e308", "--samples", "10"], "lam must be >= 0"),
     (["lossy-gate", "--gamma", "nan"], "gamma must be finite"),
+    # 10**16 elements exceed any address space, so the allocation is refused at once
+    (["mc-validate", "--samples", str(10**16)], "mc-validate: not enough memory"),
+    (["sweep-loss", "--grid-count", str(10**16)], "sweep-loss: not enough memory"),
 ])
 def test_bad_values_are_usage_errors(argv, message):
     code, _, err = run_any(argv)

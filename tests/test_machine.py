@@ -11,8 +11,8 @@ from dualrail import (
     basis_pure,
     beamsplitter_unitary,
     dephased_fredkin_mc,
+    fredkin_unitary,
     gate_modes,
-    ideal_run,
     index_of,
     machine_input,
     machine_space,
@@ -20,10 +20,11 @@ from dualrail import (
     p_ec_closed,
     p_noec_closed,
     phase_shift_unitary,
+    readout_error,
     run,
     which_path_error,
 )
-from dualrail import correction
+from dualrail import cli, correction
 from dualrail.machine import NOISE_PLACEMENT, RAIL_MODES
 from dualrail.cli import main
 
@@ -47,23 +48,29 @@ def dist_dict(result):
 # ---------------------------------------------------------------- noise-free
 
 def test_ideal_run_intermediate_chain():
-    result = ideal_run(1)
-    psi1, psi2, psi3 = result.intermediate_states
+    # the k1 = 1 noise-free pipeline composed gate by gate on the machine input
+    bcd = beamsplitter_unitary(SPACE, 2, 3)
+    fredkin = fredkin_unitary(SPACE, *gate_modes(1))
+    psi1 = bcd.matrix @ machine_input(SPACE).amplitudes
+    psi2 = fredkin.matrix @ psi1
+    psi3 = phase_shift_unitary(SPACE, 0, math.pi).matrix @ psi2
     exp1 = (ket5((0, 1, 0, 1)) + ket5((0, 1, 1, 0))) / SQ2
     exp2 = (ket5((0, 1, 0, 1)) + ket5((1, 0, 1, 0))) / SQ2
     exp3 = (ket5((0, 1, 0, 1)) - ket5((1, 0, 1, 0))) / SQ2
-    assert np.max(np.abs(psi1.amplitudes - exp1)) < 1e-12
-    assert np.max(np.abs(psi2.amplitudes - exp2)) < 1e-12
-    assert np.max(np.abs(psi3.amplitudes - exp3)) < 1e-12
+    assert np.max(np.abs(psi1 - exp1)) < 1e-12
+    assert np.max(np.abs(psi2 - exp2)) < 1e-12
+    assert np.max(np.abs(psi3 - exp3)) < 1e-12
+    out = bcd.dagger.matrix @ fredkin.matrix @ psi3
+    assert np.max(np.abs(run(cfg(1)).output_state.matrix - np.outer(out, out.conj()))) < 1e-12
 
 
 def test_ideal_run_outcomes():
-    r1 = ideal_run(1)
+    r1 = run(cfg(1))
     assert dist_dict(r1) == {(0, 1, 1, 0): pytest.approx(1.0, abs=1e-12)}
-    assert r1.p_error == pytest.approx(0.0, abs=1e-12)
-    r0 = ideal_run(0)
+    assert readout_error(r1) == pytest.approx((0.0, 1.0), abs=1e-12)
+    r0 = run(cfg(0))
     assert dist_dict(r0) == {(0, 1, 0, 1): pytest.approx(1.0, abs=1e-12)}
-    assert r0.p_error == pytest.approx(0.0, abs=1e-12)
+    assert readout_error(r0) == pytest.approx((0.0, 1.0), abs=1e-12)
     # the class readout: the mode-d marginal is deterministic on both settings
     assert marginal_distribution(r0.output_state, (3,))[1] == pytest.approx(1.0, abs=1e-12)
     assert marginal_distribution(r1.output_state, (3,))[0] == pytest.approx(1.0, abs=1e-12)
@@ -83,10 +90,10 @@ def test_mode_e_stays_vacuum_and_carries_no_content():
 @pytest.mark.parametrize("gamma", [1e-3, 0.05, 0.3, 1.0])
 def test_lossy_machine_matches_closed_forms(gamma):
     plain = run(cfg(1, "loss", gamma=gamma))
-    assert plain.p_error == pytest.approx(p_noec_closed(gamma), abs=1e-10)
-    selected = run(cfg(1, "loss", gamma=gamma, dualrail_postselect=True))
-    assert selected.p_error == pytest.approx(p_ec_closed(gamma), abs=1e-10)
-    assert 0 < selected.p_accept <= 1
+    assert readout_error(plain)[0] == pytest.approx(p_noec_closed(gamma), abs=1e-10)
+    p_error, acceptance = readout_error(plain, postselect=True)
+    assert p_error == pytest.approx(p_ec_closed(gamma), abs=1e-10)
+    assert 0 < acceptance <= 1
 
 
 def test_lossy_k0_outcomes_and_postselected_error():
@@ -104,9 +111,8 @@ def test_lossy_k0_outcomes_and_postselected_error():
     for occ, weight in expected.items():
         assert got[occ] == pytest.approx(weight, abs=1e-12)
     # every outcome keeps the d photon, so the class readout never errs
-    assert result.p_error == pytest.approx(0.0, abs=1e-12)
-    selected = run(cfg(0, "loss", gamma=gamma, dualrail_postselect=True))
-    assert selected.p_error == pytest.approx(0.0, abs=1e-12)
+    assert readout_error(result)[0] == pytest.approx(0.0, abs=1e-12)
+    assert readout_error(result, postselect=True)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- balanced loss
@@ -135,19 +141,18 @@ def test_balanced_loss_diagonal(gamma):
 
 def test_balanced_loss_postselected_error_is_zero():
     for gamma in np.linspace(0.0, 2.0, 9):
-        result = run(cfg(1, "balanced-loss", gamma=gamma, dualrail_postselect=True))
-        assert result.p_error <= 1e-12
-        result0 = run(cfg(0, "balanced-loss", gamma=gamma, dualrail_postselect=True))
-        assert result0.p_error <= 1e-12
+        for k1 in (0, 1):
+            result = run(cfg(k1, "balanced-loss", gamma=gamma))
+            assert readout_error(result, postselect=True)[0] <= 1e-12
 
 
 def test_deep_balanced_loss_is_scored_not_rejected():
     # the legal mass e^-4gamma = e^-48 lies far below the display threshold 1e-14
     gamma = 12.0
-    result = run(cfg(1, "balanced-loss", gamma=gamma, dualrail_postselect=True))
-    assert result.p_error == 0.0
-    assert result.p_accept == pytest.approx(math.exp(-4 * gamma), rel=1e-9)
-    assert which_path_error(result) == 0.0
+    p_error, acceptance = readout_error(run(cfg(1, "balanced-loss", gamma=gamma)),
+                                        postselect=True)
+    assert p_error == 0.0
+    assert acceptance == pytest.approx(math.exp(-4 * gamma), rel=1e-9)
 
 
 # ---------------------------------------------------------------- dephasing
@@ -161,7 +166,7 @@ def test_dephasing_k0_diagonal():
     assert got[(1, 0, 0, 1)] == pytest.approx((1 - e2) / 2, abs=1e-12)
     assert set(got) == {(0, 1, 0, 1), (1, 0, 0, 1)}
     # both outcomes click d, so the readout never errs; the damage is which-path
-    assert result.p_error == pytest.approx(0.0, abs=1e-12)
+    assert readout_error(result)[0] == pytest.approx(0.0, abs=1e-12)
     assert which_path_error(result) == pytest.approx((1 - e2) / 2, abs=1e-12)
 
 
@@ -194,10 +199,10 @@ def test_dephasing_error_value_and_postselection_does_not_help():
     lam = 0.15
     e2 = math.exp(-2 * lam)
     plain = run(cfg(1, "dephasing", lam=lam))
-    assert plain.p_error == pytest.approx((1 - e2) / 2, abs=1e-12)
-    selected = run(cfg(1, "dephasing", lam=lam, dualrail_postselect=True))
-    assert selected.p_accept == pytest.approx(1.0, abs=1e-10)
-    assert selected.p_error == pytest.approx(plain.p_error, abs=1e-12)
+    assert readout_error(plain)[0] == pytest.approx((1 - e2) / 2, abs=1e-12)
+    p_error, acceptance = readout_error(plain, postselect=True)
+    assert acceptance == pytest.approx(1.0, abs=1e-10)
+    assert p_error == pytest.approx(readout_error(plain)[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------- generic invariants
@@ -217,16 +222,16 @@ def test_outcome_distribution_sums_to_one_pre_selection(config):
     result = run(config)
     total = sum(p for _, p in result.outcome_distribution)
     assert total == pytest.approx(1.0, abs=1e-10)
-    assert 0.0 <= result.p_error <= 1.0
+    assert 0.0 <= readout_error(result)[0] <= 1.0
     assert 0.0 < result.p_accept <= 1.0
 
 
 def test_error_monotone_in_noise_strength():
     gammas = np.logspace(-3, 0, 25)
-    noec = [run(cfg(1, "loss", gamma=g)).p_error for g in gammas]
+    noec = [readout_error(run(cfg(1, "loss", gamma=g)))[0] for g in gammas]
     assert all(b >= a - 1e-12 for a, b in zip(noec, noec[1:]))
     lams = np.logspace(-3, 0, 25)
-    plain = [run(cfg(1, "dephasing", lam=l)).p_error for l in lams]
+    plain = [readout_error(run(cfg(1, "dephasing", lam=l)))[0] for l in lams]
     assert all(b >= a - 1e-12 for a, b in zip(plain, plain[1:]))
 
 
@@ -236,7 +241,7 @@ def test_mc_pipeline_agrees_with_analytic():
     analytic = run(config)
     sampled = run(config, mc_samples=n, mc_seed=31415)
     tol = 5.0 / math.sqrt(n)
-    assert abs(sampled.p_error - analytic.p_error) < tol
+    assert abs(readout_error(sampled)[0] - readout_error(analytic)[0]) < tol
     da, ds = dist_dict(analytic), dist_dict(sampled)
     for occ in set(da) | set(ds):
         assert abs(da.get(occ, 0.0) - ds.get(occ, 0.0)) < tol
@@ -338,3 +343,12 @@ def test_sweep_without_noise_is_error_free(capsys):
         assert r["p_noec_sim"] == pytest.approx(0.0, abs=1e-12)
         assert r["p_ec_sim"] == pytest.approx(0.0, abs=1e-12)
         assert r["p_balanced_ec"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sweep_loss_runs_each_lossy_machine_once(monkeypatch, capsys):
+    # both loss columns are scored from one plain-loss run per grid point
+    models = []
+    monkeypatch.setattr(cli, "run", lambda config: models.append(config.noise_model)
+                        or run(config))
+    sweep_loss_rows(capsys, "--grid-count", "5")
+    assert models == ["loss", "balanced-loss"] * 5
