@@ -9,9 +9,10 @@ Two noise families:
   through the Kerr cell, Gaussian with <exp(i k eps)> = exp(-k^2 lambda),
   which suppresses coherences between photon-number sectors of the cell.
 
-Channels are explicit Kraus lists so they compose generically; the
-dephasing map also has an exact element-wise suppression form, and both
-representations agree to machine precision.
+Lossy gates are explicit Kraus lists.  The dephased gate is applied as an
+element-wise phase average (``dephased_fredkin_apply``, and with sampled
+phases ``dephased_fredkin_mc``); its Kraus form, ``dephased_fredkin_channel``,
+is the independent reference the two are checked against.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .fock import (
     mode_operator,
     occupation_table,
 )
-from .gates import beamsplitter_unitary, kerr_unitary
+from .gates import annihilation_operator, beamsplitter_unitary, kerr_unitary
 
 LOSS_PLACEMENTS = ("before-kerr", "after-kerr", "split")
 GHQ_NODES = 40  # Gauss-Hermite abscissas of the quadrature oracle
@@ -101,23 +102,17 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
 
 
 def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray]:
-    """Kraus family for photon loss on one mode.
+    """Kraus pair for photon loss on one mode.
 
-    The k-photon jump operator has amplitudes
-    sqrt(C(n, k)) * exp(-gamma (n - k)/2) * (1 - exp(-gamma))^(k/2)
-    from |n> to |n-k>; for cutoff 1 this is the familiar pair
-    diag(1, e^(-gamma/2)) and sqrt(1 - e^(-gamma)) * lowering.
+    The no-jump operator diag(1, e^(-gamma/2)) and the jump
+    sqrt(1 - e^(-gamma)) * lowering; the jump vanishes at gamma = 0 and is
+    then left out.
     """
     NoiseParams(gamma=gamma)  # raises FockError unless gamma is finite and >= 0
     surv = math.exp(-gamma)
-    ops = []
-    for k in range(space.cutoff + 1):
-        jump = np.zeros((space.cutoff + 1,) * 2, dtype=complex)
-        for n in range(k, space.cutoff + 1):
-            amp = math.sqrt(math.comb(n, k)) * surv ** ((n - k) / 2) * (1 - surv) ** (k / 2)
-            jump[n - k, n] = amp
-        if np.any(jump != 0):
-            ops.append(mode_operator(space, mode, jump))
+    ops = [mode_operator(space, mode, np.diag([1, surv ** 0.5]).astype(complex))]
+    if surv < 1:
+        ops.append((1 - surv) ** 0.5 * annihilation_operator(space, mode))
     return ops
 
 
@@ -201,20 +196,20 @@ def balanced_lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: in
 DensityMap = Callable[[DensityOperator], DensityOperator]
 
 
-def _gaussian_phi(space: FockSpace, lam: float) -> np.ndarray:
-    """phi(k) = <exp(i k eps)> = exp(-k^2 lam), k = 0 .. 2 cutoff; safe at lam = inf."""
-    k = np.arange(1, 2 * space.cutoff + 1, dtype=float)
+def _gaussian_phi(lam: float) -> np.ndarray:
+    """phi(k) = <exp(i k eps)> = exp(-k^2 lam), k = 0, 1, 2; safe at lam = inf."""
+    k = np.arange(1, 3, dtype=float)
     with np.errstate(over="ignore"):  # a huge finite lam overflows to the lam = inf limit
         return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
 
 
-def _sampled_phi(space: FockSpace, eps: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted mean of exp(i k eps_j) over the phases eps_j, k = 0 .. 2 cutoff.
+def _sampled_phi(eps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted mean of exp(i k eps_j) over the phases eps_j, k = 0, 1, 2.
 
     Divided by its k = 0 entry, the sum of the weights, so phi(0) is exactly
     1 and coherences within one cell photon-number sector pass unchanged.
     """
-    k = np.arange(2 * space.cutoff + 1)
+    k = np.arange(3)
     phi = np.exp(1j * np.outer(k, eps)) @ weights
     return phi / phi[0]
 
@@ -262,7 +257,7 @@ def dephased_fredkin_apply(space: FockSpace, m_a: int, m_b: int, m_c: int,
     block-diagonal part.
     """
     NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
-    return _phase_average(space, m_a, m_b, m_c, _gaussian_phi(space, lam))(rho)
+    return _phase_average(space, m_a, m_b, m_c, _gaussian_phi(lam))(rho)
 
 
 def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -270,13 +265,13 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     """Kraus form of the dephased Fredkin gate.
 
     The suppression map acts only through the cell photon number
-    N in {0, .., 2 cutoff}, so diagonalizing the (positive semidefinite)
+    N in {0, 1, 2}, so diagonalizing the (positive semidefinite)
     correlation matrix C[N, N'] = exp(-(N - N')^2 lam) yields one Kraus
     operator per nonzero eigenvalue, each of the form
     B^dag diag(w) K B.  Agrees with ``dephased_fredkin_apply`` to 1e-12.
     """
     NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
-    phi = _gaussian_phi(space, lam)
+    phi = _gaussian_phi(lam)
     evals, evecs = np.linalg.eigh(_phase_correlation(phi, np.arange(len(phi))))
     n = _cell_photon_numbers(space, m_b, m_c)
     diagonals = [np.diag(math.sqrt(w) * v[n]) for w, v in zip(evals, evecs.T) if w >= 1e-14]
@@ -290,7 +285,7 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
     Draws eps_i ~ Normal(0, 2 lam), so E[exp(i eps)] = exp(-lam), and returns
     the map rho -> (1/n) sum_i V(eps_i) rho V(eps_i)^dag.  The sum is
     evaluated through the empirical characteristic function
-    phi(k) = (1/n) sum_i exp(i k eps_i), k = 0 .. 2 cutoff, which is the
+    phi(k) = (1/n) sum_i exp(i k eps_i), k = 0, 1, 2, which is the
     literal sample mean rewritten.  ``seed`` is an int or a sequence of ints,
     as ``numpy.random.default_rng`` accepts (the machine passes
     ``[mc_seed, gate]``); results are bit-reproducible for a fixed seed.
@@ -302,7 +297,7 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
         raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)  # numpy rejects scale -0.0
-    return _phase_average(space, m_a, m_b, m_c, _sampled_phi(space, eps, np.ones(n_samples)))
+    return _phase_average(space, m_a, m_b, m_c, _sampled_phi(eps, np.ones(n_samples)))
 
 
 def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -316,7 +311,7 @@ def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
     if not (math.isfinite(lam) and lam >= 0):
         raise FockError(f"lam must be finite and >= 0, got {lam}")
     x, w = np.polynomial.hermite.hermgauss(GHQ_NODES)
-    return _phase_average(space, m_a, m_b, m_c, _sampled_phi(space, 2.0 * math.sqrt(lam) * x, w))
+    return _phase_average(space, m_a, m_b, m_c, _sampled_phi(2.0 * math.sqrt(lam) * x, w))
 
 
 def lambda_from_physical(omega: float, intensity: float) -> float:

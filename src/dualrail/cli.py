@@ -54,7 +54,7 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 FORMATS = ("csv", "json")
 
-_TRUTH_TABLE_SPACE = FockSpace(3, 1)
+_TRUTH_TABLE_SPACE = FockSpace(3)
 _KNOWN_ROWS = {
     (0, 0, 0): (0, 0, 0),
     (1, 0, 0): (1, 0, 0),
@@ -223,7 +223,7 @@ def cmd_sweep_loss(args) -> list[str]:
 
 def cmd_sweep_dephasing(args) -> list[str]:
     records, ok = [], True
-    fit_points = []
+    fit_points = {}  # lambda -> p_projective, so each lambda is fitted once
     for lam in _grid(args):
         noise = NoiseParams(lam=lam)
         plain = run(MachineConfig(k1=1, noise=noise, noise_model="dephasing"))
@@ -237,19 +237,19 @@ def cmd_sweep_dephasing(args) -> list[str]:
             "p_accept_projective": proj.p_accept,
         }
         ok = ok and abs(row["p_plain"] - p_plain_closed(lam)) <= 1e-10
-        if lam == 0:  # noise-free: nothing to improve, both errors vanish
-            ok = ok and max(row["p_plain"], row["p_projective"]) <= 1e-12
+        if row["p_plain"] <= 1e-12:  # at the noise floor: nothing to improve, both vanish
+            ok = ok and row["p_projective"] <= 1e-12
         elif lam <= 0.1:
             ok = ok and row["p_projective"] < row["p_plain"]
             if lam <= 0.05:
-                fit_points.append((lam, row["p_projective"]))
+                fit_points[lam] = row["p_projective"]
         elif row["p_projective"] >= row["p_plain"]:
             print(f"sweep-dephasing: no improvement at lambda={lam:.6g} (reported only)",
                   file=sys.stderr)
         records.append(row)
     _emit(records, args)
     if len(fit_points) >= 4:
-        fit = fit_series(fit_points)
+        fit = fit_series(list(fit_points.items()))
         print(f"sweep-dephasing: projective small-lambda fit c1={fit.c1:.6f} "
               f"c2={fit.c2:.6f} (series targets 11/18={11/18:.6f}, "
               f"-47/162={-47/162:.6f}; exact quadratic is -41/108={-41/108:.6f})",

@@ -194,7 +194,7 @@ def p_accept_projective_closed(lam: float) -> float:
 
 def lossy_gate_output_101(gamma: float) -> np.ndarray:
     """Closed-form output of the lossy gate on |101><101| (modes a, b, c, loss on b, c)."""
-    sp = FockSpace(3, 1)
+    sp = FockSpace(3)
     surv = math.exp(-gamma)
     half = math.exp(-gamma / 2)
 

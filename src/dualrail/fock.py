@@ -1,12 +1,13 @@
-"""Multimode truncated Fock space, states, and dense linear-operator helpers.
+"""Registers of single-photon modes, states, and dense linear-operator helpers.
 
-Basis convention: a basis state is labeled by per-mode photon counts
-``(n_0, .., n_{M-1})`` with each count in ``[0, cutoff]``.  Mode 0 is the
-most significant digit of the basis index:
+Every mode holds 0 or 1 photon: the dual-rail logic never puts two photons
+in one mode.  Basis convention: a basis state is labeled by per-mode photon
+counts ``(n_0, .., n_{M-1})``, each 0 or 1.  Mode 0 is the most significant
+bit of the basis index:
 
-    index = sum_m n_m * (cutoff + 1)**(M - 1 - m)
+    index = sum_m n_m * 2**(M - 1 - m)
 
-so for five modes at cutoff 1 the occupation reads like a binary string.
+so the occupation reads like a binary string.
 This convention is normative for all file output produced by the CLI.
 Only this module relies on it: other modules get occupations, embedded
 single-mode operators and marginals from ``occupation_table``,
@@ -49,23 +50,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockSpace:
-    """A register of ``n_modes`` bosonic modes truncated at ``cutoff`` photons each."""
+    """A register of ``n_modes`` bosonic modes that hold 0 or 1 photon each."""
 
     n_modes: int
-    cutoff: int = 1
 
     def __post_init__(self):
-        if not all(isinstance(v, Integral) for v in (self.n_modes, self.cutoff)):
-            raise FockError(f"n_modes and cutoff must be integers, got {self.n_modes!r}, "
-                            f"{self.cutoff!r}")
+        if not isinstance(self.n_modes, Integral):
+            raise FockError(f"n_modes must be an integer, got {self.n_modes!r}")
         if self.n_modes < 1:
             raise FockError(f"n_modes must be positive, got {self.n_modes}")
-        if self.cutoff < 1:
-            raise FockError(f"cutoff must be >= 1, got {self.cutoff}")
 
     @property
     def dim(self) -> int:
-        return (self.cutoff + 1) ** self.n_modes
+        return 2 ** self.n_modes
 
     def occupations(self) -> Iterable[OccupationVector]:
         """All basis occupations in index order."""
@@ -77,10 +74,9 @@ def occupation_table(space: FockSpace) -> np.ndarray:
     """Read-only int array of shape (dim, n_modes): row i is the occupation of index i.
 
     The single definition of the basis convention: C order over one axis of
-    length cutoff + 1 per mode, so mode 0 is the most significant digit.
+    length 2 per mode, so mode 0 is the most significant bit.
     """
-    shape = (space.cutoff + 1,) * space.n_modes
-    return _readonly(np.indices(shape).reshape(space.n_modes, -1).T)
+    return _readonly(np.indices((2,) * space.n_modes).reshape(space.n_modes, -1).T)
 
 
 def check_modes(space: FockSpace, *modes: int):
@@ -93,10 +89,9 @@ def check_modes(space: FockSpace, *modes: int):
 
 
 def mode_operator(space: FockSpace, mode: int, single: np.ndarray) -> np.ndarray:
-    """Embed a (cutoff + 1)-square single-mode matrix on ``mode``, identity elsewhere."""
+    """Embed a 2 x 2 single-mode matrix on ``mode``, identity elsewhere."""
     check_modes(space, mode)
-    base = space.cutoff + 1
-    before, after = np.eye(base ** mode), np.eye(base ** (space.n_modes - 1 - mode))
+    before, after = np.eye(2 ** mode), np.eye(2 ** (space.n_modes - 1 - mode))
     return np.kron(np.kron(before, single), after)
 
 
@@ -107,9 +102,9 @@ def index_of(space: FockSpace, occ: Sequence[int]) -> int:
         raise FockError(f"expected {space.n_modes} modes, got {len(occ)}")
     index = 0
     for n in occ:
-        if not (isinstance(n, Integral) and 0 <= n <= space.cutoff):
-            raise FockError(f"occupation {occ} is not an integer in [0, {space.cutoff}]")
-        index = index * (space.cutoff + 1) + int(n)
+        if not (isinstance(n, Integral) and 0 <= n <= 1):
+            raise FockError(f"occupation {occ} is not an integer in [0, 1]")
+        index = index * 2 + int(n)
     return index
 
 
@@ -218,7 +213,7 @@ def marginal_distribution(rho: DensityOperator, modes: Sequence[int]) -> np.ndar
     """
     space = rho.space
     check_modes(space, *modes)
-    probs = np.real(np.diag(rho.matrix)).reshape((space.cutoff + 1,) * space.n_modes)
+    probs = np.real(np.diag(rho.matrix)).reshape((2,) * space.n_modes)
     traced = tuple(m for m in range(space.n_modes) if m not in modes)
     return probs.sum(axis=traced).ravel()
 

@@ -24,9 +24,8 @@ from .fock import (
 
 
 def annihilation_operator(space: FockSpace, mode: int) -> np.ndarray:
-    """Truncated annihilation operator for one mode, embedded in the full space."""
-    lowering = np.diag(np.sqrt(np.arange(1, space.cutoff + 1)), 1).astype(complex)
-    return mode_operator(space, mode, lowering)
+    """Annihilation operator |0><1| of one single-photon mode, embedded in the full space."""
+    return mode_operator(space, mode, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def number_operator_diagonal(space: FockSpace, mode: int) -> np.ndarray:
@@ -40,9 +39,9 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOp
     """50/50 beamsplitter B = exp[theta (a_i^dag a_j - a_j^dag a_i)] at theta = pi/4.
 
     Orientation: B|01> = (|01> + |10>)/sqrt(2) and B|10> = (|10> - |01>)/sqrt(2)
-    on the two coupled modes.  Photon number in the pair is conserved, but the
-    action on states with more total photons than ``cutoff`` allows per mode is
-    truncated; use cutoff >= total pair occupation for exact two-photon physics.
+    on the two coupled modes.  Photon number in the pair is conserved.  With
+    one photon per mode the bunched states |20> and |02> lie outside the
+    space, so the truncated B leaves |11> unchanged.
     """
     check_modes(space, mode_i, mode_j)
     ai = annihilation_operator(space, mode_i)

@@ -35,7 +35,7 @@ from .channels import (
     DensityMap,
     NoiseParams,
     balanced_lossy_fredkin_channel,
-    dephased_fredkin_channel,
+    dephased_fredkin_apply,
     dephased_fredkin_mc,
 )
 from .correction import ZeroAcceptanceError, legal_mask, projective_ec_step
@@ -62,7 +62,7 @@ RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
 
 
 def machine_space() -> FockSpace:
-    return FockSpace(5, 1)
+    return FockSpace(5)
 
 
 def machine_input(space: FockSpace) -> PureState:
@@ -134,7 +134,7 @@ class RunResult:
 
 def _rail_outcomes(rho: DensityOperator) -> tuple[np.ndarray, FockSpace]:
     """The full outcome diagonal over the rail modes a-d, tiny entries included, and their space."""
-    return marginal_distribution(rho, RAIL_MODES), FockSpace(len(RAIL_MODES), rho.space.cutoff)
+    return marginal_distribution(rho, RAIL_MODES), FockSpace(len(RAIL_MODES))
 
 
 def _conditional(probs: np.ndarray, legal: np.ndarray | None,
@@ -159,7 +159,11 @@ def _conditional(probs: np.ndarray, legal: np.ndarray | None,
 
 def _gate_channel(space: FockSpace, config: MachineConfig, slot: int,
                   mc_samples: int | None, mc_seed: int) -> DensityMap:
-    """Channel (or Monte-Carlo map) implementing gate slot 0 or 1."""
+    """The map of gate slot 0 or 1: Fredkin unitary, lossy Kraus channel or phase average.
+
+    Dephased slots go through the one phase-average map, with the Gaussian
+    phi analytically and the sampled phi under ``mc_samples``.
+    """
     modes = gate_modes(config.k1)
     noisy_slots, damped = NOISE_PLACEMENT[config.noise_model]
     if slot not in noisy_slots:
@@ -171,15 +175,15 @@ def _gate_channel(space: FockSpace, config: MachineConfig, slot: int,
     if mc_samples is not None:
         return dephased_fredkin_mc(space, *modes, config.noise.lam, mc_samples,
                                    [mc_seed, slot])
-    return dephased_fredkin_channel(space, *modes, config.noise.lam).apply
+    return lambda rho: dephased_fredkin_apply(space, *modes, config.noise.lam, rho)
 
 
 def run(config: MachineConfig, mc_samples: int | None = None,
         mc_seed: int = 0) -> RunResult:
     """Run the machine pipeline for one configuration.
 
-    Passing ``mc_samples`` (dephasing model only) replaces the analytic
-    dephasing channels with the seeded Monte-Carlo oracle, with one phase
+    Passing ``mc_samples`` (dephasing model only) replaces the Gaussian phi
+    of the dephased gates with the seeded Monte-Carlo oracle's, with one phase
     stream per gate: seed ``[mc_seed, 0]`` for the first gate and
     ``[mc_seed, 1]`` for the second.
     """

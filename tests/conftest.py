@@ -6,12 +6,12 @@ from dualrail import DensityOperator, FockSpace
 
 @pytest.fixture
 def space3():
-    return FockSpace(3, 1)
+    return FockSpace(3)
 
 
 @pytest.fixture
 def space5():
-    return FockSpace(5, 1)
+    return FockSpace(5)
 
 
 def random_density(space: FockSpace, rng: np.random.Generator) -> DensityOperator:
@@ -36,15 +36,19 @@ def digits_of(space: FockSpace, index: int) -> list[int]:
 
     Independent of ``fock.occupation_table``; the reference loops below use it.
     """
-    base = space.cutoff + 1
-    return [index // base ** (space.n_modes - 1 - m) % base for m in range(space.n_modes)]
+    return [index // 2 ** (space.n_modes - 1 - m) % 2 for m in range(space.n_modes)]
 
 
 def index_from_digits(space: FockSpace, occ) -> int:
     index = 0
     for n in occ:
-        index = index * (space.cutoff + 1) + n
+        index = index * 2 + n
     return index
+
+
+def space_id(space: FockSpace) -> str:
+    """Test id of a register: its modes, each truncated at one photon (Fock cutoff 1)."""
+    return f"FockSpace(n_modes={space.n_modes}, cutoff=1)"
 
 
 def assert_bit_equal(a: np.ndarray, b: np.ndarray):

@@ -35,7 +35,7 @@ from dualrail import (
 from dualrail.cli import main
 from conftest import random_density
 
-SPACE3 = FockSpace(3, 1)
+SPACE3 = FockSpace(3)
 TRUTH_INPUTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))
 
 

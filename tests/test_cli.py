@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualrail.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 
@@ -81,6 +81,19 @@ def test_sweep_dephasing_noise_free_points_pass(capsys):
                               "--grid-count", "5", "--linear"], capsys)
     assert (code, err) == (EXIT_OK, "")
     assert out.splitlines()[1:] == ["0,0,0,0,1"] * 5
+    # a tiny positive lambda rounds both errors to 0, under the 1e-12 noise floor
+    code, out, err = run_cli(["sweep-dephasing", "--grid-start", "1e-16", "--grid-count", "1"],
+                             capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1] == "1e-16,4.34294481903e-16,0,0,1"
+
+
+def test_sweep_dephasing_fits_distinct_lambdas_only(capsys):
+    # four copies of one lambda are one fit point, too few for the fit, which is skipped
+    code, out, err = run_cli(["sweep-dephasing", "--grid-start", "0.01", "--grid-stop", "0.01",
+                              "--grid-count", "4"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert len(out.splitlines()) == 5  # the header and four rows
 
 
 def test_mc_validate_passes_with_seed(capsys):
@@ -355,6 +368,7 @@ def _invocations(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_invocations())
+@example((["sweep-dephasing", "--grid-start=1e-300", "--grid-count=1"], []))
 def test_cli_fuzz_exit_codes(tmp_path_factory, invocation):
     # an exception escaping main() fails the test outright, like a traceback would
     argv, lines = invocation
@@ -362,4 +376,6 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, invocation):
     config.write_text("\n".join(lines) + "\n")
     code, _, err = run_any([*argv, "--config", str(config)])
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE)
+    # the dephasing sweep is exact on every legal grid, so it never fails validation
+    assert not (argv[0] == "sweep-dephasing" and code == EXIT_VALIDATION)
     assert "Traceback" not in err

@@ -31,7 +31,7 @@ from dualrail import (
     which_path_error,
 )
 from dualrail.correction import p_plain_closed
-from conftest import random_density, random_reachable_state
+from conftest import random_density, random_reachable_state, space_id
 
 SPACE = machine_space()
 SQ2, SQ6 = math.sqrt(2), math.sqrt(6)
@@ -86,7 +86,7 @@ def test_dualrail_mass_accounting_on_random_states():
 
 # ---------------------------------------------------------------- legal span
 
-@pytest.mark.parametrize("space", [FockSpace(4, 1), FockSpace(5, 1), FockSpace(4, 2)], ids=str)
+@pytest.mark.parametrize("space", [FockSpace(4), FockSpace(5)], ids=space_id)
 def test_legal_mask_is_one_photon_per_rail_pair(space):
     rule = [occ[0] + occ[1] == 1 and occ[2] + occ[3] == 1 for occ in space.occupations()]
     assert legal_mask(space).tolist() == rule

@@ -24,7 +24,8 @@ from dualrail import (
     run,
     which_path_error,
 )
-from dualrail import cli, correction
+from dualrail import cli, correction, machine
+from dualrail.channels import KrausChannel, dephased_fredkin_channel
 from dualrail.machine import NOISE_PLACEMENT, RAIL_MODES
 from dualrail.cli import main
 
@@ -261,6 +262,25 @@ def test_mc_run_seeds_gate_streams_from_mc_seed():
     assert np.array_equal(run(config, mc_samples=n, mc_seed=5).output_state.matrix, rho.matrix)
     assert np.array_equal(run(config, mc_samples=n).output_state.matrix,
                           run(config, mc_samples=n, mc_seed=0).output_state.matrix)
+
+
+@pytest.mark.parametrize("k1, projective_ec", [(0, False), (0, True), (1, False), (1, True)])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 50.0, math.inf], ids=str)
+def test_dephased_run_applies_the_phase_average(monkeypatch, lam, k1, projective_ec):
+    # a dephasing run builds no Kraus list, and its gates equal the eigen-Kraus form
+    config = cfg(k1, "dephasing", lam=lam, projective_ec=projective_ec)
+    built = []
+    validate = KrausChannel.__post_init__
+    monkeypatch.setattr(KrausChannel, "__post_init__",
+                        lambda chan: built.append(chan) or validate(chan))
+    phase_average = run(config).output_state.matrix
+    assert built == []
+    monkeypatch.setattr(machine, "dephased_fredkin_apply",
+                        lambda space, m_a, m_b, m_c, lam, rho:
+                        dephased_fredkin_channel(space, m_a, m_b, m_c, lam).apply(rho))
+    kraus = run(config).output_state.matrix
+    assert len(built) == 2  # the swapped run did go through the Kraus form
+    assert np.max(np.abs(phase_average - kraus)) < 1e-12
 
 
 # ---------------------------------------------------------------- config validation
