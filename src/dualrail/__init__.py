@@ -11,7 +11,6 @@ from .channels import (
     NoiseParams,
     amplitude_damping_channel,
     balanced_lossy_fredkin_channel,
-    compose,
     decibels,
     dephased_fredkin_apply,
     dephased_fredkin_channel,
@@ -19,7 +18,6 @@ from .channels import (
     dephased_fredkin_mc,
     lambda_from_physical,
     lossy_fredkin_channel,
-    unitary_channel,
 )
 from .correction import (
     SeriesFit,
@@ -49,7 +47,6 @@ from .fock import (
     index_of,
     marginal_distribution,
     occupation_label,
-    occupation_of,
 )
 from .gates import (
     beamsplitter_unitary,

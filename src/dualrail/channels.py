@@ -9,10 +9,11 @@ Two noise families:
   through the Kerr cell, Gaussian with <exp(i k eps)> = exp(-k^2 lambda),
   which suppresses coherences between photon-number sectors of the cell.
 
-Lossy gates are explicit Kraus lists.  The dephased gate is applied as an
-element-wise phase average (``dephased_fredkin_apply``, and with sampled
-phases ``dephased_fredkin_mc``); its Kraus form, ``dephased_fredkin_channel``,
-is the independent reference the two are checked against.
+Every noisy gate the machine runs is B^dag N(K B rho B^dag K^dag) B, the
+noise N acting in the Kerr-cell frame: loss damps the listed modes one after
+another, dephasing multiplies by the phase correlation C.  Product Kraus
+lists remain only in ``lossy_fredkin_channel`` (the loss placements) and
+``dephased_fredkin_channel`` (the phase average's independent reference).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .fock import (
     DensityOperator,
     FockError,
     FockSpace,
-    LinearOperator,
     check_modes,
     mode_operator,
     occupation_table,
@@ -82,23 +82,12 @@ class KrausChannel:
     def apply(self, rho: DensityOperator) -> DensityOperator:
         if rho.space != self.space:
             raise FockError("channel and state live on different spaces")
-        out = np.zeros_like(rho.matrix)
-        for k in self.kraus_ops:
-            out = out + k @ rho.matrix @ k.conj().T
-        return DensityOperator(self.space, out)
+        return DensityOperator(self.space, _kraus_sum(self.kraus_ops, rho.matrix))
 
 
-def unitary_channel(u: LinearOperator) -> KrausChannel:
-    """Wrap a unitary as a single-Kraus channel."""
-    return KrausChannel(u.space, (u.matrix,))
-
-
-def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
-    """Channel applying ``first`` then ``second``; Kraus list is the product set."""
-    if second.space != first.space:
-        raise FockError("channels live on different spaces")
-    ops = tuple(k2 @ k1 for k2 in second.kraus_ops for k1 in first.kraus_ops)
-    return KrausChannel(first.space, ops)
+def _kraus_sum(ops: Sequence[np.ndarray], m: np.ndarray) -> np.ndarray:
+    """sum_k K_k m K_k^dag over a Kraus list."""
+    return sum(k @ m @ k.conj().T for k in ops)
 
 
 def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray]:
@@ -146,7 +135,7 @@ def _gate_sandwich(space: FockSpace, m_a: int, m_b: int,
 
 def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
                           gamma: float, placement: str = "after-kerr") -> KrausChannel:
-    """Fredkin gate with photon loss on the two Kerr-cell modes (m_b, m_c).
+    """Fredkin gate with photon loss on the two Kerr-cell modes (m_b, m_c), as a Kraus list.
 
     ``placement`` selects where along the cell the loss acts: entirely after
     the cross-phase interaction, entirely before it, or split half/half.
@@ -156,10 +145,10 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     """
     if placement not in LOSS_PLACEMENTS:
         raise FockError(f"placement must be one of {LOSS_PLACEMENTS}, got {placement!r}")
-    if placement == "after-kerr":
-        return balanced_lossy_fredkin_channel(space, m_a, m_b, m_c, (m_b, m_c), gamma)
     k = kerr_unitary(space, m_b, m_c).matrix
-    if placement == "before-kerr":
+    if placement == "after-kerr":
+        stages = [[k], *(_damping_kraus(space, m, gamma) for m in (m_b, m_c))]
+    elif placement == "before-kerr":
         stages = [
             _frame_conjugate(_damping_kraus(space, m_b, gamma), k),
             _frame_conjugate(_damping_kraus(space, m_c, gamma), k),
@@ -176,24 +165,45 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     return _gate_sandwich(space, m_a, m_b, stages)
 
 
+DensityMap = Callable[[DensityOperator], DensityOperator]
+
+
+def _cell_gate(space: FockSpace, m_a: int, m_b: int, m_c: int,
+               noise: Callable[[np.ndarray], np.ndarray]) -> DensityMap:
+    """The noisy Fredkin gate rho -> B^dag noise(K B rho B^dag K^dag) B.
+
+    ``noise`` maps the matrix in the Kerr-cell frame, between the cross-phase
+    interaction and the closing beamsplitter.
+    """
+    b = beamsplitter_unitary(space, m_a, m_b).matrix
+    kb = kerr_unitary(space, m_b, m_c).matrix @ b
+
+    def apply(rho: DensityOperator) -> DensityOperator:
+        mid = kb @ rho.matrix @ kb.conj().T
+        return DensityOperator(space, b.conj().T @ noise(mid) @ b)
+
+    return apply
+
+
 def balanced_lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
-                                   damped: Sequence[int], gamma: float) -> KrausChannel:
+                                   damped: Sequence[int], gamma: float) -> DensityMap:
     """Fredkin gate with equal loss, after the Kerr cell, on every mode in ``damped``.
 
     The gate itself acts on (m_a, m_b, m_c) as usual.  Damping (m_b, m_c) is
     the plain lossy gate; damping the rail modes beyond the gate's own
     restores the interferometric symmetry that makes post-selected outcomes
-    error-free.
+    error-free.  The modes are damped one after another in the cell frame,
+    each by its own two-operator Kraus pair.
     """
     check_modes(space, *damped)
-    k = kerr_unitary(space, m_b, m_c).matrix
-    stages = [[k]]
-    for m in damped:
-        stages.append(_damping_kraus(space, m, gamma))
-    return _gate_sandwich(space, m_a, m_b, stages)
+    pairs = [amplitude_damping_channel(space, m, gamma).kraus_ops for m in damped]
 
+    def damp(mid: np.ndarray) -> np.ndarray:
+        for ops in pairs:
+            mid = _kraus_sum(ops, mid)
+        return mid
 
-DensityMap = Callable[[DensityOperator], DensityOperator]
+    return _cell_gate(space, m_a, m_b, m_c, damp)
 
 
 def _gaussian_phi(lam: float) -> np.ndarray:
@@ -232,19 +242,12 @@ def _phase_average(space: FockSpace, m_a: int, m_b: int, m_c: int,
     """The phase-averaged gate rho -> E[V(eps) rho V(eps)^dag] for <exp(i k eps)> = phi[k].
 
     V(eps) = B^dag exp(i eps N) K B, so the random phase multiplies the
-    coherence between cell photon numbers N and N' by exp(i eps (N - N'))
-    and the average is B^dag [(K B rho B^dag K^dag) o C] B with
+    coherence between cell photon numbers N and N' by exp(i eps (N - N')):
+    the cell-frame noise is the element-wise product with
     C[i, j] = phi(N_i - N_j).  The phase law enters only through phi.
     """
-    b = beamsplitter_unitary(space, m_a, m_b).matrix
-    kb = kerr_unitary(space, m_b, m_c).matrix @ b
     corr = _phase_correlation(phi, _cell_photon_numbers(space, m_b, m_c))
-
-    def apply(rho: DensityOperator) -> DensityOperator:
-        mid = kb @ rho.matrix @ kb.conj().T
-        return DensityOperator(space, b.conj().T @ (mid * corr) @ b)
-
-    return apply
+    return _cell_gate(space, m_a, m_b, m_c, lambda mid: mid * corr)
 
 
 def dephased_fredkin_apply(space: FockSpace, m_a: int, m_b: int, m_c: int,

@@ -108,13 +108,6 @@ def index_of(space: FockSpace, occ: Sequence[int]) -> int:
     return index
 
 
-def occupation_of(space: FockSpace, index: int) -> OccupationVector:
-    """Inverse of :func:`index_of`."""
-    if not 0 <= index < space.dim:
-        raise FockError(f"index {index} outside [0, {space.dim})")
-    return tuple(occupation_table(space)[index].tolist())
-
-
 def occupation_label(occ: Sequence[int]) -> str:
     """Compact ket label, e.g. (0,1,0,1,0) -> '01010'."""
     return "".join(str(n) for n in occ)

@@ -159,10 +159,11 @@ def _conditional(probs: np.ndarray, legal: np.ndarray | None,
 
 def _gate_channel(space: FockSpace, config: MachineConfig, slot: int,
                   mc_samples: int | None, mc_seed: int) -> DensityMap:
-    """The map of gate slot 0 or 1: Fredkin unitary, lossy Kraus channel or phase average.
+    """The map of gate slot 0 or 1: the Fredkin unitary, or the gate with cell-frame noise.
 
-    Dephased slots go through the one phase-average map, with the Gaussian
-    phi analytically and the sampled phi under ``mc_samples``.
+    Lossy slots damp their modes in the Kerr-cell frame; dephased slots
+    apply the phase average there, with the Gaussian phi analytically and
+    the sampled phi under ``mc_samples``.
     """
     modes = gate_modes(config.k1)
     noisy_slots, damped = NOISE_PLACEMENT[config.noise_model]
@@ -171,7 +172,7 @@ def _gate_channel(space: FockSpace, config: MachineConfig, slot: int,
         return lambda rho: apply_unitary(rho, fredkin)
     if damped is not None:
         return balanced_lossy_fredkin_channel(space, *modes, damped(config.k1),
-                                              config.noise.gamma).apply
+                                              config.noise.gamma)
     if mc_samples is not None:
         return dephased_fredkin_mc(space, *modes, config.noise.lam, mc_samples,
                                    [mc_seed, slot])

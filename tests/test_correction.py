@@ -18,7 +18,6 @@ from dualrail import (
     legal_mask,
     legal_projector,
     machine_space,
-    occupation_of,
     p_accept_projective_closed,
     p_ec_closed,
     p_noec_closed,
@@ -31,6 +30,7 @@ from dualrail import (
     which_path_error,
 )
 from dualrail.correction import p_plain_closed
+from dualrail.fock import occupation_table
 from conftest import random_density, random_reachable_state, space_id
 
 SPACE = machine_space()
@@ -175,8 +175,7 @@ def test_restore_unitary_images():
     comp = (ket5((0, 1, 0, 1)) - ket5((1, 0, 1, 0)) - ket5((0, 1, 1, 0))) / math.sqrt(3)
     image = u @ comp
     for idx in np.flatnonzero(np.abs(image) > 1e-12):
-        occ = occupation_of(SPACE, int(idx))
-        assert (occ[2], occ[3]) == (1, 0)
+        assert occupation_table(SPACE)[idx, 2:4].tolist() == [1, 0]
 
 
 def test_projective_step_zero_acceptance():

@@ -14,6 +14,7 @@ from dualrail import (
     fredkin_unitary,
     gate_modes,
     index_of,
+    kerr_unitary,
     machine_input,
     machine_space,
     marginal_distribution,
@@ -25,7 +26,12 @@ from dualrail import (
     which_path_error,
 )
 from dualrail import cli, correction, machine
-from dualrail.channels import KrausChannel, dephased_fredkin_channel
+from dualrail.channels import (
+    KrausChannel,
+    _damping_kraus,
+    _gate_sandwich,
+    dephased_fredkin_channel,
+)
 from dualrail.machine import NOISE_PLACEMENT, RAIL_MODES
 from dualrail.cli import main
 
@@ -148,12 +154,48 @@ def test_balanced_loss_postselected_error_is_zero():
 
 
 def test_deep_balanced_loss_is_scored_not_rejected():
-    # the legal mass e^-4gamma = e^-48 lies far below the display threshold 1e-14
-    gamma = 12.0
-    p_error, acceptance = readout_error(run(cfg(1, "balanced-loss", gamma=gamma)),
-                                        postselect=True)
-    assert p_error == 0.0
-    assert acceptance == pytest.approx(math.exp(-4 * gamma), rel=1e-9)
+    # the legal mass e^-4gamma (e^-48 at gamma = 12) lies far below the display
+    # threshold 1e-14; up to gamma = 170 it is still a normal float
+    for gamma in (8.5, 12.0, 50.0, 170.0):
+        p_error, acceptance = readout_error(run(cfg(1, "balanced-loss", gamma=gamma)),
+                                            postselect=True)
+        assert p_error == 0.0
+        assert acceptance == pytest.approx(math.exp(-4 * gamma), rel=1e-9)
+
+
+def product_form_output(config):
+    """The loss machine with each lossy gate as one product Kraus list B^dag D_m .. D_m' K B."""
+    modes = gate_modes(config.k1)
+    slots, damped = NOISE_PLACEMENT[config.noise_model]
+    stages = [[kerr_unitary(SPACE, *modes[1:]).matrix]]
+    stages += [_damping_kraus(SPACE, m, config.noise.gamma) for m in damped(config.k1)]
+    lossy = _gate_sandwich(SPACE, *modes[:2], stages)
+    fredkin = fredkin_unitary(SPACE, *modes)
+    bcd = beamsplitter_unitary(SPACE, 2, 3)
+    rho = apply_unitary(machine_input(SPACE).density(), bcd)
+    for slot in (0, 1):
+        rho = lossy.apply(rho) if slot in slots else apply_unitary(rho, fredkin)
+        if slot == 0:
+            rho = apply_unitary(rho, phase_shift_unitary(SPACE, 0, math.pi))
+    return apply_unitary(rho, bcd.dagger).matrix
+
+
+@pytest.mark.parametrize("model", ["loss", "balanced-loss"])
+@pytest.mark.parametrize("k1", [0, 1])
+def test_loss_run_damps_mode_by_mode(monkeypatch, model, k1):
+    # a loss run builds only single-mode Kraus pairs, never a product list,
+    # and its output equals the product form
+    built = []
+    validate = KrausChannel.__post_init__
+    monkeypatch.setattr(KrausChannel, "__post_init__",
+                        lambda chan: built.append(chan) or validate(chan))
+    for gamma in (0.0, 1e-3, 0.5, 8.5, 50.0, 185.0):
+        built.clear()
+        result = run(cfg(k1, model, gamma=gamma))
+        assert built and max(len(chan.kraus_ops) for chan in built) <= 2
+        assert np.max(np.abs(result.output_state.matrix - product_form_output(result.config))) < 1e-12
+        if model == "balanced-loss":
+            assert readout_error(result, postselect=True)[0] == 0.0
 
 
 # ---------------------------------------------------------------- dephasing
