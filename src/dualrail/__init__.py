@@ -14,7 +14,6 @@ from .channels import (
     decibels,
     dephased_fredkin_apply,
     dephased_fredkin_channel,
-    dephased_fredkin_ghq,
     dephased_fredkin_mc,
     lambda_from_physical,
     lossy_fredkin_channel,
@@ -52,7 +51,6 @@ from .gates import (
     beamsplitter_unitary,
     fredkin_unitary,
     kerr_unitary,
-    noisy_fredkin_sample,
     phase_shift_unitary,
 )
 from .machine import (
@@ -63,6 +61,7 @@ from .machine import (
     machine_space,
     readout_error,
     run,
+    stages,
     which_path_error,
 )
 

@@ -36,7 +36,6 @@ from .fock import (
 from .gates import annihilation_operator, beamsplitter_unitary, kerr_unitary
 
 LOSS_PLACEMENTS = ("before-kerr", "after-kerr", "split")
-GHQ_NODES = 40  # Gauss-Hermite abscissas of the quadrature oracle
 
 
 @dataclass(frozen=True)
@@ -301,20 +300,6 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)  # numpy rejects scale -0.0
     return _phase_average(space, m_a, m_b, m_c, _sampled_phi(eps, np.ones(n_samples)))
-
-
-def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
-                         lam: float) -> DensityMap:
-    """Gauss-Hermite quadrature oracle for the Gaussian phase average.
-
-    Integrates V(eps) rho V(eps)^dag against the Normal(0, 2 lam) weight with
-    GHQ_NODES abscissas, through the node sum for phi(k); a second,
-    independent check on the analytic channel.
-    """
-    if not (math.isfinite(lam) and lam >= 0):
-        raise FockError(f"lam must be finite and >= 0, got {lam}")
-    x, w = np.polynomial.hermite.hermgauss(GHQ_NODES)
-    return _phase_average(space, m_a, m_b, m_c, _sampled_phi(2.0 * math.sqrt(lam) * x, w))
 
 
 def lambda_from_physical(omega: float, intensity: float) -> float:

@@ -89,7 +89,7 @@ def _grid(args: argparse.Namespace) -> list[float]:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return f"{value + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0
     return str(value)
 
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import (
-    FockError,
     FockSpace,
     LinearOperator,
     check_modes,
@@ -79,21 +78,3 @@ def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOpe
     f = b.matrix.conj().T @ k.matrix @ b.matrix
     return LinearOperator(space, f)
 
-
-def noisy_fredkin_sample(space: FockSpace, m_a: int, m_b: int, m_c: int,
-                         epsilon: float) -> LinearOperator:
-    """One random-phase realization of the Fredkin gate.
-
-    The Kerr cell imprints an extra phase exp[i eps (n_b + n_c)] on the modes
-    passing through it, between the cross-phase interaction and the closing
-    beamsplitter:  V(eps) = B^dag exp[i eps (n_b + n_c)] K B.  V(0) = F.
-    """
-    check_modes(space, m_a, m_b, m_c)
-    if not math.isfinite(epsilon):
-        raise FockError(f"epsilon must be finite, got {epsilon}")
-    b = beamsplitter_unitary(space, m_a, m_b)
-    k = kerr_unitary(space, m_b, m_c)
-    n_pair = number_operator_diagonal(space, m_b) + number_operator_diagonal(space, m_c)
-    phase = np.exp(1j * epsilon * n_pair)
-    v = b.matrix.conj().T @ (phase[:, None] * (k.matrix @ b.matrix))
-    return LinearOperator(space, v)

@@ -1,14 +1,12 @@
 """The two-switch single-photon interferometer machine and its noisy runs.
 
 Five optical modes a, b, c, d, e (indices 0..4); input |abcde> = |01010>.
-The pipeline, applied left to right, is
-
-    B_cd  ->  gate 1  ->  [projective correction]  ->  S_a(pi)  ->  gate 2  ->  B_cd^dag
-
-where both gates are Fredkin gates acting on (a, b, e) for switch k1 = 0 and
-on (a, b, c) for k1 = 1.  Noise-free, the machine ends in |0101> for k1 = 0
-and |0110> for k1 = 1, and the function class is read from the mode-d
-detector: a click answers for k1 = 0, no click for k1 = 1.
+``stages`` is the one statement of the pipeline order: B_cd, gate slot 0,
+[projective correction], S_a(pi), gate slot 1, B_cd^dag.  Both gates are
+Fredkin gates acting on (a, b, e) for switch k1 = 0 and on (a, b, c) for
+k1 = 1.  Noise-free, the machine ends in |0101> for k1 = 0 and |0110> for
+k1 = 1, and the function class is read from the mode-d detector: a click
+answers for k1 = 0, no click for k1 = 1.
 
 A run yields its output state; both error figures are read from it.
 ``readout_error`` scores the mode-d readout against the correct class;
@@ -18,10 +16,8 @@ that lost its partner photon inside the cell carries no which-rail
 information.  With this scoring the uncorrected lossy machine reproduces the
 closed form (1 + e^-g - 2 e^(-3g/2))/4 exactly, and the same state scored
 with dual-rail post-selection gives (1 - sech(g/2))/2.
-``which_path_error`` instead scores the a/b interferometer (a photon exiting
-in mode a took the wrong path); for k1 = 0, where every valid outcome clicks
-d and the readout is uninformative, this is the figure the dephasing
-experiments and the projective correction act on.
+``which_path_error`` instead scores the a/b interferometer, the figure the
+dephasing experiments and the projective correction act on for k1 = 0.
 """
 
 from __future__ import annotations
@@ -44,6 +40,7 @@ from .fock import (
     DensityOperator,
     FockError,
     FockSpace,
+    LinearOperator,
     OccupationVector,
     PureState,
     apply_unitary,
@@ -51,14 +48,11 @@ from .fock import (
     marginal_distribution,
     occupation_table,
 )
-from .gates import (
-    beamsplitter_unitary,
-    fredkin_unitary,
-    phase_shift_unitary,
-)
+from .gates import beamsplitter_unitary, fredkin_unitary, phase_shift_unitary
 
 MODE_A, MODE_B, MODE_C, MODE_D, MODE_E = range(5)
 RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
+PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the legal span
 
 
 def machine_space() -> FockSpace:
@@ -179,30 +173,33 @@ def _gate_channel(space: FockSpace, config: MachineConfig, slot: int,
     return lambda rho: dephased_fredkin_apply(space, *modes, config.noise.lam, rho)
 
 
+def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
+    """The pipeline in order: unitaries, gate slots 0 and 1, and PROJECTION if corrected."""
+    space = machine_space()
+    bcd = beamsplitter_unitary(space, MODE_C, MODE_D)
+    projection = [PROJECTION] if config.projective_ec else []
+    return [bcd, 0, *projection, phase_shift_unitary(space, MODE_A, math.pi), 1, bcd.dagger]
+
+
 def run(config: MachineConfig, mc_samples: int | None = None,
         mc_seed: int = 0) -> RunResult:
-    """Run the machine pipeline for one configuration.
+    """Run the machine pipeline for one configuration, folding the input over ``stages``.
 
     Passing ``mc_samples`` (dephasing model only) replaces the Gaussian phi
-    of the dephased gates with the seeded Monte-Carlo oracle's, with one phase
-    stream per gate: seed ``[mc_seed, 0]`` for the first gate and
-    ``[mc_seed, 1]`` for the second.
+    of the dephased gates with the seeded Monte-Carlo oracle's, seeded
+    ``[mc_seed, slot]`` per gate.
     """
     if mc_samples is not None and _read_strength(config.noise_model) != "lam":
         raise FockError("mc_samples requires the dephasing noise model")
     space = machine_space()
-    bcd = beamsplitter_unitary(space, MODE_C, MODE_D)
-    s_a = phase_shift_unitary(space, MODE_A, math.pi)
-
-    rho = machine_input(space).density()
-    rho = apply_unitary(rho, bcd)
-    rho = _gate_channel(space, config, 0, mc_samples, mc_seed)(rho)
-    p_accept = 1.0
-    if config.projective_ec:
-        rho, p_accept = projective_ec_step(rho)
-    rho = apply_unitary(rho, s_a)
-    rho = _gate_channel(space, config, 1, mc_samples, mc_seed)(rho)
-    rho = apply_unitary(rho, bcd.dagger)
+    rho, p_accept = machine_input(space).density(), 1.0
+    for stage in stages(config):
+        if isinstance(stage, LinearOperator):
+            rho = apply_unitary(rho, stage)
+        elif stage == PROJECTION:
+            rho, p_accept = projective_ec_step(rho)
+        else:
+            rho = _gate_channel(space, config, stage, mc_samples, mc_seed)(rho)
 
     probs, rails = _rail_outcomes(rho)
     dist4 = tuple((occ, p) for occ, p in zip(rails.occupations(), probs.tolist())

@@ -21,7 +21,6 @@ from dualrail import (
     basis_pure,
     dephased_fredkin_apply,
     dephased_fredkin_channel,
-    dephased_fredkin_ghq,
     dephased_fredkin_mc,
     fit_series,
     fredkin_unitary,
@@ -34,6 +33,7 @@ from dualrail import (
 )
 from dualrail.cli import main
 from conftest import random_density
+from oracles import dephased_fredkin_ghq
 
 SPACE3 = FockSpace(3)
 TRUTH_INPUTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))

@@ -18,7 +18,6 @@ from dualrail import (
     decibels,
     dephased_fredkin_apply,
     dephased_fredkin_channel,
-    dephased_fredkin_ghq,
     dephased_fredkin_mc,
     fredkin_unitary,
     index_of,
@@ -28,7 +27,7 @@ from dualrail import (
 )
 from dualrail.channels import KrausChannel, _damping_kraus
 from dualrail.correction import lossy_gate_output_101
-from dualrail.gates import noisy_fredkin_sample, number_operator_diagonal
+from dualrail.gates import number_operator_diagonal
 from conftest import (
     assert_bit_equal,
     digits_of,
@@ -36,6 +35,7 @@ from conftest import (
     random_density,
     space_id,
 )
+from oracles import dephased_fredkin_ghq, noisy_fredkin_sample
 
 SPACE3 = FockSpace(3)
 REACHABLE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -138,6 +139,21 @@ def test_json_format(capsys):
     assert payload["columns"][0] == "gamma"
     assert len(payload["records"]) == 5
     assert payload["records"][0]["gamma"] == 0.01
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda-physical", "--omega", "-0.0", "--intensity", "1"],
+    ["lossy-gate", "--gamma", "-0.0"],
+    ["mc-validate", "--lam", "-0.0", "--samples", "10"],
+], ids=["lambda-physical", "lossy-gate", "mc-validate"])
+def test_negative_zero_input_prints_as_zero(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert "-0" not in [field for line in out.splitlines() for field in line.split(",")]
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == EXIT_OK
+    values = [v for rec in json.loads(out)["records"] for v in rec.values()]
+    assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in values if isinstance(v, float))
 
 
 def _reject_constant(name):

@@ -12,10 +12,10 @@ from dualrail import (
     fredkin_unitary,
     index_of,
     kerr_unitary,
-    noisy_fredkin_sample,
     phase_shift_unitary,
 )
 from dualrail.gates import number_operator_diagonal
+from oracles import noisy_fredkin_sample
 
 SQ2 = math.sqrt(2)
 

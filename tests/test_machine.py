@@ -5,6 +5,7 @@ import pytest
 
 from dualrail import (
     FockError,
+    LinearOperator,
     MachineConfig,
     NoiseParams,
     apply_unitary,
@@ -21,8 +22,10 @@ from dualrail import (
     p_ec_closed,
     p_noec_closed,
     phase_shift_unitary,
+    projective_ec_step,
     readout_error,
     run,
+    stages,
     which_path_error,
 )
 from dualrail import cli, correction, machine
@@ -32,7 +35,7 @@ from dualrail.channels import (
     _gate_sandwich,
     dephased_fredkin_channel,
 )
-from dualrail.machine import NOISE_PLACEMENT, RAIL_MODES
+from dualrail.machine import NOISE_MODELS, NOISE_PLACEMENT, PROJECTION, RAIL_MODES
 from dualrail.cli import main
 
 SPACE = machine_space()
@@ -50,6 +53,40 @@ def cfg(k1, model="none", gamma=0.0, lam=0.0, **kw):
 
 def dist_dict(result):
     return {occ: p for occ, p in result.outcome_distribution}
+
+
+def fold_stages(config, gate):
+    """The machine input folded over ``stages(config)``, with ``gate(slot)`` as each slot's map."""
+    rho = machine_input(SPACE).density()
+    for stage in stages(config):
+        if isinstance(stage, LinearOperator):
+            rho = apply_unitary(rho, stage)
+        elif stage == PROJECTION:
+            rho = projective_ec_step(rho)[0]
+        else:
+            rho = gate(stage)(rho)
+    return rho
+
+
+# ---------------------------------------------------------------- stages
+
+STRENGTHS = {"none": {}, "loss": {"gamma": 0.3}, "balanced-loss": {"gamma": 0.3},
+             "dephasing": {"lam": 0.3}}
+STAGE_CASES = [(model, k1, ec) for model in NOISE_MODELS for k1 in (0, 1)
+               for ec in (False, True) if not (ec and "gamma" in STRENGTHS[model])]
+
+
+@pytest.mark.parametrize("model, k1, projective_ec", STAGE_CASES,
+                         ids=[f"{m}-k1={k}-ec={e}" for m, k, e in STAGE_CASES])
+def test_stages_list_the_pipeline_that_run_folds(model, k1, projective_ec):
+    config = cfg(k1, model, projective_ec=projective_ec, **STRENGTHS[model])
+    steps = stages(config)
+    kinds = ["unitary" if isinstance(s, LinearOperator) else s for s in steps]
+    projection = [PROJECTION] if projective_ec else []
+    assert kinds == ["unitary", 0, *projection, "unitary", 1, "unitary"]
+    assert np.array_equal(steps[-1].matrix, steps[0].matrix.conj().T)
+    folded = fold_stages(config, lambda slot: machine._gate_channel(SPACE, config, slot, None, 0))
+    assert np.array_equal(folded.matrix, run(config).output_state.matrix)
 
 
 # ---------------------------------------------------------------- noise-free
@@ -167,17 +204,12 @@ def product_form_output(config):
     """The loss machine with each lossy gate as one product Kraus list B^dag D_m .. D_m' K B."""
     modes = gate_modes(config.k1)
     slots, damped = NOISE_PLACEMENT[config.noise_model]
-    stages = [[kerr_unitary(SPACE, *modes[1:]).matrix]]
-    stages += [_damping_kraus(SPACE, m, config.noise.gamma) for m in damped(config.k1)]
-    lossy = _gate_sandwich(SPACE, *modes[:2], stages)
+    kraus = [[kerr_unitary(SPACE, *modes[1:]).matrix]]
+    kraus += [_damping_kraus(SPACE, m, config.noise.gamma) for m in damped(config.k1)]
+    lossy = _gate_sandwich(SPACE, *modes[:2], kraus)
     fredkin = fredkin_unitary(SPACE, *modes)
-    bcd = beamsplitter_unitary(SPACE, 2, 3)
-    rho = apply_unitary(machine_input(SPACE).density(), bcd)
-    for slot in (0, 1):
-        rho = lossy.apply(rho) if slot in slots else apply_unitary(rho, fredkin)
-        if slot == 0:
-            rho = apply_unitary(rho, phase_shift_unitary(SPACE, 0, math.pi))
-    return apply_unitary(rho, bcd.dagger).matrix
+    return fold_stages(config, lambda slot: lossy.apply if slot in slots
+                       else lambda rho: apply_unitary(rho, fredkin)).matrix
 
 
 @pytest.mark.parametrize("model", ["loss", "balanced-loss"])
@@ -291,16 +323,11 @@ def test_mc_pipeline_agrees_with_analytic():
 
 
 def test_mc_run_seeds_gate_streams_from_mc_seed():
-    # run keys gate g's phase stream as [mc_seed, g]; the default seed is 0
+    # run keys gate slot s's phase stream as [mc_seed, s]; the default seed is 0
     n, lam = 2000, 0.2
     config = cfg(1, "dephasing", lam=lam)
-    space = machine_space()
-    bcd = beamsplitter_unitary(space, 2, 3)
-    rho = apply_unitary(machine_input(space).density(), bcd)
-    rho = dephased_fredkin_mc(space, *gate_modes(1), lam, n, seed=[5, 0])(rho)
-    rho = apply_unitary(rho, phase_shift_unitary(space, 0, math.pi))
-    rho = dephased_fredkin_mc(space, *gate_modes(1), lam, n, seed=[5, 1])(rho)
-    rho = apply_unitary(rho, bcd.dagger)
+    rho = fold_stages(config, lambda slot: dephased_fredkin_mc(SPACE, *gate_modes(1), lam, n,
+                                                               seed=[5, slot]))
     assert np.array_equal(run(config, mc_samples=n, mc_seed=5).output_state.matrix, rho.matrix)
     assert np.array_equal(run(config, mc_samples=n).output_state.matrix,
                           run(config, mc_samples=n, mc_seed=0).output_state.matrix)
