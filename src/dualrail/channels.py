@@ -29,11 +29,11 @@ from .fock import (
     DensityOperator,
     FockError,
     FockSpace,
+    annihilation_operator,
     check_modes,
-    mode_operator,
     occupation_table,
 )
-from .gates import annihilation_operator, beamsplitter_unitary, kerr_unitary
+from .gates import beamsplitter_unitary, kerr_unitary
 
 LOSS_PLACEMENTS = ("before-kerr", "after-kerr", "split")
 
@@ -92,13 +92,14 @@ def _kraus_sum(ops: Sequence[np.ndarray], m: np.ndarray) -> np.ndarray:
 def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray]:
     """Kraus pair for photon loss on one mode.
 
-    The no-jump operator diag(1, e^(-gamma/2)) and the jump
-    sqrt(1 - e^(-gamma)) * lowering; the jump vanishes at gamma = 0 and is
-    then left out.
+    The no-jump operator diag(e^(-gamma n_m / 2)), read off the occupation
+    column of the mode, and the jump sqrt(1 - e^(-gamma)) * lowering; the
+    jump vanishes at gamma = 0 and is then left out.
     """
     NoiseParams(gamma=gamma)  # raises FockError unless gamma is finite and >= 0
+    check_modes(space, mode)
     surv = math.exp(-gamma)
-    ops = [mode_operator(space, mode, np.diag([1, surv ** 0.5]).astype(complex))]
+    ops = [np.diag((surv ** 0.5) ** occupation_table(space)[:, mode]).astype(complex)]
     if surv < 1:
         ops.append((1 - surv) ** 0.5 * annihilation_operator(space, mode))
     return ops
@@ -142,6 +143,7 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     ``_frame_conjugate``), so all three placements realize the identical
     channel; gamma is the total damping either way.
     """
+    check_modes(space, m_a, m_b, m_c)
     if placement not in LOSS_PLACEMENTS:
         raise FockError(f"placement must be one of {LOSS_PLACEMENTS}, got {placement!r}")
     k = kerr_unitary(space, m_b, m_c).matrix
@@ -174,10 +176,13 @@ def _cell_gate(space: FockSpace, m_a: int, m_b: int, m_c: int,
     ``noise`` maps the matrix in the Kerr-cell frame, between the cross-phase
     interaction and the closing beamsplitter.
     """
+    check_modes(space, m_a, m_b, m_c)
     b = beamsplitter_unitary(space, m_a, m_b).matrix
     kb = kerr_unitary(space, m_b, m_c).matrix @ b
 
     def apply(rho: DensityOperator) -> DensityOperator:
+        if rho.space != space:
+            raise FockError("gate and state live on different spaces")
         mid = kb @ rho.matrix @ kb.conj().T
         return DensityOperator(space, b.conj().T @ noise(mid) @ b)
 
@@ -212,17 +217,6 @@ def _gaussian_phi(lam: float) -> np.ndarray:
         return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
 
 
-def _sampled_phi(eps: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted mean of exp(i k eps_j) over the phases eps_j, k = 0, 1, 2.
-
-    Divided by its k = 0 entry, the sum of the weights, so phi(0) is exactly
-    1 and coherences within one cell photon-number sector pass unchanged.
-    """
-    k = np.arange(3)
-    phi = np.exp(1j * np.outer(k, eps)) @ weights
-    return phi / phi[0]
-
-
 def _phase_correlation(phi: np.ndarray, n: np.ndarray) -> np.ndarray:
     """C[i, j] = phi(n_i - n_j), reading phi(-k) as conj phi(k)."""
     d = n[:, None] - n[None, :]
@@ -232,6 +226,7 @@ def _phase_correlation(phi: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _cell_photon_numbers(space: FockSpace, m_b: int, m_c: int) -> np.ndarray:
     """N = n_b + n_c, the photon number in the Kerr cell, per basis state."""
+    check_modes(space, m_b, m_c)
     table = occupation_table(space)
     return table[:, m_b] + table[:, m_c]
 
@@ -272,6 +267,7 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     operator per nonzero eigenvalue, each of the form
     B^dag diag(w) K B.  Agrees with ``dephased_fredkin_apply`` to 1e-12.
     """
+    check_modes(space, m_a, m_b, m_c)
     NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
     phi = _gaussian_phi(lam)
     evals, evecs = np.linalg.eigh(_phase_correlation(phi, np.arange(len(phi))))
@@ -299,7 +295,8 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
         raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)  # numpy rejects scale -0.0
-    return _phase_average(space, m_a, m_b, m_c, _sampled_phi(eps, np.ones(n_samples)))
+    phi = np.exp(1j * np.outer(np.arange(3), eps)).mean(axis=1)  # phi(0) is exactly 1
+    return _phase_average(space, m_a, m_b, m_c, phi)
 
 
 def lambda_from_physical(omega: float, intensity: float) -> float:

@@ -9,9 +9,10 @@ bit of the basis index:
 
 so the occupation reads like a binary string.
 This convention is normative for all file output produced by the CLI.
-Only this module relies on it: other modules get occupations, embedded
-single-mode operators and marginals from ``occupation_table``,
-``mode_operator`` and ``marginal_distribution``.
+Only this module relies on it: other modules get occupations and marginals
+from ``occupation_table`` and ``marginal_distribution``.  Every single-mode
+operator is a function of one table column (number, phase, damping) or the
+lowering row map ``annihilation_operator``.
 
 Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely between threads.
@@ -88,11 +89,18 @@ def check_modes(space: FockSpace, *modes: int):
         raise FockError(f"modes {modes} must be distinct")
 
 
-def mode_operator(space: FockSpace, mode: int, single: np.ndarray) -> np.ndarray:
-    """Embed a 2 x 2 single-mode matrix on ``mode``, identity elsewhere."""
+def annihilation_operator(space: FockSpace, mode: int) -> np.ndarray:
+    """Lowering operator of one single-photon mode: |..1_m..> -> |..0_m..>.
+
+    A row map on the occupation table.  The rows with n_m = 0 and the rows
+    with n_m = 1 each list the other modes' occupations in the same index
+    order, so the k-th row of one set is the k-th of the other with n_m flipped.
+    """
     check_modes(space, mode)
-    before, after = np.eye(2 ** mode), np.eye(2 ** (space.n_modes - 1 - mode))
-    return np.kron(np.kron(before, single), after)
+    n = occupation_table(space)[:, mode]
+    a = np.zeros((space.dim, space.dim), dtype=complex)
+    a[np.flatnonzero(n == 0), np.flatnonzero(n == 1)] = 1
+    return a
 
 
 def index_of(space: FockSpace, occ: Sequence[int]) -> int:

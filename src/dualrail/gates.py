@@ -16,21 +16,10 @@ import numpy as np
 from .fock import (
     FockSpace,
     LinearOperator,
+    annihilation_operator,
     check_modes,
-    mode_operator,
     occupation_table,
 )
-
-
-def annihilation_operator(space: FockSpace, mode: int) -> np.ndarray:
-    """Annihilation operator |0><1| of one single-photon mode, embedded in the full space."""
-    return mode_operator(space, mode, np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def number_operator_diagonal(space: FockSpace, mode: int) -> np.ndarray:
-    """Diagonal of the photon-number operator for one mode."""
-    check_modes(space, mode)
-    return occupation_table(space)[:, mode].astype(float)
 
 
 @lru_cache(maxsize=None)
@@ -54,15 +43,14 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOp
 def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     """Cross-phase modulation K = exp[i pi n_i n_j], the sign flip on |11>."""
     check_modes(space, mode_i, mode_j)
-    ni = number_operator_diagonal(space, mode_i)
-    nj = number_operator_diagonal(space, mode_j)
-    return LinearOperator(space, np.diag(np.exp(1j * math.pi * ni * nj)))
+    n = occupation_table(space)
+    return LinearOperator(space, np.diag(np.exp(1j * math.pi * n[:, mode_i] * n[:, mode_j])))
 
 
 def phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperator:
     """Single-mode phase shift exp[i phi n_mode]."""
-    n = number_operator_diagonal(space, mode)
-    return LinearOperator(space, np.diag(np.exp(1j * phi * n)))
+    check_modes(space, mode)
+    return LinearOperator(space, np.diag(np.exp(1j * phi * occupation_table(space)[:, mode])))
 
 
 def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOperator:

@@ -11,9 +11,8 @@ import math
 import numpy as np
 
 from dualrail import FockError, FockSpace, LinearOperator, beamsplitter_unitary, kerr_unitary
-from dualrail.channels import DensityMap, _phase_average, _sampled_phi
-from dualrail.fock import check_modes
-from dualrail.gates import number_operator_diagonal
+from dualrail.channels import DensityMap, _phase_average
+from dualrail.fock import check_modes, occupation_table
 
 GHQ_NODES = 40  # Gauss-Hermite abscissas of the quadrature oracle
 
@@ -31,7 +30,8 @@ def noisy_fredkin_sample(space: FockSpace, m_a: int, m_b: int, m_c: int,
         raise FockError(f"epsilon must be finite, got {epsilon}")
     b = beamsplitter_unitary(space, m_a, m_b)
     k = kerr_unitary(space, m_b, m_c)
-    n_pair = number_operator_diagonal(space, m_b) + number_operator_diagonal(space, m_c)
+    table = occupation_table(space)
+    n_pair = table[:, m_b] + table[:, m_c]
     phase = np.exp(1j * epsilon * n_pair)
     v = b.matrix.conj().T @ (phase[:, None] * (k.matrix @ b.matrix))
     return LinearOperator(space, v)
@@ -42,10 +42,12 @@ def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
     """Gauss-Hermite quadrature oracle for the Gaussian phase average.
 
     Integrates V(eps) rho V(eps)^dag against the Normal(0, 2 lam) weight with
-    GHQ_NODES abscissas, through the node sum for phi(k); a second,
-    independent check on the analytic channel.
+    GHQ_NODES abscissas, through the node-weighted mean for phi(k); a second,
+    independent check on the analytic channel.  The mean is divided by its
+    k = 0 entry, the sum of the weights, so phi(0) is exactly 1.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise FockError(f"lam must be finite and >= 0, got {lam}")
     x, w = np.polynomial.hermite.hermgauss(GHQ_NODES)
-    return _phase_average(space, m_a, m_b, m_c, _sampled_phi(2.0 * math.sqrt(lam) * x, w))
+    phi = np.exp(1j * np.outer(np.arange(3), 2.0 * math.sqrt(lam) * x)) @ w
+    return _phase_average(space, m_a, m_b, m_c, phi / phi[0])

@@ -27,7 +27,7 @@ from dualrail import (
 )
 from dualrail.channels import KrausChannel, _damping_kraus
 from dualrail.correction import lossy_gate_output_101
-from dualrail.gates import number_operator_diagonal
+from dualrail.fock import occupation_table
 from conftest import (
     assert_bit_equal,
     digits_of,
@@ -106,13 +106,14 @@ def loop_damping_kraus(space, mode, gamma):
     return [op for op in (keep, jump) if np.any(op != 0)]
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.3, 5.0])
-@pytest.mark.parametrize("space", [SPACE3, FockSpace(5)], ids=space_id)
+@pytest.mark.parametrize("gamma", [0.0, 1e-20, 0.3, 5.0, 185.0, 800.0, 1e300])
+@pytest.mark.parametrize("space", [FockSpace(n) for n in range(1, 6)], ids=space_id)
 def test_damping_kraus_matches_index_loop(space, gamma):
+    # e^-gamma rounds to 1 at 1e-20 (no jump) and underflows to 0 from about 745
     for mode in range(space.n_modes):
         ops = _damping_kraus(space, mode, gamma)
         ref = loop_damping_kraus(space, mode, gamma)
-        assert len(ops) == len(ref) == (1 if gamma == 0.0 else 2)
+        assert len(ops) == len(ref) == (1 if math.exp(-gamma) == 1.0 else 2)
         for op, want in zip(ops, ref):
             assert_bit_equal(op, want)
 
@@ -236,6 +237,31 @@ def test_balanced_lossy_rejects_out_of_range_mode():
         balanced_lossy_fredkin_channel(FockSpace(4), 0, 1, 2, (0, 1, 2, 4), 0.1)
 
 
+NOISY_FREDKIN_GATES = {  # name -> (space, modes) -> the gate as a map on density operators
+    "balanced-loss": lambda space, modes: balanced_lossy_fredkin_channel(space, *modes,
+                                                                         (0, 1, 2), 0.1),
+    "lossy-kraus": lambda space, modes: lossy_fredkin_channel(space, *modes, 0.1).apply,
+    "dephased-apply": lambda space, modes: (
+        lambda rho: dephased_fredkin_apply(space, *modes, 0.1, rho)),
+    "dephased-mc": lambda space, modes: dephased_fredkin_mc(space, *modes, 0.1, 10, seed=0),
+    "dephased-kraus": lambda space, modes: dephased_fredkin_channel(space, *modes, 0.1).apply,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISY_FREDKIN_GATES))
+def test_noisy_fredkin_gates_follow_the_mode_and_space_rules(name):
+    # the rules fredkin_unitary and KrausChannel.apply enforce: three distinct in-range
+    # modes, and a state on the gate's own space
+    build = NOISY_FREDKIN_GATES[name]
+    rho = basis_density(SPACE3, (1, 0, 1))
+    for modes in ((0, 1, 0), (0, 1, 3), (-1, 1, 2)):
+        with pytest.raises(FockError):
+            build(SPACE3, modes)(rho)
+    with pytest.raises(FockError):
+        build(SPACE3, (0, 1, 2))(basis_density(FockSpace(4), (1, 0, 1, 0)))
+    assert np.max(np.abs(build(SPACE3, (0, 1, 2))(rho).matrix)) > 0
+
+
 def test_balanced_lossy_k0_gate_matches_composed_channel():
     # the k1 = 0 gate couples (a, b, e) while the loss hits the rails a-d
     space, gamma = FockSpace(5), 0.35
@@ -309,7 +335,8 @@ def test_fully_dephasing_limit():
     # in the interferometer frame nothing connects different cell photon numbers
     b = beamsplitter_unitary(SPACE3, 0, 1).matrix
     frame = b @ once.matrix @ b.conj().T
-    n = (number_operator_diagonal(SPACE3, 1) + number_operator_diagonal(SPACE3, 2)).astype(int)
+    table = occupation_table(SPACE3)
+    n = table[:, 1] + table[:, 2]
     for i in range(SPACE3.dim):
         for j in range(SPACE3.dim):
             if n[i] != n[j]:

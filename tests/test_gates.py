@@ -14,7 +14,6 @@ from dualrail import (
     kerr_unitary,
     phase_shift_unitary,
 )
-from dualrail.gates import number_operator_diagonal
 from oracles import noisy_fredkin_sample
 
 SQ2 = math.sqrt(2)
@@ -58,9 +57,9 @@ def test_number_diagonal_rejects_out_of_range_modes():
     # a negative mode would otherwise index the occupation table from the end
     for mode in (-1, 2):
         with pytest.raises(FockError):
-            number_operator_diagonal(FockSpace(2), mode)
-        with pytest.raises(FockError):
             phase_shift_unitary(FockSpace(2), mode, 0.1)
+        with pytest.raises(FockError):
+            kerr_unitary(FockSpace(2), 0, mode)
 
 
 def test_kerr_phases():
