@@ -61,6 +61,7 @@ from .machine import (
     machine_space,
     readout_error,
     run,
+    run_many,
     stages,
     which_path_error,
 )

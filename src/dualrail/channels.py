@@ -11,8 +11,11 @@ Two noise families:
 
 Every noisy gate the machine runs is B^dag N(K B rho B^dag K^dag) B, the
 noise N acting in the Kerr-cell frame: loss damps the listed modes one after
-another, dephasing multiplies by the phase correlation C.  Product Kraus
-lists remain only in ``lossy_fredkin_channel`` (the loss placements) and
+another, dephasing multiplies by the phase correlation C.  The gate maps a
+(G, dim, dim) stack of matrices, one noise strength per point
+(``lossy_gate_stack``, ``phase_average_stack``); the public one-state maps
+are the same code at G = 1.  Product Kraus lists remain only in
+``lossy_fredkin_channel`` (the loss placements) and
 ``dephased_fredkin_channel`` (the phase average's independent reference).
 """
 
@@ -30,6 +33,7 @@ from .fock import (
     FockError,
     FockSpace,
     annihilation_operator,
+    check_finite,
     check_modes,
     occupation_table,
 )
@@ -71,6 +75,7 @@ class KrausChannel:
             k = np.asarray(k, dtype=complex)
             if k.shape != (d, d):
                 raise FockError(f"Kraus operator has shape {k.shape}, expected ({d}, {d})")
+            check_finite(k, "Kraus operator")
             ops.append(k)
         total = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(total - np.eye(d)))
@@ -81,12 +86,8 @@ class KrausChannel:
     def apply(self, rho: DensityOperator) -> DensityOperator:
         if rho.space != self.space:
             raise FockError("channel and state live on different spaces")
-        return DensityOperator(self.space, _kraus_sum(self.kraus_ops, rho.matrix))
-
-
-def _kraus_sum(ops: Sequence[np.ndarray], m: np.ndarray) -> np.ndarray:
-    """sum_k K_k m K_k^dag over a Kraus list."""
-    return sum(k @ m @ k.conj().T for k in ops)
+        m = rho.matrix
+        return DensityOperator(self.space, sum(k @ m @ k.conj().T for k in self.kraus_ops))
 
 
 def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray]:
@@ -167,26 +168,68 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
 
 
 DensityMap = Callable[[DensityOperator], DensityOperator]
+# A map of a (G, dim, dim) stack of matrices, one grid point per leading index.
+StackMap = Callable[[np.ndarray], np.ndarray]
 
 
-def _cell_gate(space: FockSpace, m_a: int, m_b: int, m_c: int,
-               noise: Callable[[np.ndarray], np.ndarray]) -> DensityMap:
-    """The noisy Fredkin gate rho -> B^dag noise(K B rho B^dag K^dag) B.
+def _cell_gate(space: FockSpace, m_a: int, m_b: int, m_c: int, noise: StackMap) -> StackMap:
+    """The noisy Fredkin gate rho -> B^dag noise(K B rho B^dag K^dag) B on a stack.
 
-    ``noise`` maps the matrix in the Kerr-cell frame, between the cross-phase
-    interaction and the closing beamsplitter.
+    ``noise`` maps the stack in the Kerr-cell frame, between the cross-phase
+    interaction and the closing beamsplitter.  The map does not validate what
+    it returns: ``_single`` does for one state, ``machine.run_many`` after
+    every stage.
     """
     check_modes(space, m_a, m_b, m_c)
     b = beamsplitter_unitary(space, m_a, m_b).matrix
     kb = kerr_unitary(space, m_b, m_c).matrix @ b
+    return lambda stack: b.conj().T @ noise(kb @ stack @ kb.conj().T) @ b
+
+
+def _single(space: FockSpace, gate: StackMap) -> DensityMap:
+    """A stack map as a map of one density operator: a stack of height 1, validated."""
 
     def apply(rho: DensityOperator) -> DensityOperator:
         if rho.space != space:
             raise FockError("gate and state live on different spaces")
-        mid = kb @ rho.matrix @ kb.conj().T
-        return DensityOperator(space, b.conj().T @ noise(mid) @ b)
+        return DensityOperator(space, gate(rho.matrix[None])[0])
 
     return apply
+
+
+def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float]) -> StackMap:
+    """Photon loss of strength gamma[g] on point g of a stack, mode by mode in ``damped`` order.
+
+    Mode m's Kraus pair (``_damping_kraus``) acts without a matrix product:
+    the no-jump diag(s ** n_m), s = e^(-gamma/2), scales the rows and then
+    the columns with n_m = 1, and the jump sqrt(1 - e^-gamma) a_m gathers the
+    block of rows and columns with n_m = 1 into the block with n_m = 0, both
+    row sets read off the occupation table as ``annihilation_operator`` does.
+    Every product is taken in the Kraus sum's order, so the bits agree.
+    """
+    check_modes(space, *damped)
+    for g in gamma:
+        NoiseParams(gamma=g)  # raises FockError unless gamma is finite and >= 0
+    surv = [math.exp(-g) for g in gamma]
+    keep = np.array([s ** 0.5 for s in surv])[:, None]
+    jump = np.array([(1 - s) ** 0.5 for s in surv])[:, None, None]
+    steps = [(np.where(n == 1, keep, 1.0), np.flatnonzero(n == 0), np.flatnonzero(n == 1))
+             for n in occupation_table(space)[:, list(damped)].T]
+
+    def damp(mid: np.ndarray) -> np.ndarray:
+        for scale, zero, one in steps:
+            out = scale[:, :, None] * mid * scale[:, None, :]
+            out[:, zero[:, None], zero] += jump * mid[:, one[:, None], one] * jump
+            mid = out
+        return mid
+
+    return damp
+
+
+def lossy_gate_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
+                     damped: Sequence[int], gamma: Sequence[float]) -> StackMap:
+    """``balanced_lossy_fredkin_channel`` on a stack, with loss gamma[g] on point g."""
+    return _cell_gate(space, m_a, m_b, m_c, _damping(space, damped, gamma))
 
 
 def balanced_lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -199,28 +242,36 @@ def balanced_lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: in
     error-free.  The modes are damped one after another in the cell frame,
     each by its own two-operator Kraus pair.
     """
-    check_modes(space, *damped)
-    pairs = [amplitude_damping_channel(space, m, gamma).kraus_ops for m in damped]
-
-    def damp(mid: np.ndarray) -> np.ndarray:
-        for ops in pairs:
-            mid = _kraus_sum(ops, mid)
-        return mid
-
-    return _cell_gate(space, m_a, m_b, m_c, damp)
+    return _single(space, lossy_gate_stack(space, m_a, m_b, m_c, damped, [gamma]))
 
 
-def _gaussian_phi(lam: float) -> np.ndarray:
+def gaussian_phi(lam: float) -> np.ndarray:
     """phi(k) = <exp(i k eps)> = exp(-k^2 lam), k = 0, 1, 2; safe at lam = inf."""
     k = np.arange(1, 3, dtype=float)
     with np.errstate(over="ignore"):  # a huge finite lam overflows to the lam = inf limit
         return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
 
 
+def sampled_phi(lam: float, n_samples: int, seed: int | Sequence[int]) -> np.ndarray:
+    """The empirical phi(k) = (1/n) sum_i exp(i k eps_i), k = 0, 1, 2.
+
+    Draws eps_i ~ Normal(0, 2 lam), so E[exp(i eps)] = exp(-lam).  ``seed``
+    is an int or a sequence of ints, as ``numpy.random.default_rng`` accepts;
+    phi is bit-reproducible for a fixed seed, and phi(0) is exactly 1.
+    """
+    if n_samples < 1:
+        raise FockError(f"n_samples must be >= 1, got {n_samples}")
+    if not (math.isfinite(2 * lam) and lam >= 0):  # the phase variance is 2 lam
+        raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
+    rng = np.random.default_rng(seed)
+    eps = rng.normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)  # numpy rejects scale -0.0
+    return np.exp(1j * np.outer(np.arange(3), eps)).mean(axis=1)
+
+
 def _phase_correlation(phi: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """C[i, j] = phi(n_i - n_j), reading phi(-k) as conj phi(k)."""
+    """C[..., i, j] = phi[..., n_i - n_j], reading phi(-k) as conj phi(k)."""
     d = n[:, None] - n[None, :]
-    c = phi[np.abs(d)]
+    c = phi[..., np.abs(d)]
     return np.where(d < 0, c.conj(), c)
 
 
@@ -231,17 +282,24 @@ def _cell_photon_numbers(space: FockSpace, m_b: int, m_c: int) -> np.ndarray:
     return table[:, m_b] + table[:, m_c]
 
 
-def _phase_average(space: FockSpace, m_a: int, m_b: int, m_c: int,
-                   phi: np.ndarray) -> DensityMap:
-    """The phase-averaged gate rho -> E[V(eps) rho V(eps)^dag] for <exp(i k eps)> = phi[k].
+def phase_average_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
+                        phi: np.ndarray) -> StackMap:
+    """The phase-averaged gate rho -> E[V(eps) rho V(eps)^dag] on a stack.
 
-    V(eps) = B^dag exp(i eps N) K B, so the random phase multiplies the
-    coherence between cell photon numbers N and N' by exp(i eps (N - N')):
-    the cell-frame noise is the element-wise product with
-    C[i, j] = phi(N_i - N_j).  The phase law enters only through phi.
+    Point g's phase law has <exp(i k eps)> = phi[g, k].  V(eps) = B^dag
+    exp(i eps N) K B, so the random phase multiplies the coherence between
+    cell photon numbers N and N' by exp(i eps (N - N')): the cell-frame noise
+    is the element-wise product with C[i, j] = phi(N_i - N_j).  The phase law
+    enters only through phi.
     """
     corr = _phase_correlation(phi, _cell_photon_numbers(space, m_b, m_c))
     return _cell_gate(space, m_a, m_b, m_c, lambda mid: mid * corr)
+
+
+def _phase_average(space: FockSpace, m_a: int, m_b: int, m_c: int,
+                   phi: np.ndarray) -> DensityMap:
+    """``phase_average_stack`` for one state, with <exp(i k eps)> = phi[k]."""
+    return _single(space, phase_average_stack(space, m_a, m_b, m_c, phi[None]))
 
 
 def dephased_fredkin_apply(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -254,7 +312,7 @@ def dephased_fredkin_apply(space: FockSpace, m_a: int, m_b: int, m_c: int,
     block-diagonal part.
     """
     NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
-    return _phase_average(space, m_a, m_b, m_c, _gaussian_phi(lam))(rho)
+    return _phase_average(space, m_a, m_b, m_c, gaussian_phi(lam))(rho)
 
 
 def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -269,7 +327,7 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     """
     check_modes(space, m_a, m_b, m_c)
     NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
-    phi = _gaussian_phi(lam)
+    phi = gaussian_phi(lam)
     evals, evecs = np.linalg.eigh(_phase_correlation(phi, np.arange(len(phi))))
     n = _cell_photon_numbers(space, m_b, m_c)
     diagonals = [np.diag(math.sqrt(w) * v[n]) for w, v in zip(evals, evecs.T) if w >= 1e-14]
@@ -280,23 +338,13 @@ def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: flo
                         n_samples: int, seed: int | Sequence[int]) -> DensityMap:
     """Monte-Carlo oracle for the dephased gate.
 
-    Draws eps_i ~ Normal(0, 2 lam), so E[exp(i eps)] = exp(-lam), and returns
-    the map rho -> (1/n) sum_i V(eps_i) rho V(eps_i)^dag.  The sum is
-    evaluated through the empirical characteristic function
-    phi(k) = (1/n) sum_i exp(i k eps_i), k = 0, 1, 2, which is the
-    literal sample mean rewritten.  ``seed`` is an int or a sequence of ints,
-    as ``numpy.random.default_rng`` accepts (the machine passes
-    ``[mc_seed, gate]``); results are bit-reproducible for a fixed seed.
-    Entrywise standard error scales as 1/sqrt(n_samples).
+    Returns the map rho -> (1/n) sum_i V(eps_i) rho V(eps_i)^dag over the
+    draws of ``sampled_phi``, evaluated through their empirical
+    characteristic function, which is the literal sample mean rewritten.
+    The machine seeds gate slot s with ``[mc_seed, s]``.  Entrywise standard
+    error scales as 1/sqrt(n_samples).
     """
-    if n_samples < 1:
-        raise FockError(f"n_samples must be >= 1, got {n_samples}")
-    if not (math.isfinite(2 * lam) and lam >= 0):  # the phase variance is 2 lam
-        raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
-    rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)  # numpy rejects scale -0.0
-    phi = np.exp(1j * np.outer(np.arange(3), eps)).mean(axis=1)  # phi(0) is exactly 1
-    return _phase_average(space, m_a, m_b, m_c, phi)
+    return _phase_average(space, m_a, m_b, m_c, sampled_phi(lam, n_samples, seed))
 
 
 def lambda_from_physical(omega: float, intensity: float) -> float:

@@ -47,7 +47,7 @@ from .fock import (
     occupation_label,
 )
 from .gates import fredkin_unitary
-from .machine import MachineConfig, readout_error, run, which_path_error
+from .machine import MachineConfig, readout_error, run_many, which_path_error
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -199,11 +199,11 @@ def cmd_lossy_gate(args) -> list[str]:
 
 
 def cmd_sweep_loss(args) -> list[str]:
+    grid = _grid(args)
+    runs = [run_many(MachineConfig(k1=1, noise=NoiseParams(gamma=g), noise_model=model)
+                     for g in grid) for model in ("loss", "balanced-loss")]
     records, ok = [], True
-    for g in _grid(args):
-        noise = NoiseParams(gamma=g)
-        plain = run(MachineConfig(k1=1, noise=noise, noise_model="loss"))
-        balanced = run(MachineConfig(k1=1, noise=noise, noise_model="balanced-loss"))
+    for g, plain, balanced in zip(grid, *runs):
         row = {
             "gamma": g,
             "loss_db": decibels(g),
@@ -222,13 +222,14 @@ def cmd_sweep_loss(args) -> list[str]:
 
 
 def cmd_sweep_dephasing(args) -> list[str]:
+    grid = _grid(args)
+    plain_runs = run_many(MachineConfig(k1=1, noise=NoiseParams(lam=lam), noise_model="dephasing")
+                          for lam in grid)
+    proj_runs = run_many(MachineConfig(k1=0, noise=NoiseParams(lam=lam), noise_model="dephasing",
+                                       projective_ec=True) for lam in grid)
     records, ok = [], True
     fit_points = {}  # lambda -> p_projective, so each lambda is fitted once
-    for lam in _grid(args):
-        noise = NoiseParams(lam=lam)
-        plain = run(MachineConfig(k1=1, noise=noise, noise_model="dephasing"))
-        proj = run(MachineConfig(k1=0, noise=noise, noise_model="dephasing",
-                                 projective_ec=True))
+    for lam, plain, proj in zip(grid, plain_runs, proj_runs):
         row = {
             "lambda": lam,
             "damping_db": decibels(lam),

@@ -85,13 +85,19 @@ def legal_projector(space: FockSpace) -> np.ndarray:
     return proj
 
 
+def _project(matrices: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project each matrix of a (G, dim, dim) stack, renormalize, and report the acceptances."""
+    out = projector @ matrices @ projector.conj().T
+    p_accept = np.trace(out, axis1=-2, axis2=-1).real
+    if (p_accept <= 0.0).any():
+        raise ZeroAcceptanceError("projection accepted zero mass")
+    return out / p_accept[:, None, None], p_accept
+
+
 def project_onto(rho: DensityOperator, projector: np.ndarray) -> tuple[DensityOperator, float]:
     """Project, renormalize, and report the acceptance probability."""
-    out = projector @ rho.matrix @ projector.conj().T
-    p_accept = float(np.trace(out).real)
-    if p_accept <= 0.0:
-        raise ZeroAcceptanceError("projection accepted zero mass")
-    return DensityOperator(rho.space, out / p_accept), p_accept
+    out, p_accept = _project(rho.matrix[None], projector)
+    return DensityOperator(rho.space, out[0]), float(p_accept[0])
 
 
 def projective_ec_step(rho: DensityOperator) -> tuple[DensityOperator, float]:
@@ -100,6 +106,14 @@ def projective_ec_step(rho: DensityOperator) -> tuple[DensityOperator, float]:
     Only meaningful in a photon-number-preserving (no-loss) context.
     """
     return project_onto(rho, legal_projector(rho.space))
+
+
+def projective_ec_stack(space: FockSpace, matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``projective_ec_step`` on a (G, dim, dim) stack: the projected stack and the acceptances.
+
+    The stack it returns is not validated; ``machine.run_many`` checks it.
+    """
+    return _project(matrices, legal_projector(space))
 
 
 def restore_unitary(space: FockSpace) -> LinearOperator:
@@ -149,40 +163,45 @@ def p_noec_closed(gamma: float) -> float:
     """Closed-form wrong-answer probability of the uncorrected lossy machine.
 
     (1 + e^-gamma - 2 e^(-3 gamma / 2)) / 4; grows as gamma/2 for small loss.
+    Written with expm1 as (expm1(-gamma) - 2 expm1(-3 gamma / 2)) / 4, so
+    small gamma loses no digits to cancellation.
     """
     if not gamma >= 0:  # nan fails, +inf passes
         raise FockError(f"gamma must be >= 0, got {gamma}")
-    return (1.0 + math.exp(-gamma) - 2.0 * math.exp(-1.5 * gamma)) / 4.0
+    return (math.expm1(-gamma) - 2.0 * math.expm1(-1.5 * gamma)) / 4.0
 
 
 def p_ec_closed(gamma: float) -> float:
     """Closed-form error after dual-rail post-selection.
 
-    (1 - sech(gamma/2)) / 2; grows as gamma^2/16 for small loss.
+    (1 - sech(gamma/2)) / 2; grows as gamma^2/16 for small loss.  Written
+    without cancellation as sinh^2(gamma/4) / cosh(gamma/2), divided through
+    by cosh^2(gamma/4): t^2 / (1 + t^2) with t = tanh(gamma/4), which cannot
+    overflow and is exactly 1/2 once tanh rounds to 1.
     """
     if not gamma >= 0:  # nan fails, +inf passes
         raise FockError(f"gamma must be >= 0, got {gamma}")
-    # math.cosh overflows past gamma ~ 1420; from 1400 on, sech is below 1e-300
-    return (1.0 - 1.0 / math.cosh(min(gamma, 1400.0) / 2.0)) / 2.0
+    t2 = math.tanh(gamma / 4.0) ** 2
+    return t2 / (1.0 + t2)
 
 
 def p_plain_closed(lam: float) -> float:
-    """Exact which-path error of the uncorrected dephasing machine: (1 - e^-2lam)/2."""
+    """Exact which-path error of the uncorrected dephasing machine: (1 - e^-2lam)/2, via expm1."""
     if not lam >= 0:  # nan fails, +inf passes
         raise FockError(f"lam must be >= 0, got {lam}")
-    return (1 - math.exp(-2 * lam)) / 2
+    return abs(math.expm1(-2 * lam)) / 2  # abs keeps lam = 0 at +0.0
 
 
 def p_projective_closed(lam: float) -> float:
     """Exact error of the projectively corrected dephasing machine.
 
     With q = e^-lam:  (1 - q)(6 + 5q) / (6 (2 + q)), whose small-lam series
-    starts 11 lam / 18 - 41 lam^2 / 108.
+    starts 11 lam / 18 - 41 lam^2 / 108.  1 - q is taken as |expm1(-lam)|.
     """
     if not lam >= 0:  # nan fails, +inf passes
         raise FockError(f"lam must be >= 0, got {lam}")
     q = math.exp(-lam)
-    return (1.0 - q) * (6.0 + 5.0 * q) / (6.0 * (2.0 + q))
+    return abs(math.expm1(-lam)) * (6.0 + 5.0 * q) / (6.0 * (2.0 + q))
 
 
 def p_accept_projective_closed(lam: float) -> float:

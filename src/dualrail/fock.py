@@ -21,7 +21,7 @@ pure functions, so values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral
 from typing import Iterable, Sequence
 
@@ -80,6 +80,34 @@ def occupation_table(space: FockSpace) -> np.ndarray:
     return _readonly(np.indices((2,) * space.n_modes).reshape(space.n_modes, -1).T)
 
 
+def check_finite(a: np.ndarray, what: str):
+    """Reject an array with a NaN or infinite entry, which every tolerance comparison would pass."""
+    if not np.isfinite(a).all():
+        raise FockError(f"{what} has non-finite entries")
+
+
+def check_densities(matrices: np.ndarray):
+    """Reject a (G, dim, dim) stack unless every matrix in it is a density operator.
+
+    The one implementation of the state checks, in order: finite entries,
+    Hermitian to HERMITICITY_TOL, unit trace to TRACE_TOL, and eigenvalues
+    above EIGENVALUE_FLOOR from one batched ``eigvalsh``.  A failing check
+    reports the worst matrix of the stack.
+    """
+    check_finite(matrices, "density matrix")
+    adjoint = matrices.conj().swapaxes(-1, -2)
+    herm = np.max(np.abs(matrices - adjoint))
+    if herm > HERMITICITY_TOL:
+        raise FockError(f"Hermiticity violated by {herm:.2e}")
+    traces = np.trace(matrices, axis1=-2, axis2=-1).real
+    tr = traces[np.argmax(np.abs(traces - 1.0))]
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise FockError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
+    lo = np.linalg.eigvalsh((matrices + adjoint) * 0.5).min()
+    if lo < EIGENVALUE_FLOOR:
+        raise FockError(f"negative eigenvalue {lo:.2e} below floor {EIGENVALUE_FLOOR}")
+
+
 def check_modes(space: FockSpace, *modes: int):
     """Reject mode indices outside [0, n_modes) or repeated: the one mode-index rule."""
     for m in modes:
@@ -132,6 +160,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.space.dim,):
             raise FockError(f"amplitude vector has shape {amps.shape}, expected ({self.space.dim},)")
+        check_finite(amps, "amplitude vector")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise FockError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
@@ -153,15 +182,7 @@ class DensityOperator:
         d = self.space.dim
         if m.shape != (d, d):
             raise FockError(f"matrix has shape {m.shape}, expected ({d}, {d})")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise FockError(f"Hermiticity violated by {herm:.2e}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise FockError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-        lo = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-        if lo < EIGENVALUE_FLOOR:
-            raise FockError(f"negative eigenvalue {lo:.2e} below floor {EIGENVALUE_FLOOR}")
+        check_densities(m[None])
         object.__setattr__(self, "matrix", _readonly(m))
 
 
@@ -177,14 +198,32 @@ class LinearOperator:
         d = self.space.dim
         if m.shape != (d, d):
             raise FockError(f"matrix has shape {m.shape}, expected ({d}, {d})")
+        check_finite(m, "operator matrix")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(d)))
         if dev > UNITARITY_TOL:
             raise FockError(f"unitarity violated by {dev:.2e}")
         object.__setattr__(self, "matrix", _readonly(m))
 
-    @property
+    @cached_property
     def dagger(self) -> "LinearOperator":
         return LinearOperator(self.space, self.matrix.conj().T)
+
+
+def checked_densities(space: FockSpace, matrices: np.ndarray) -> list[DensityOperator]:
+    """The matrices of a (G, dim, dim) stack that ``check_densities`` has passed, as states.
+
+    Each state is built without ``DensityOperator.__post_init__``, whose
+    checks the stack has already passed as a whole.
+    """
+    if matrices.shape[1:] != (space.dim, space.dim):
+        raise FockError(f"stack has shape {matrices.shape}, expected (G, {space.dim}, {space.dim})")
+    states = []
+    for m in matrices:
+        state = object.__new__(DensityOperator)
+        object.__setattr__(state, "space", space)
+        object.__setattr__(state, "matrix", _readonly(m))
+        states.append(state)
+    return states
 
 
 def basis_pure(space: FockSpace, occ: Sequence[int]) -> PureState:

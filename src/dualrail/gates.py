@@ -2,8 +2,9 @@
 
 All constructors return operators on the full space (identity on untouched
 modes) so they compose freely; nothing acts in place.  Everything returned
-is immutable, so the beamsplitter (the only constructor that pays for an
-eigendecomposition) is memoized.
+is immutable, so every constructor is memoized: a sweep builds and
+validates each fixed gate once, the beamsplitter's eigendecomposition
+included.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOp
     return LinearOperator(space, (v * np.exp(-1j * w)) @ v.conj().T)
 
 
+@lru_cache(maxsize=None)
 def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     """Cross-phase modulation K = exp[i pi n_i n_j], the sign flip on |11>."""
     check_modes(space, mode_i, mode_j)
@@ -47,12 +49,14 @@ def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     return LinearOperator(space, np.diag(np.exp(1j * math.pi * n[:, mode_i] * n[:, mode_j])))
 
 
+@lru_cache(maxsize=128)  # phi is continuous, so the cache is bounded
 def phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperator:
     """Single-mode phase shift exp[i phi n_mode]."""
     check_modes(space, mode)
     return LinearOperator(space, np.diag(np.exp(1j * phi * occupation_table(space)[:, mode])))
 
 
+@lru_cache(maxsize=None)
 def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOperator:
     """Optical Fredkin gate F = B^dag K B.
 

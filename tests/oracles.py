@@ -1,18 +1,35 @@
-"""Independent references for the dephased Fredkin gate, used only by the tests.
+"""Independent references for the noisy gates and the machine, used only by the tests.
 
 ``noisy_fredkin_sample`` builds one random-phase realization of the gate
 operator by operator; ``dephased_fredkin_ghq`` integrates the Gaussian phase
 average by Gauss-Hermite quadrature.  The package's analytic and Monte-Carlo
-gates are checked against both.
+gates are checked against both.  ``product_form_output`` runs the machine one
+state at a time with every noisy gate as one product Kraus list, the
+reference for the stacked fold of ``machine.run_many``.
 """
 
 import math
 
 import numpy as np
 
-from dualrail import FockError, FockSpace, LinearOperator, beamsplitter_unitary, kerr_unitary
-from dualrail.channels import DensityMap, _phase_average
+from dualrail import (
+    FockError,
+    FockSpace,
+    LinearOperator,
+    apply_unitary,
+    beamsplitter_unitary,
+    dephased_fredkin_channel,
+    fredkin_unitary,
+    gate_modes,
+    kerr_unitary,
+    machine_input,
+    machine_space,
+    projective_ec_step,
+    stages,
+)
+from dualrail.channels import DensityMap, _damping_kraus, _gate_sandwich, _phase_average
 from dualrail.fock import check_modes, occupation_table
+from dualrail.machine import NOISE_PLACEMENT, PROJECTION
 
 GHQ_NODES = 40  # Gauss-Hermite abscissas of the quadrature oracle
 
@@ -51,3 +68,41 @@ def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
     x, w = np.polynomial.hermite.hermgauss(GHQ_NODES)
     phi = np.exp(1j * np.outer(np.arange(3), 2.0 * math.sqrt(lam) * x)) @ w
     return _phase_average(space, m_a, m_b, m_c, phi / phi[0])
+
+
+def fold_stages(config, gate):
+    """The machine input folded over ``stages(config)``, one state at a time.
+
+    Unitaries conjugate the state, the projection applies
+    ``projective_ec_step``, and gate slot s applies the map ``gate(s)``.
+    """
+    rho = machine_input(machine_space()).density()
+    for stage in stages(config):
+        if isinstance(stage, LinearOperator):
+            rho = apply_unitary(rho, stage)
+        elif stage == PROJECTION:
+            rho = projective_ec_step(rho)[0]
+        else:
+            rho = gate(stage)(rho)
+    return rho
+
+
+def product_form_output(config) -> np.ndarray:
+    """The machine output with each noisy gate as one product Kraus list.
+
+    Lossy gates are B^dag D_m .. D_m' K B over the damped modes' Kraus pairs,
+    dephased gates the eigen-Kraus form ``dephased_fredkin_channel``, and
+    noise-free slots the Fredkin unitary.
+    """
+    space = machine_space()
+    modes = gate_modes(config.k1)
+    slots, damped = NOISE_PLACEMENT[config.noise_model]
+    if damped is not None:
+        kraus = [[kerr_unitary(space, *modes[1:]).matrix]]
+        kraus += [_damping_kraus(space, m, config.noise.gamma) for m in damped(config.k1)]
+        noisy = _gate_sandwich(space, *modes[:2], kraus)
+    elif slots:
+        noisy = dephased_fredkin_channel(space, *modes, config.noise.lam)
+    fredkin = fredkin_unitary(space, *modes)
+    return fold_stages(config, lambda slot: noisy.apply if slot in slots
+                       else lambda rho: apply_unitary(rho, fredkin)).matrix

@@ -433,6 +433,11 @@ def test_mc_rejects_zero_samples():
         dephased_fredkin_mc(SPACE3, 0, 1, 2, 0.1, 0, seed=1)
 
 
+def test_kraus_channel_rejects_non_finite_operators():
+    with pytest.raises(FockError, match="non-finite"):
+        KrausChannel(SPACE3, (np.full((SPACE3.dim, SPACE3.dim), math.nan),))
+
+
 # ---------------------------------------------------------------- CPTP properties
 
 def _channel_zoo():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -202,6 +203,28 @@ def test_loss_closed_forms_small_gamma_asymptotics():
     gamma = 1e-3
     assert p_noec_closed(gamma) / gamma == pytest.approx(0.5, rel=0.01)
     assert p_ec_closed(gamma) / gamma**2 == pytest.approx(1 / 16, rel=0.01)
+
+
+EXACT_CLOSED_FORMS = {  # float closed form: the same expression in mpmath, as written
+    p_noec_closed: lambda x: (1 + mpmath.exp(-x) - 2 * mpmath.exp(-3 * x / 2)) / 4,
+    p_ec_closed: lambda x: (1 - mpmath.sech(x / 2)) / 2,
+    p_plain_closed: lambda x: (1 - mpmath.exp(-2 * x)) / 2,
+    p_projective_closed: lambda x: ((1 - mpmath.exp(-x)) * (6 + 5 * mpmath.exp(-x))
+                                    / (6 * (2 + mpmath.exp(-x)))),
+}
+
+
+@pytest.mark.parametrize("closed_form", EXACT_CLOSED_FORMS, ids=lambda f: f.__name__)
+def test_closed_forms_have_no_cancellation(closed_form):
+    # 650 digits resolve 1 - sech(x/2) ~ x^2/8 at x = 1e-300.  Below the normal
+    # range (p_ec under gamma ~ 6e-154) a double has no relative precision
+    # left, so the comparison also allows one subnormal step.
+    exact = EXACT_CLOSED_FORMS[closed_form]
+    with mpmath.workdps(650):
+        for x in np.logspace(-300, math.log10(50), 301).tolist():
+            want = float(exact(mpmath.mpf(x)))
+            assert math.isclose(closed_form(x), want, rel_tol=1e-13, abs_tol=math.ulp(0.0)), x
+    assert p_ec_closed(1e-8) == pytest.approx(6.25e-18, rel=1e-13)
 
 
 @pytest.mark.parametrize("closed_form", [p_noec_closed, p_ec_closed, p_plain_closed,

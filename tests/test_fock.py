@@ -17,7 +17,7 @@ from dualrail import (
     index_of,
     marginal_distribution,
 )
-from dualrail.fock import annihilation_operator, occupation_table
+from dualrail.fock import annihilation_operator, check_densities, occupation_table
 from conftest import (
     assert_bit_equal,
     digits_of,
@@ -189,13 +189,58 @@ def test_density_operator_validation():
         DensityOperator(space, np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("matrix", [
+    np.diag([math.nan, 1.0, 0.0, 0.0]),  # every comparison with nan is False
+    np.full((4, 4), math.nan),  # eigvalsh would raise numpy's LinAlgError
+    np.diag([math.inf, 1.0, 0.0, 0.0]),
+], ids=["nan-diagonal", "all-nan", "inf-diagonal"])
+def test_density_operator_rejects_non_finite_entries(matrix):
+    with pytest.raises(FockError, match="non-finite"):
+        DensityOperator(FockSpace(2), matrix)
+
+
+def test_density_checks_are_batched_and_report_the_worst_point():
+    space = FockSpace(2)
+    rng = np.random.default_rng(3)
+    good = [random_density(space, rng).matrix for _ in range(3)]
+    check_densities(np.stack(good))  # a stack of density operators passes
+    cases = {
+        "non-finite": np.diag([math.nan, 1.0, 0.0, 0.0]),
+        "Hermiticity": good[0] + 1e-9 * np.triu(np.ones((4, 4)), 1),
+        "trace": np.diag([0.6, 0.6, 0.0, 0.0]),
+        "negative eigenvalue": np.diag([1.5, -0.5, 0.0, 0.0]),
+    }
+    for what, bad in cases.items():
+        stack = np.stack([good[0], bad, good[1]])  # one bad point in the middle
+        with pytest.raises(FockError, match=what):
+            check_densities(stack)
+        with pytest.raises(FockError, match=what):  # the single-matrix check is the same code
+            DensityOperator(space, bad)
+
+
 def test_pure_state_validation():
     space = FockSpace(1)
     with pytest.raises(FockError):
         PureState(space, np.array([1.0, 1.0]))
 
 
+def test_pure_state_rejects_non_finite_amplitudes():
+    with pytest.raises(FockError, match="non-finite"):
+        PureState(FockSpace(1), np.array([math.nan, 1.0]))
+
+
 def test_linear_operator_unitarity_check():
     space = FockSpace(1)
     with pytest.raises(FockError):
         LinearOperator(space, np.diag([1.0, 2.0]))
+
+
+def test_linear_operator_rejects_non_finite_entries():
+    with pytest.raises(FockError, match="non-finite"):
+        LinearOperator(FockSpace(1), np.full((2, 2), math.nan))
+
+
+def test_dagger_is_built_once():
+    u = LinearOperator(FockSpace(1), np.array([[0.0, 1.0], [1j, 0.0]]))
+    assert u.dagger is u.dagger
+    assert np.array_equal(u.dagger.matrix, u.matrix.conj().T)

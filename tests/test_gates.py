@@ -62,6 +62,14 @@ def test_number_diagonal_rejects_out_of_range_modes():
             kerr_unitary(FockSpace(2), 0, mode)
 
 
+def test_fixed_gates_are_built_once():
+    space = FockSpace(5)
+    for build, args in ((beamsplitter_unitary, (2, 3)), (kerr_unitary, (1, 2)),
+                        (phase_shift_unitary, (0, math.pi)), (fredkin_unitary, (0, 1, 2))):
+        assert build(space, *args) is build(FockSpace(5), *args)
+        assert not build(space, *args).matrix.flags.writeable
+
+
 def test_kerr_phases():
     space = FockSpace(2)
     k = kerr_unitary(space, 0, 1).matrix

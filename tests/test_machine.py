@@ -9,34 +9,38 @@ from dualrail import (
     MachineConfig,
     NoiseParams,
     apply_unitary,
+    balanced_lossy_fredkin_channel,
     basis_pure,
     beamsplitter_unitary,
+    dephased_fredkin_apply,
+    dephased_fredkin_channel,
     dephased_fredkin_mc,
     fredkin_unitary,
     gate_modes,
     index_of,
-    kerr_unitary,
     machine_input,
     machine_space,
     marginal_distribution,
     p_ec_closed,
     p_noec_closed,
     phase_shift_unitary,
-    projective_ec_step,
     readout_error,
     run,
+    run_many,
     stages,
     which_path_error,
 )
-from dualrail import cli, correction, machine
-from dualrail.channels import (
-    KrausChannel,
-    _damping_kraus,
-    _gate_sandwich,
-    dephased_fredkin_channel,
+from dualrail import cli, correction, fock, machine
+from dualrail.channels import KrausChannel
+from dualrail.machine import (
+    NOISE_MODELS,
+    NOISE_PLACEMENT,
+    PROJECTION,
+    RAIL_MODES,
+    STACK_HEIGHT,
 )
-from dualrail.machine import NOISE_MODELS, NOISE_PLACEMENT, PROJECTION, RAIL_MODES
 from dualrail.cli import main
+from oracles import fold_stages, product_form_output
 
 SPACE = machine_space()
 SQ2 = math.sqrt(2)
@@ -55,17 +59,16 @@ def dist_dict(result):
     return {occ: p for occ, p in result.outcome_distribution}
 
 
-def fold_stages(config, gate):
-    """The machine input folded over ``stages(config)``, with ``gate(slot)`` as each slot's map."""
-    rho = machine_input(SPACE).density()
-    for stage in stages(config):
-        if isinstance(stage, LinearOperator):
-            rho = apply_unitary(rho, stage)
-        elif stage == PROJECTION:
-            rho = projective_ec_step(rho)[0]
-        else:
-            rho = gate(stage)(rho)
-    return rho
+def gate_map(config, slot):
+    """The public one-state map of gate slot ``slot``: the Fredkin unitary or its noisy gate."""
+    modes = gate_modes(config.k1)
+    noisy_slots, damped = NOISE_PLACEMENT[config.noise_model]
+    if slot not in noisy_slots:
+        return lambda rho: apply_unitary(rho, fredkin_unitary(SPACE, *modes))
+    if damped is not None:
+        return balanced_lossy_fredkin_channel(SPACE, *modes, damped(config.k1),
+                                              config.noise.gamma)
+    return lambda rho: dephased_fredkin_apply(SPACE, *modes, config.noise.lam, rho)
 
 
 # ---------------------------------------------------------------- stages
@@ -85,7 +88,8 @@ def test_stages_list_the_pipeline_that_run_folds(model, k1, projective_ec):
     projection = [PROJECTION] if projective_ec else []
     assert kinds == ["unitary", 0, *projection, "unitary", 1, "unitary"]
     assert np.array_equal(steps[-1].matrix, steps[0].matrix.conj().T)
-    folded = fold_stages(config, lambda slot: machine._gate_channel(SPACE, config, slot, None, 0))
+    # the stacked fold at G = 1 is bit for bit the public gate maps folded one state at a time
+    folded = fold_stages(config, lambda slot: gate_map(config, slot))
     assert np.array_equal(folded.matrix, run(config).output_state.matrix)
 
 
@@ -200,23 +204,11 @@ def test_deep_balanced_loss_is_scored_not_rejected():
         assert acceptance == pytest.approx(math.exp(-4 * gamma), rel=1e-9)
 
 
-def product_form_output(config):
-    """The loss machine with each lossy gate as one product Kraus list B^dag D_m .. D_m' K B."""
-    modes = gate_modes(config.k1)
-    slots, damped = NOISE_PLACEMENT[config.noise_model]
-    kraus = [[kerr_unitary(SPACE, *modes[1:]).matrix]]
-    kraus += [_damping_kraus(SPACE, m, config.noise.gamma) for m in damped(config.k1)]
-    lossy = _gate_sandwich(SPACE, *modes[:2], kraus)
-    fredkin = fredkin_unitary(SPACE, *modes)
-    return fold_stages(config, lambda slot: lossy.apply if slot in slots
-                       else lambda rho: apply_unitary(rho, fredkin)).matrix
-
-
 @pytest.mark.parametrize("model", ["loss", "balanced-loss"])
 @pytest.mark.parametrize("k1", [0, 1])
 def test_loss_run_damps_mode_by_mode(monkeypatch, model, k1):
-    # a loss run builds only single-mode Kraus pairs, never a product list,
-    # and its output equals the product form
+    # a loss run builds no Kraus list longer than one mode's damping pair,
+    # never a product list, and its output equals the product form
     built = []
     validate = KrausChannel.__post_init__
     monkeypatch.setattr(KrausChannel, "__post_init__",
@@ -224,7 +216,7 @@ def test_loss_run_damps_mode_by_mode(monkeypatch, model, k1):
     for gamma in (0.0, 1e-3, 0.5, 8.5, 50.0, 185.0):
         built.clear()
         result = run(cfg(k1, model, gamma=gamma))
-        assert built and max(len(chan.kraus_ops) for chan in built) <= 2
+        assert all(len(chan.kraus_ops) <= 2 for chan in built)
         assert np.max(np.abs(result.output_state.matrix - product_form_output(result.config))) < 1e-12
         if model == "balanced-loss":
             assert readout_error(result, postselect=True)[0] == 0.0
@@ -344,12 +336,89 @@ def test_dephased_run_applies_the_phase_average(monkeypatch, lam, k1, projective
                         lambda chan: built.append(chan) or validate(chan))
     phase_average = run(config).output_state.matrix
     assert built == []
-    monkeypatch.setattr(machine, "dephased_fredkin_apply",
-                        lambda space, m_a, m_b, m_c, lam, rho:
-                        dephased_fredkin_channel(space, m_a, m_b, m_c, lam).apply(rho))
-    kraus = run(config).output_state.matrix
-    assert len(built) == 2  # the swapped run did go through the Kraus form
+    kraus = fold_stages(config, lambda slot: dephased_fredkin_channel(
+        SPACE, *gate_modes(k1), lam).apply).matrix
+    assert len(built) == 2  # the reference did go through the Kraus form
     assert np.max(np.abs(phase_average - kraus)) < 1e-12
+
+
+# ---------------------------------------------------------------- stacked runs
+
+STACK_STRENGTHS = {"none": lambda x: {}, "loss": lambda x: {"gamma": 3 * x},
+                   "balanced-loss": lambda x: {"gamma": 3 * x}, "dephasing": lambda x: {"lam": x}}
+STACK_CASES = [(model, k1, ec) for model in NOISE_MODELS for k1 in (0, 1) for ec in (False, True)
+               if not (ec and model in ("loss", "balanced-loss"))]
+
+
+@pytest.mark.parametrize("height", [1, 3, 4, 5, 61])
+@pytest.mark.parametrize("model, k1, projective_ec", STACK_CASES,
+                         ids=[f"{m}-k1={k}-ec={e}" for m, k, e in STACK_CASES])
+def test_run_many_matches_the_product_form(model, k1, projective_ec, height):
+    # heights 5 and 61 cross the stack boundary; every point keeps its own strength
+    strengths = np.linspace(0.0, 2.0, height) if height > 1 else [0.4]
+    configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
+               for x in strengths]
+    results = list(run_many(configs))
+    assert [r.config for r in results] == configs
+    for result in results:
+        want = product_form_output(result.config)
+        assert np.max(np.abs(result.output_state.matrix - want)) < 1e-12
+
+
+def test_run_many_folds_stacks_of_at_most_four_as_they_are_consumed(monkeypatch):
+    heights = []
+    check = fock.check_densities
+    monkeypatch.setattr(machine, "check_densities",
+                        lambda stack: heights.append(len(stack)) or check(stack))
+    configs = [cfg(1, "loss", gamma=g) for g in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    results = run_many(configs)
+    assert heights == []  # nothing runs before the first result is asked for
+    first = next(results)
+    n_stages = len(stages(configs[0]))
+    assert STACK_HEIGHT == 4 and heights == [4] * n_stages  # every stage checked, one stack
+    rest = list(results)
+    assert heights == [4] * n_stages + [1] * n_stages
+    assert [r.config for r in [first, *rest]] == configs
+    for result in [first, *rest]:
+        assert np.array_equal(result.output_state.matrix, run(result.config).output_state.matrix)
+
+
+@pytest.mark.parametrize("first, other", [
+    (cfg(1, "loss", gamma=0.2), cfg(0, "loss", gamma=0.1)),
+    (cfg(1, "loss", gamma=0.2), cfg(1, "balanced-loss", gamma=0.2)),
+    (cfg(1, "loss", gamma=0.2), cfg(1)),
+    (cfg(1, "dephasing", lam=0.1), cfg(1, "dephasing", lam=0.1, projective_ec=True)),
+], ids=["k1", "noise-model", "noise-free", "projection"])
+def test_run_many_rejects_mixed_stage_lists(first, other):
+    # the check is eager: it raises before any result is asked for
+    with pytest.raises(FockError, match="share k1, noise model and projection"):
+        run_many([first, first, other])
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_non_positive_gate_in_the_middle_of_a_stack_raises(monkeypatch, model):
+    # every stage output is checked: a non-positive state from gate slot 0 for
+    # one point of a stack raises, though every later stage is trace preserving
+    bad = np.zeros((SPACE.dim, SPACE.dim), dtype=complex)
+    bad[0, 0], bad[1, 1] = 1.5, -0.5  # Hermitian, unit trace, eigenvalue -0.5
+    gate_stack = machine._gate_stack
+
+    def inject(space, configs, slot, mc_samples, mc_seed):
+        gate = gate_stack(space, configs, slot, mc_samples, mc_seed)
+        if slot != 0:
+            return gate
+
+        def apply(stack):
+            out = gate(stack).copy()
+            out[1] = bad
+            return out
+
+        return apply
+
+    monkeypatch.setattr(machine, "_gate_stack", inject)
+    configs = [cfg(1, model, **STACK_STRENGTHS[model](x)) for x in (0.1, 0.2, 0.3)]
+    with pytest.raises(FockError, match="negative eigenvalue"):
+        list(run_many(configs))
 
 
 # ---------------------------------------------------------------- config validation
@@ -435,9 +504,14 @@ def test_sweep_without_noise_is_error_free(capsys):
 
 
 def test_sweep_loss_runs_each_lossy_machine_once(monkeypatch, capsys):
-    # both loss columns are scored from one plain-loss run per grid point
-    models = []
-    monkeypatch.setattr(cli, "run", lambda config: models.append(config.noise_model)
-                        or run(config))
-    sweep_loss_rows(capsys, "--grid-count", "5")
-    assert models == ["loss", "balanced-loss"] * 5
+    # both loss columns are scored from one plain-loss run per grid point:
+    # one run_many per model, holding the whole grid
+    calls = []
+    monkeypatch.setattr(cli, "run_many", lambda configs: calls.append(list(configs))
+                        or run_many(calls[-1]))
+    rows = sweep_loss_rows(capsys, "--grid-count", "5")
+    assert [[c.noise_model for c in configs] for configs in calls] == [
+        ["loss"] * 5, ["balanced-loss"] * 5]
+    for configs in calls:
+        assert [c.noise.gamma for c in configs] == pytest.approx([r["gamma"] for r in rows],
+                                                                rel=1e-11)
