@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -252,20 +254,53 @@ def gaussian_phi(lam: float) -> np.ndarray:
         return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
 
 
-def sampled_phi(lam: float, n_samples: int, seed: int | Sequence[int]) -> np.ndarray:
-    """The empirical phi(k) = (1/n) sum_i exp(i k eps_i), k = 0, 1, 2.
+# Each draw is three numbers.  A stack of four runs draws eight, one per point and
+# dephased slot, so the k1 = 1 and k1 = 0 stacks of one grid and seed both fit.
+MC_DRAWS_KEPT = 16
 
-    Draws eps_i ~ Normal(0, 2 lam), so E[exp(i eps)] = exp(-lam).  ``seed``
-    is an int or a sequence of ints, as ``numpy.random.default_rng`` accepts;
-    phi is bit-reproducible for a fixed seed, and phi(0) is exactly 1.
+
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as a Python int >= ``least``; a bool, a float or a non-number raises FockError."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise FockError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise FockError(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
+@lru_cache(maxsize=MC_DRAWS_KEPT)
+def _sampled_phi(lam: float, n_samples: int, seed: int | tuple[int, ...]) -> np.ndarray:
+    """``sampled_phi`` on checked, hashable arguments, drawn once per key and read-only.
+
+    phi(k) for k = 1, 2 is the mean of exp(i k eps) over one 1-D array, the
+    same ufuncs on the same values as each row of the (3, n) outer form, so
+    the bits agree; phi(0) is set, not summed.
     """
-    if n_samples < 1:
-        raise FockError(f"n_samples must be >= 1, got {n_samples}")
-    if not (math.isfinite(2 * lam) and lam >= 0):  # the phase variance is 2 lam
-        raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)  # numpy rejects scale -0.0
-    return np.exp(1j * np.outer(np.arange(3), eps)).mean(axis=1)
+    phi = np.array([1.0, *(np.exp(1j * (k * eps)).mean() for k in (1, 2))])
+    phi.flags.writeable = False
+    return phi
+
+
+def sampled_phi(lam: float, n_samples: int, seed: int | Sequence[int]) -> np.ndarray:
+    """The empirical phi(k) = (1/n) sum_i exp(i k eps_i), k = 0, 1, 2, as a read-only array.
+
+    Draws eps_i ~ Normal(0, 2 lam), so E[exp(i eps)] = exp(-lam).  ``seed``
+    is an int >= 0 or a list or tuple of them, a seed
+    ``numpy.random.default_rng`` accepts; phi is bit-reproducible for a fixed
+    seed, and phi(0) is exactly 1.  The last MC_DRAWS_KEPT draws are kept,
+    keyed on (lam, n_samples, seed), so the gates of runs that share a seed
+    draw once.
+    """
+    n_samples = _integer(n_samples, "n_samples", 1)
+    if not (math.isfinite(2 * lam) and lam >= 0):  # the phase variance is 2 lam
+        raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
+    if isinstance(seed, (list, tuple)):
+        key = tuple(_integer(word, "seed entries", 0) for word in seed)
+    else:
+        key = _integer(seed, "seed", 0)
+    return _sampled_phi(float(lam), n_samples, key)
 
 
 def _phase_correlation(phi: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -69,7 +69,7 @@ class UsageError(Exception):
 
 
 def _grid(args: argparse.Namespace) -> list[float]:
-    """The sweep grid the grid options describe, as Python floats, which overflow quietly."""
+    """The sweep grid the grid options describe, as finite Python floats."""
     start, stop, count = args.grid_start, args.grid_stop, args.grid_count
     if count < 1:
         raise UsageError("grid count must be >= 1")
@@ -83,8 +83,13 @@ def _grid(args: argparse.Namespace) -> list[float]:
     if count == 1:
         return [start]
     if args.spacing == "log":
-        return np.logspace(math.log10(start), math.log10(stop), count).tolist()
-    return np.linspace(start, stop, count).tolist()
+        with np.errstate(over="ignore"):  # a point past the float range is reported below
+            grid = np.logspace(math.log10(start), math.log10(stop), count).tolist()
+    else:
+        grid = np.linspace(start, stop, count).tolist()
+    if not all(map(math.isfinite, grid)):
+        raise UsageError(f"the grid from {start} to {stop} overflows to a non-finite point")
+    return grid
 
 
 def _fmt(value) -> str:
@@ -260,8 +265,6 @@ def cmd_sweep_dephasing(args) -> list[str]:
 
 def cmd_mc_validate(args) -> list[str]:
     lam, samples, seed = args.lam, args.samples, args.seed
-    if seed < 0:
-        raise UsageError("seed must be >= 0")
     sp = _TRUTH_TABLE_SPACE
     try:
         oracle = dephased_fredkin_mc(sp, 0, 1, 2, lam, samples, seed)

@@ -5,7 +5,9 @@ operator by operator; ``dephased_fredkin_ghq`` integrates the Gaussian phase
 average by Gauss-Hermite quadrature.  The package's analytic and Monte-Carlo
 gates are checked against both.  ``product_form_output`` runs the machine one
 state at a time with every noisy gate as one product Kraus list, the
-reference for the stacked fold of ``machine.run_many``.
+reference for the stacked fold of ``machine.run_many``.  ``sampled_phi_outer``
+is the Monte-Carlo phase law as one (3, n) array, the reference for
+``sampled_phi``'s two 1-D means.
 """
 
 import math
@@ -68,6 +70,16 @@ def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
     x, w = np.polynomial.hermite.hermgauss(GHQ_NODES)
     phi = np.exp(1j * np.outer(np.arange(3), 2.0 * math.sqrt(lam) * x)) @ w
     return _phase_average(space, m_a, m_b, m_c, phi / phi[0])
+
+
+def sampled_phi_outer(lam: float, n_samples: int, seed) -> np.ndarray:
+    """The empirical phi(k), k = 0, 1, 2, as the row means of exp(i k eps_j) over a (3, n) array.
+
+    The same Normal(0, 2 lam) draw as ``sampled_phi``; phi(0) is the mean of
+    n ones, which numpy's complex division need not round to exactly 1.
+    """
+    eps = np.random.default_rng(seed).normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)
+    return np.exp(1j * np.outer(np.arange(3), eps)).mean(axis=1)
 
 
 def fold_stages(config, gate):

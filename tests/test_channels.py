@@ -25,7 +25,7 @@ from dualrail import (
     lambda_from_physical,
     lossy_fredkin_channel,
 )
-from dualrail.channels import KrausChannel, _damping_kraus
+from dualrail.channels import KrausChannel, _damping_kraus, sampled_phi
 from dualrail.correction import lossy_gate_output_101
 from dualrail.fock import occupation_table
 from conftest import (
@@ -35,7 +35,7 @@ from conftest import (
     random_density,
     space_id,
 )
-from oracles import dephased_fredkin_ghq, noisy_fredkin_sample
+from oracles import dephased_fredkin_ghq, noisy_fredkin_sample, sampled_phi_outer
 
 SPACE3 = FockSpace(3)
 REACHABLE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -431,6 +431,46 @@ def test_mc_is_deterministic_per_seed():
 def test_mc_rejects_zero_samples():
     with pytest.raises(FockError):
         dephased_fredkin_mc(SPACE3, 0, 1, 2, 0.1, 0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [0, [424242, 1]], ids=["int", "list"])
+@pytest.mark.parametrize("n", [1, 17, 5000, 100000])
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.1, 1.0, 1e4], ids=str)
+def test_sampled_phi_matches_the_outer_form_bit_for_bit(lam, n, seed):
+    phi, reference = sampled_phi(lam, n, seed), sampled_phi_outer(lam, n, seed)
+    assert phi.dtype == reference.dtype
+    assert phi[1:].tobytes() == reference[1:].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 49, 98, 250001, 100000])
+def test_sampled_phi_zero_is_exactly_one(n):
+    # the mean of n ones rounds below 1 at n = 49, 98 and 250001
+    phi = sampled_phi(0.1, n, 0)
+    assert phi[0].tobytes() == np.complex128(1.0).tobytes()
+
+
+@pytest.mark.parametrize("n_samples, seed", [
+    (2.5, 0), (True, 0), (0, 0), (10, -1), (10, 1.5), (10, True), (10, None),
+    (10, [0, -1]), (10, [0, 1.5]), (10, np.random.default_rng(0)),
+], ids=["float-n", "bool-n", "zero-n", "negative-seed", "float-seed", "bool-seed",
+        "none-seed", "negative-word", "float-word", "generator-seed"])
+def test_sampled_phi_rejects_malformed_draws(n_samples, seed):
+    with pytest.raises(FockError, match="must be (an integer|>= )"):
+        sampled_phi(0.1, n_samples, seed)
+
+
+def test_sampled_phi_is_read_only():
+    phi = sampled_phi(0.1, 100, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        phi[1] = 0.0
+
+
+def test_sampled_phi_copies_a_list_seed():
+    seed = [7, 0]
+    first = sampled_phi(0.1, 100, seed)
+    seed[1] = 1
+    assert sampled_phi(0.1, 100, seed).tobytes() == sampled_phi_outer(0.1, 100, [7, 1]).tobytes()
+    assert sampled_phi(0.1, 100, [7, 0]).tobytes() == first.tobytes()
 
 
 def test_kraus_channel_rejects_non_finite_operators():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -123,6 +124,20 @@ def test_log_grid_with_zero_start_is_usage_error(capsys):
     code, _, err = run_cli(["sweep-loss", "--grid-start", "0", "--log"], capsys)
     assert code == EXIT_USAGE
     assert "log spacing" in err
+
+
+@pytest.mark.parametrize("command", ["sweep-loss", "sweep-dephasing"])
+def test_log_grid_overflowing_the_float_range_is_usage_error(capsys, command):
+    # finite bounds whose log grid's last point rounds past the largest float
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli([command, "--grid-start", "1", "--grid-stop",
+                                  "1.7976931348623157e308", "--grid-count", "5"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"{command}: the grid from 1.0 to 1.7976931348623157e+308 overflows " \
+                  "to a non-finite point\n"
+    assert caught == []
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

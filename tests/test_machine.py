@@ -30,7 +30,7 @@ from dualrail import (
     stages,
     which_path_error,
 )
-from dualrail import cli, correction, fock, machine
+from dualrail import channels, cli, correction, fock, machine
 from dualrail.channels import KrausChannel
 from dualrail.machine import (
     NOISE_MODELS,
@@ -323,6 +323,24 @@ def test_mc_run_seeds_gate_streams_from_mc_seed():
     assert np.array_equal(run(config, mc_samples=n, mc_seed=5).output_state.matrix, rho.matrix)
     assert np.array_equal(run(config, mc_samples=n).output_state.matrix,
                           run(config, mc_samples=n, mc_seed=0).output_state.matrix)
+
+
+def test_mc_runs_sharing_a_seed_draw_each_slot_once():
+    # gate slot s draws from [mc_seed, s] whatever k1 is, so the two runs share both draws
+    channels._sampled_phi.cache_clear()
+    configs = [cfg(1, "dephasing", lam=0.1), cfg(0, "dephasing", lam=0.1, projective_ec=True)]
+    first = [run(config, mc_samples=5000, mc_seed=271828) for config in configs]
+    info = channels._sampled_phi.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    again = [run(config, mc_samples=5000, mc_seed=271828) for config in configs]
+    for a, b in zip(first, again):
+        assert np.array_equal(a.output_state.matrix, b.output_state.matrix)
+
+
+@pytest.mark.parametrize("mc_seed", [-1, 1.5])
+def test_mc_seed_must_be_a_non_negative_integer(mc_seed):
+    with pytest.raises(FockError, match="seed entries must be"):
+        run(cfg(1, "dephasing", lam=0.1), mc_samples=10, mc_seed=mc_seed)
 
 
 @pytest.mark.parametrize("k1, projective_ec", [(0, False), (0, True), (1, False), (1, True)])
