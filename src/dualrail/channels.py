@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,6 +44,11 @@ from .gates import beamsplitter_unitary, kerr_unitary
 LOSS_PLACEMENTS = ("before-kerr", "after-kerr", "split")
 
 
+def _real(value) -> bool:
+    """Whether a noise strength is a real number: a bool, a string or a complex is not."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Noise strengths: gamma for loss, lam for dephasing (both in nats)."""
@@ -52,10 +57,10 @@ class NoiseParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise FockError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (self.lam >= 0):  # lam = inf is the fully dephasing limit
-            raise FockError(f"lam must be >= 0, got {self.lam}")
+        if not (_real(self.gamma) and math.isfinite(self.gamma) and self.gamma >= 0):
+            raise FockError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        if not (_real(self.lam) and self.lam >= 0):  # lam = inf is the fully dephasing limit
+            raise FockError(f"lam must be >= 0, got {self.lam!r}")
 
 
 def decibels(value: float) -> float:
@@ -294,8 +299,8 @@ def sampled_phi(lam: float, n_samples: int, seed: int | Sequence[int]) -> np.nda
     draw once.
     """
     n_samples = _integer(n_samples, "n_samples", 1)
-    if not (math.isfinite(2 * lam) and lam >= 0):  # the phase variance is 2 lam
-        raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam}")
+    if not (_real(lam) and math.isfinite(2 * lam) and lam >= 0):  # the phase variance is 2 lam
+        raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam!r}")
     if isinstance(seed, (list, tuple)):
         key = tuple(_integer(word, "seed entries", 0) for word in seed)
     else:

@@ -10,8 +10,8 @@ answers for k1 = 0, no click for k1 = 1.
 
 ``run_many`` folds ``stages`` over a stack of runs that share one stage
 list, up to STACK_HEIGHT grid points at once, checking every stage's output;
-``run`` is its one-config case.  A run yields its output state; both error
-figures are read from it.
+``run`` is its one-config case.  A run yields its output state, and both
+error figures read their a-d outcomes from it, one marginal per call.
 ``readout_error`` scores the mode-d readout against the correct class;
 without post-selection it additionally charges half of the probability of
 lone-photon outcomes left on the noisy gate's Kerr-cell rails, since a run
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,7 +48,6 @@ from .fock import (
     FockError,
     FockSpace,
     LinearOperator,
-    OccupationVector,
     PureState,
     basis_pure,
     check_densities,
@@ -59,6 +59,7 @@ from .gates import beamsplitter_unitary, fredkin_unitary, phase_shift_unitary
 
 MODE_A, MODE_B, MODE_C, MODE_D, MODE_E = range(5)
 RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
+RAILS = FockSpace(len(RAIL_MODES))  # the space of the a-d outcomes every figure is read from
 PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the legal span
 # Grid points folded through the pipeline at once.  A taller stack saves
 # little more per-call overhead but holds more (dim, dim) intermediates:
@@ -117,7 +118,7 @@ class MachineConfig:
     projective_ec: bool = False
 
     def __post_init__(self):
-        if self.k1 not in (0, 1):
+        if isinstance(self.k1, bool) or not isinstance(self.k1, Integral) or self.k1 not in (0, 1):
             raise FockError("k1 must be 0 or 1")
         if self.noise_model not in NOISE_MODELS:
             raise FockError(f"noise_model must be one of {NOISE_MODELS}")
@@ -133,20 +134,13 @@ class MachineConfig:
 class RunResult:
     """Final state of one machine run; ``readout_error`` and ``which_path_error`` score it.
 
-    ``outcome_distribution`` is the output over modes a-d (it sums to 1 and
-    omits entries below PROB_OMIT_THRESHOLD); ``p_accept`` is the acceptance
-    of the projective correction, 1 for a run without it.
+    ``p_accept`` is the acceptance of the projective correction, 1 for a run
+    without it.
     """
 
     config: MachineConfig
     output_state: DensityOperator
-    outcome_distribution: tuple[tuple[OccupationVector, float], ...]
     p_accept: float
-
-
-def _rail_outcomes(rho: DensityOperator) -> tuple[np.ndarray, FockSpace]:
-    """The full outcome diagonal over the rail modes a-d, tiny entries included, and their space."""
-    return marginal_distribution(rho, RAIL_MODES), FockSpace(len(RAIL_MODES))
 
 
 def _conditional(probs: np.ndarray, legal: np.ndarray | None,
@@ -219,10 +213,7 @@ def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
         check_densities(rho)
 
     for config, state, accepted in zip(configs, checked_densities(space, rho), p_accept.tolist()):
-        probs, rails = _rail_outcomes(state)
-        dist4 = tuple((occ, p) for occ, p in zip(rails.occupations(), probs.tolist())
-                      if p > PROB_OMIT_THRESHOLD)
-        yield RunResult(config, state, dist4, accepted)
+        yield RunResult(config, state, accepted)
 
 
 def run_many(configs: Iterable[MachineConfig], mc_samples: int | None = None,
@@ -263,8 +254,8 @@ def readout_error(result: RunResult, postselect: bool = False) -> tuple[float, f
     and the acceptance is the legal mass; raises ZeroAcceptanceError
     when none remains.  Without it the acceptance is 1.
     """
-    probs, rails = _rail_outcomes(result.output_state)
-    table, legal = occupation_table(rails), legal_mask(rails)
+    probs = marginal_distribution(result.output_state, RAIL_MODES)
+    table, legal = occupation_table(RAILS), legal_mask(RAILS)
     k1 = result.config.k1
     # correct readout: mode d clicks for k1 = 0, stays dark for k1 = 1
     wrong = legal & (table[:, MODE_D] == k1)
@@ -283,6 +274,6 @@ def which_path_error(result: RunResult) -> float:
     a/b pair; the projective correction improves exactly this quantity, from
     the uncorrected (1 - e^-2lam)/2 to (1 - q)(6 + 5q)/(6(2 + q)), q = e^-lam.
     """
-    probs, rails = _rail_outcomes(result.output_state)
-    return _conditional(probs, None, occupation_table(rails)[:, MODE_A] == 1)[0]
+    probs = marginal_distribution(result.output_state, RAIL_MODES)
+    return _conditional(probs, None, occupation_table(RAILS)[:, MODE_A] == 1)[0]
 

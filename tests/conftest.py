@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from dualrail import DensityOperator, FockSpace
+from dualrail import DensityOperator, FockSpace, marginal_distribution
+from dualrail.fock import PROB_OMIT_THRESHOLD
+from dualrail.machine import RAIL_MODES, RAILS
 
 
 @pytest.fixture
@@ -54,3 +56,9 @@ def space_id(space: FockSpace) -> str:
 def assert_bit_equal(a: np.ndarray, b: np.ndarray):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def outcome_distribution(result) -> dict:
+    """{a-d occupation: probability} of a run's output state, entries <= PROB_OMIT_THRESHOLD left out."""
+    probs = marginal_distribution(result.output_state, RAIL_MODES).tolist()
+    return {occ: p for occ, p in zip(RAILS.occupations(), probs) if p > PROB_OMIT_THRESHOLD}

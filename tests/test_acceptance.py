@@ -32,7 +32,7 @@ from dualrail import (
     which_path_error,
 )
 from dualrail.cli import main
-from conftest import random_density
+from conftest import outcome_distribution, random_density
 from oracles import dephased_fredkin_ghq
 
 SPACE3 = FockSpace(3)
@@ -107,7 +107,7 @@ def test_criterion_04_balanced_loss():
     for gamma in (0.01, 0.1, 0.5, 1.0):
         result = run(MachineConfig(k1=1, noise=NoiseParams(gamma=gamma),
                                    noise_model="balanced-loss"))
-        got = dict(result.outcome_distribution)
+        got = outcome_distribution(result)
         e2, e4 = math.exp(-2 * gamma), math.exp(-4 * gamma)
         dev_two = abs(got.get((0, 1, 1, 0), 0.0) - e4)
         dev_zero = abs(got.get((0, 0, 0, 0), 0.0) - (1 + e4 - 2 * e2))
@@ -137,7 +137,7 @@ def test_criterion_05_dephased_gate_and_k0_machine():
            + (1 - q) / 2 * np.outer(_ket((1, 0, 1)), _ket((1, 0, 1))))
     err_gate = np.max(np.abs(out - ref))
     result = run(MachineConfig(k1=0, noise=NoiseParams(lam=lam), noise_model="dephasing"))
-    got = dict(result.outcome_distribution)
+    got = outcome_distribution(result)
     e2 = math.exp(-2 * lam)
     err_k0 = max(abs(got.get((0, 1, 0, 1), 0.0) - (1 + e2) / 2),
                  abs(got.get((1, 0, 0, 1), 0.0) - (1 - e2) / 2))
@@ -152,7 +152,7 @@ def test_criterion_05_dephased_gate_and_k0_machine():
 def test_criterion_06_dephasing_k1_table():
     lam = 0.3
     result = run(MachineConfig(k1=1, noise=NoiseParams(lam=lam), noise_model="dephasing"))
-    got = dict(result.outcome_distribution)
+    got = outcome_distribution(result)
     e2 = math.exp(-2 * lam)
     support_ok = set(got) == {(0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)}
     total = sum(got.values())

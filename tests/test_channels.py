@@ -123,6 +123,10 @@ def test_noise_params_validation():
         NoiseParams(gamma=-0.1)
     with pytest.raises(FockError):
         NoiseParams(lam=-0.1)
+    for strengths in ({"gamma": "0.1"}, {"lam": None}, {"gamma": 1j}, {"gamma": True},
+                      {"lam": True}, {"lam": "inf"}):
+        with pytest.raises(FockError):
+            NoiseParams(**strengths)
     NoiseParams(lam=math.inf)  # fully dephasing limit is allowed
 
 
@@ -449,14 +453,15 @@ def test_sampled_phi_zero_is_exactly_one(n):
     assert phi[0].tobytes() == np.complex128(1.0).tobytes()
 
 
-@pytest.mark.parametrize("n_samples, seed", [
-    (2.5, 0), (True, 0), (0, 0), (10, -1), (10, 1.5), (10, True), (10, None),
-    (10, [0, -1]), (10, [0, 1.5]), (10, np.random.default_rng(0)),
+@pytest.mark.parametrize("lam, n_samples, seed", [
+    (0.1, 2.5, 0), (0.1, True, 0), (0.1, 0, 0), (0.1, 10, -1), (0.1, 10, 1.5), (0.1, 10, True),
+    (0.1, 10, None), (0.1, 10, [0, -1]), (0.1, 10, [0, 1.5]),
+    (0.1, 10, np.random.default_rng(0)), (None, 10, 0), ("x", 10, 0),
 ], ids=["float-n", "bool-n", "zero-n", "negative-seed", "float-seed", "bool-seed",
-        "none-seed", "negative-word", "float-word", "generator-seed"])
-def test_sampled_phi_rejects_malformed_draws(n_samples, seed):
+        "none-seed", "negative-word", "float-word", "generator-seed", "none-lam", "string-lam"])
+def test_sampled_phi_rejects_malformed_draws(lam, n_samples, seed):
     with pytest.raises(FockError, match="must be (an integer|>= )"):
-        sampled_phi(0.1, n_samples, seed)
+        sampled_phi(lam, n_samples, seed)
 
 
 def test_sampled_phi_is_read_only():

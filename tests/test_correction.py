@@ -50,7 +50,7 @@ def reachable_vectors():
 
 def postselected(rho, k1=1):
     """(p_error, acceptance) of a run that ended in ``rho``, post-selected on dual-rail legality."""
-    return readout_error(RunResult(MachineConfig(k1=k1), rho, (), 1.0), postselect=True)
+    return readout_error(RunResult(MachineConfig(k1=k1), rho, 1.0), postselect=True)
 
 
 def test_dualrail_accepts_legal_state():

@@ -40,6 +40,7 @@ from dualrail.machine import (
     STACK_HEIGHT,
 )
 from dualrail.cli import main
+from conftest import outcome_distribution
 from oracles import fold_stages, product_form_output
 
 SPACE = machine_space()
@@ -53,10 +54,6 @@ def ket5(occ4):
 def cfg(k1, model="none", gamma=0.0, lam=0.0, **kw):
     return MachineConfig(k1=k1, noise=NoiseParams(gamma=gamma, lam=lam),
                          noise_model=model, **kw)
-
-
-def dist_dict(result):
-    return {occ: p for occ, p in result.outcome_distribution}
 
 
 def gate_map(config, slot):
@@ -114,10 +111,10 @@ def test_ideal_run_intermediate_chain():
 
 def test_ideal_run_outcomes():
     r1 = run(cfg(1))
-    assert dist_dict(r1) == {(0, 1, 1, 0): pytest.approx(1.0, abs=1e-12)}
+    assert outcome_distribution(r1) == {(0, 1, 1, 0): pytest.approx(1.0, abs=1e-12)}
     assert readout_error(r1) == pytest.approx((0.0, 1.0), abs=1e-12)
     r0 = run(cfg(0))
-    assert dist_dict(r0) == {(0, 1, 0, 1): pytest.approx(1.0, abs=1e-12)}
+    assert outcome_distribution(r0) == {(0, 1, 0, 1): pytest.approx(1.0, abs=1e-12)}
     assert readout_error(r0) == pytest.approx((0.0, 1.0), abs=1e-12)
     # the class readout: the mode-d marginal is deterministic on both settings
     assert marginal_distribution(r0.output_state, (3,))[1] == pytest.approx(1.0, abs=1e-12)
@@ -126,7 +123,7 @@ def test_ideal_run_outcomes():
 
 def test_mode_e_stays_vacuum_and_carries_no_content():
     result = run(cfg(0))
-    full = dist_dict(result)
+    full = outcome_distribution(result)
     diagonal = np.real(np.diag(result.output_state.matrix))
     for occ4, p in full.items():
         assert diagonal[index_of(SPACE, occ4 + (0,))] == pytest.approx(p, abs=1e-12)
@@ -147,7 +144,7 @@ def test_lossy_machine_matches_closed_forms(gamma):
 def test_lossy_k0_outcomes_and_postselected_error():
     gamma = 0.4
     result = run(cfg(0, "loss", gamma=gamma))
-    got = dist_dict(result)
+    got = outcome_distribution(result)
     # dominant channel: either the answer survives or only the d photon remains
     u = math.exp(-gamma / 2)
     expected = {
@@ -169,7 +166,7 @@ def test_lossy_k0_outcomes_and_postselected_error():
 def test_balanced_loss_diagonal(gamma):
     result = run(cfg(1, "balanced-loss", gamma=gamma))
     e2, e4 = math.exp(-2 * gamma), math.exp(-4 * gamma)
-    got = dist_dict(result)
+    got = outcome_distribution(result)
     singles = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
     assert set(got) == {(0, 1, 1, 0), (0, 0, 0, 0), *singles}
     # two-photon and zero-photon weights: every rail damped in both gates
@@ -228,7 +225,7 @@ def test_dephasing_k0_diagonal():
     lam = 0.23
     result = run(cfg(0, "dephasing", lam=lam))
     e2 = math.exp(-2 * lam)
-    got = dist_dict(result)
+    got = outcome_distribution(result)
     assert got[(0, 1, 0, 1)] == pytest.approx((1 + e2) / 2, abs=1e-12)
     assert got[(1, 0, 0, 1)] == pytest.approx((1 - e2) / 2, abs=1e-12)
     assert set(got) == {(0, 1, 0, 1), (1, 0, 0, 1)}
@@ -249,7 +246,7 @@ def test_dephasing_k1_diagonal():
     lam = 0.4
     result = run(cfg(1, "dephasing", lam=lam))
     q2, q4 = math.exp(-2 * lam), math.exp(-4 * lam)
-    got = dist_dict(result)
+    got = outcome_distribution(result)
     assert set(got) == {(0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)}
     assert sum(got.values()) == pytest.approx(1.0, abs=1e-10)
     assert got[(0, 1, 0, 1)] == pytest.approx((1 - q4) / 4, abs=1e-12)
@@ -287,7 +284,7 @@ CONFIGS = [
 @pytest.mark.parametrize("config", CONFIGS, ids=range(len(CONFIGS)))
 def test_outcome_distribution_sums_to_one_pre_selection(config):
     result = run(config)
-    total = sum(p for _, p in result.outcome_distribution)
+    total = sum(outcome_distribution(result).values())
     assert total == pytest.approx(1.0, abs=1e-10)
     assert 0.0 <= readout_error(result)[0] <= 1.0
     assert 0.0 < result.p_accept <= 1.0
@@ -309,7 +306,7 @@ def test_mc_pipeline_agrees_with_analytic():
     sampled = run(config, mc_samples=n, mc_seed=31415)
     tol = 5.0 / math.sqrt(n)
     assert abs(readout_error(sampled)[0] - readout_error(analytic)[0]) < tol
-    da, ds = dist_dict(analytic), dist_dict(sampled)
+    da, ds = outcome_distribution(analytic), outcome_distribution(sampled)
     for occ in set(da) | set(ds):
         assert abs(da.get(occ, 0.0) - ds.get(occ, 0.0)) < tol
 
@@ -449,8 +446,9 @@ def test_config_rejects_projective_ec_with_loss():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(FockError):
-        MachineConfig(k1=2)
+    for k1 in (2, True, 1.0):
+        with pytest.raises(FockError):
+            MachineConfig(k1=k1)
     with pytest.raises(FockError):
         cfg(1, "thermal")
 
@@ -491,6 +489,21 @@ def test_only_projective_runs_read_the_legal_span(monkeypatch):
         run(config)
         assert len(spaces) == config.projective_ec
         spaces.clear()
+
+
+def test_runs_read_no_outcomes_and_each_figure_reads_one_marginal(monkeypatch):
+    reads = []
+    marginal = machine.marginal_distribution
+    monkeypatch.setattr(machine, "marginal_distribution", lambda rho, modes: reads.append(modes)
+                        or marginal(rho, modes))
+    for config in CONFIGS:
+        [result] = list(run_many([config]))
+        assert reads == []
+        for score in (readout_error, lambda r: readout_error(r, postselect=True),
+                      which_path_error):
+            score(result)
+            assert reads == [RAIL_MODES]
+            reads.clear()
 
 
 # ---------------------------------------------------------------- sweeps
