@@ -9,12 +9,8 @@ problem, and the error-correction strategies that go with it.
 from .channels import (
     KrausChannel,
     NoiseParams,
-    amplitude_damping_channel,
-    balanced_lossy_fredkin_channel,
     decibels,
-    dephased_fredkin_apply,
     dephased_fredkin_channel,
-    dephased_fredkin_mc,
     lambda_from_physical,
     lossy_fredkin_channel,
 )

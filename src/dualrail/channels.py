@@ -11,11 +11,10 @@ Two noise families:
 
 Every noisy gate the machine runs is B^dag N(K B rho B^dag K^dag) B, the
 noise N acting in the Kerr-cell frame: loss damps the listed modes one after
-another, dephasing multiplies by the phase correlation C.  The gate maps a
-(G, dim, dim) stack of matrices, one noise strength per point
-(``lossy_gate_stack``, ``phase_average_stack``); the public one-state maps
-are the same code at G = 1.  Product Kraus lists remain only in
-``lossy_fredkin_channel`` (the loss placements) and
+another, dephasing multiplies by the phase correlation C.  Its one form is a
+map of a (G, dim, dim) stack, one noise strength per point
+(``lossy_gate_stack``, ``phase_average_stack``).  Product Kraus lists remain
+only in ``lossy_fredkin_channel`` (the loss placements) and
 ``dephased_fredkin_channel`` (the phase average's independent reference).
 """
 
@@ -113,11 +112,6 @@ def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray
     return ops
 
 
-def amplitude_damping_channel(space: FockSpace, mode: int, gamma: float) -> KrausChannel:
-    """Photon loss of strength gamma on a single mode."""
-    return KrausChannel(space, tuple(_damping_kraus(space, mode, gamma)))
-
-
 def _frame_conjugate(ops: Sequence[np.ndarray], remaining: np.ndarray) -> list[np.ndarray]:
     """Refer loss operators to the gate output frame.
 
@@ -174,7 +168,6 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     return _gate_sandwich(space, m_a, m_b, stages)
 
 
-DensityMap = Callable[[DensityOperator], DensityOperator]
 # A map of a (G, dim, dim) stack of matrices, one grid point per leading index.
 StackMap = Callable[[np.ndarray], np.ndarray]
 
@@ -184,24 +177,12 @@ def _cell_gate(space: FockSpace, m_a: int, m_b: int, m_c: int, noise: StackMap) 
 
     ``noise`` maps the stack in the Kerr-cell frame, between the cross-phase
     interaction and the closing beamsplitter.  The map does not validate what
-    it returns: ``_single`` does for one state, ``machine.run_many`` after
-    every stage.
+    it returns: ``machine.run_many`` does after every stage.
     """
     check_modes(space, m_a, m_b, m_c)
     b = beamsplitter_unitary(space, m_a, m_b).matrix
     kb = kerr_unitary(space, m_b, m_c).matrix @ b
     return lambda stack: b.conj().T @ noise(kb @ stack @ kb.conj().T) @ b
-
-
-def _single(space: FockSpace, gate: StackMap) -> DensityMap:
-    """A stack map as a map of one density operator: a stack of height 1, validated."""
-
-    def apply(rho: DensityOperator) -> DensityOperator:
-        if rho.space != space:
-            raise FockError("gate and state live on different spaces")
-        return DensityOperator(space, gate(rho.matrix[None])[0])
-
-    return apply
 
 
 def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float]) -> StackMap:
@@ -235,21 +216,8 @@ def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float]) ->
 
 def lossy_gate_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
                      damped: Sequence[int], gamma: Sequence[float]) -> StackMap:
-    """``balanced_lossy_fredkin_channel`` on a stack, with loss gamma[g] on point g."""
+    """The Fredkin gate on a stack with loss gamma[g] on point g, on each mode in ``damped``."""
     return _cell_gate(space, m_a, m_b, m_c, _damping(space, damped, gamma))
-
-
-def balanced_lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
-                                   damped: Sequence[int], gamma: float) -> DensityMap:
-    """Fredkin gate with equal loss, after the Kerr cell, on every mode in ``damped``.
-
-    The gate itself acts on (m_a, m_b, m_c) as usual.  Damping (m_b, m_c) is
-    the plain lossy gate; damping the rail modes beyond the gate's own
-    restores the interferometric symmetry that makes post-selected outcomes
-    error-free.  The modes are damped one after another in the cell frame,
-    each by its own two-operator Kraus pair.
-    """
-    return _single(space, lossy_gate_stack(space, m_a, m_b, m_c, damped, [gamma]))
 
 
 def gaussian_phi(lam: float) -> np.ndarray:
@@ -336,25 +304,6 @@ def phase_average_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
     return _cell_gate(space, m_a, m_b, m_c, lambda mid: mid * corr)
 
 
-def _phase_average(space: FockSpace, m_a: int, m_b: int, m_c: int,
-                   phi: np.ndarray) -> DensityMap:
-    """``phase_average_stack`` for one state, with <exp(i k eps)> = phi[k]."""
-    return _single(space, phase_average_stack(space, m_a, m_b, m_c, phi[None]))
-
-
-def dephased_fredkin_apply(space: FockSpace, m_a: int, m_b: int, m_c: int,
-                           lam: float, rho: DensityOperator) -> DensityOperator:
-    """Dephased Fredkin gate in element-wise suppression form.
-
-    Applies B and K, multiplies each coherence between cell photon-number
-    sectors N and N' by exp(-(N - N')^2 lam), then applies B^dag.  Exact
-    Gaussian average of V(eps) rho V(eps)^dag; lam = inf keeps only the
-    block-diagonal part.
-    """
-    NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
-    return _phase_average(space, m_a, m_b, m_c, gaussian_phi(lam))(rho)
-
-
 def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
                              lam: float) -> KrausChannel:
     """Kraus form of the dephased Fredkin gate.
@@ -363,7 +312,8 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     N in {0, 1, 2}, so diagonalizing the (positive semidefinite)
     correlation matrix C[N, N'] = exp(-(N - N')^2 lam) yields one Kraus
     operator per nonzero eigenvalue, each of the form
-    B^dag diag(w) K B.  Agrees with ``dephased_fredkin_apply`` to 1e-12.
+    B^dag diag(w) K B.  Agrees with ``phase_average_stack`` at
+    ``gaussian_phi(lam)`` to 1e-12.
     """
     check_modes(space, m_a, m_b, m_c)
     NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
@@ -374,27 +324,14 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     return _gate_sandwich(space, m_a, m_b, [[kerr_unitary(space, m_b, m_c).matrix], diagonals])
 
 
-def dephased_fredkin_mc(space: FockSpace, m_a: int, m_b: int, m_c: int, lam: float,
-                        n_samples: int, seed: int | Sequence[int]) -> DensityMap:
-    """Monte-Carlo oracle for the dephased gate.
-
-    Returns the map rho -> (1/n) sum_i V(eps_i) rho V(eps_i)^dag over the
-    draws of ``sampled_phi``, evaluated through their empirical
-    characteristic function, which is the literal sample mean rewritten.
-    The machine seeds gate slot s with ``[mc_seed, s]``.  Entrywise standard
-    error scales as 1/sqrt(n_samples).
-    """
-    return _phase_average(space, m_a, m_b, m_c, sampled_phi(lam, n_samples, seed))
-
-
 def lambda_from_physical(omega: float, intensity: float) -> float:
     """Dephasing strength for a pi cross-phase shift: lam = pi * omega / intensity.
 
     ``omega`` is the medium resonant frequency [1/s]; ``intensity`` the pulse
-    intensity [photons/s].
+    intensity [photons/s]; each must be a real number, not a bool.
     """
-    if not (math.isfinite(omega) and math.isfinite(intensity)):
-        raise FockError(f"omega and intensity must be finite, got {omega} and {intensity}")
+    if not all(_real(v) and math.isfinite(v) for v in (omega, intensity)):
+        raise FockError(f"omega and intensity must be finite, got {omega!r} and {intensity!r}")
     if intensity <= 0:
         raise FockError(f"intensity must be positive, got {intensity}")
     if omega < 0:

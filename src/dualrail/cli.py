@@ -28,18 +28,22 @@ from .channels import (
     NoiseParams,
     decibels,
     dephased_fredkin_channel,
-    dephased_fredkin_mc,
     lambda_from_physical,
     lossy_fredkin_channel,
+    phase_average_stack,
+    sampled_phi,
 )
 from .correction import (
     fit_series,
     lossy_gate_output_101,
+    p_accept_projective_closed,
     p_ec_closed,
     p_noec_closed,
     p_plain_closed,
+    p_projective_closed,
 )
 from .fock import (
+    DensityOperator,
     FockError,
     FockSpace,
     basis_density,
@@ -243,6 +247,8 @@ def cmd_sweep_dephasing(args) -> list[str]:
             "p_accept_projective": proj.p_accept,
         }
         ok = ok and abs(row["p_plain"] - p_plain_closed(lam)) <= 1e-10
+        ok = ok and abs(row["p_projective"] - p_projective_closed(lam)) <= 1e-10
+        ok = ok and abs(row["p_accept_projective"] - p_accept_projective_closed(lam)) <= 1e-10
         if row["p_plain"] <= 1e-12:  # at the noise floor: nothing to improve, both vanish
             ok = ok and row["p_projective"] <= 1e-12
         elif lam <= 0.1:
@@ -267,7 +273,7 @@ def cmd_mc_validate(args) -> list[str]:
     lam, samples, seed = args.lam, args.samples, args.seed
     sp = _TRUTH_TABLE_SPACE
     try:
-        oracle = dephased_fredkin_mc(sp, 0, 1, 2, lam, samples, seed)
+        oracle = phase_average_stack(sp, 0, 1, 2, sampled_phi(lam, samples, seed)[None])
     except FockError as exc:
         raise UsageError(exc) from None
     analytic = dephased_fredkin_channel(sp, 0, 1, 2, lam)
@@ -275,7 +281,8 @@ def cmd_mc_validate(args) -> list[str]:
     records, ok = [], True
     for occ in _KNOWN_ROWS:
         rho = basis_density(sp, occ)
-        err = float(np.max(np.abs(oracle(rho).matrix - analytic.apply(rho).matrix)))
+        sampled = DensityOperator(sp, oracle(rho.matrix[None])[0])  # validated like a run's states
+        err = float(np.max(np.abs(sampled.matrix - analytic.apply(rho).matrix)))
         passed = err <= bound
         ok = ok and passed
         records.append({"input": occupation_label(occ), "lambda": float(lam),

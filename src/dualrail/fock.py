@@ -56,7 +56,7 @@ class FockSpace:
     n_modes: int
 
     def __post_init__(self):
-        if not isinstance(self.n_modes, Integral):
+        if isinstance(self.n_modes, bool) or not isinstance(self.n_modes, Integral):
             raise FockError(f"n_modes must be an integer, got {self.n_modes!r}")
         if self.n_modes < 1:
             raise FockError(f"n_modes must be positive, got {self.n_modes}")

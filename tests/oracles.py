@@ -3,7 +3,8 @@
 ``noisy_fredkin_sample`` builds one random-phase realization of the gate
 operator by operator; ``dephased_fredkin_ghq`` integrates the Gaussian phase
 average by Gauss-Hermite quadrature.  The package's analytic and Monte-Carlo
-gates are checked against both.  ``product_form_output`` runs the machine one
+gates are checked against both; ``apply_stack`` applies a gate's stack map to
+one density operator.  ``product_form_output`` runs the machine one
 state at a time with every noisy gate as one product Kraus list, the
 reference for the stacked fold of ``machine.run_many``.  ``sampled_phi_outer``
 is the Monte-Carlo phase law as one (3, n) array, the reference for
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from dualrail import (
+    DensityOperator,
     FockError,
     FockSpace,
     LinearOperator,
@@ -29,11 +31,16 @@ from dualrail import (
     projective_ec_step,
     stages,
 )
-from dualrail.channels import DensityMap, _damping_kraus, _gate_sandwich, _phase_average
+from dualrail.channels import StackMap, _damping_kraus, _gate_sandwich, phase_average_stack
 from dualrail.fock import check_modes, occupation_table
 from dualrail.machine import NOISE_PLACEMENT, PROJECTION
 
 GHQ_NODES = 40  # Gauss-Hermite abscissas of the quadrature oracle
+
+
+def apply_stack(gate: StackMap, rho: DensityOperator) -> DensityOperator:
+    """A stack map applied to one density operator: a stack of height 1, validated."""
+    return DensityOperator(rho.space, gate(rho.matrix[None])[0])
 
 
 def noisy_fredkin_sample(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -57,7 +64,7 @@ def noisy_fredkin_sample(space: FockSpace, m_a: int, m_b: int, m_c: int,
 
 
 def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
-                         lam: float) -> DensityMap:
+                         lam: float) -> StackMap:
     """Gauss-Hermite quadrature oracle for the Gaussian phase average.
 
     Integrates V(eps) rho V(eps)^dag against the Normal(0, 2 lam) weight with
@@ -69,7 +76,7 @@ def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
         raise FockError(f"lam must be finite and >= 0, got {lam}")
     x, w = np.polynomial.hermite.hermgauss(GHQ_NODES)
     phi = np.exp(1j * np.outer(np.arange(3), 2.0 * math.sqrt(lam) * x)) @ w
-    return _phase_average(space, m_a, m_b, m_c, phi / phi[0])
+    return phase_average_stack(space, m_a, m_b, m_c, (phi / phi[0])[None])
 
 
 def sampled_phi_outer(lam: float, n_samples: int, seed) -> np.ndarray:

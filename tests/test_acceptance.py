@@ -19,9 +19,7 @@ from dualrail import (
     NoiseParams,
     basis_density,
     basis_pure,
-    dephased_fredkin_apply,
     dephased_fredkin_channel,
-    dephased_fredkin_mc,
     fit_series,
     fredkin_unitary,
     lossy_fredkin_channel,
@@ -31,9 +29,10 @@ from dualrail import (
     run,
     which_path_error,
 )
+from dualrail.channels import gaussian_phi, phase_average_stack, sampled_phi
 from dualrail.cli import main
 from conftest import outcome_distribution, random_density
-from oracles import dephased_fredkin_ghq
+from oracles import apply_stack, dephased_fredkin_ghq
 
 SPACE3 = FockSpace(3)
 TRUTH_INPUTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -131,8 +130,8 @@ def test_criterion_04_balanced_loss():
 def test_criterion_05_dephased_gate_and_k0_machine():
     lam = 0.3
     q = math.exp(-lam)
-    out = dephased_fredkin_apply(SPACE3, 0, 1, 2, lam,
-                                 basis_density(SPACE3, (1, 0, 1))).matrix
+    gate = phase_average_stack(SPACE3, 0, 1, 2, gaussian_phi(lam)[None])
+    out = apply_stack(gate, basis_density(SPACE3, (1, 0, 1))).matrix
     ref = ((1 + q) / 2 * np.outer(_ket((0, 1, 1)), _ket((0, 1, 1)))
            + (1 - q) / 2 * np.outer(_ket((1, 0, 1)), _ket((1, 0, 1))))
     err_gate = np.max(np.abs(out - ref))
@@ -203,15 +202,15 @@ def test_criterion_07_series_improvement():
 def test_criterion_08_oracle_agreement():
     lam, n = 0.1, 10**5
     analytic = dephased_fredkin_channel(SPACE3, 0, 1, 2, lam)
-    mc = dephased_fredkin_mc(SPACE3, 0, 1, 2, lam, n, seed=424242)
+    mc = phase_average_stack(SPACE3, 0, 1, 2, sampled_phi(lam, n, 424242)[None])
     quad = dephased_fredkin_ghq(SPACE3, 0, 1, 2, lam)
     bound = 5.0 / math.sqrt(n)
     worst_mc = worst_q = 0.0
     for occ in TRUTH_INPUTS:
         rho = basis_density(SPACE3, occ)
         ref = analytic.apply(rho).matrix
-        worst_mc = max(worst_mc, np.max(np.abs(mc(rho).matrix - ref)))
-        worst_q = max(worst_q, np.max(np.abs(quad(rho).matrix - ref)))
+        worst_mc = max(worst_mc, np.max(np.abs(apply_stack(mc, rho).matrix - ref)))
+        worst_q = max(worst_q, np.max(np.abs(apply_stack(quad, rho).matrix - ref)))
     checks = [
         (worst_mc <= bound, f"Monte Carlo n=1e5 worst err={worst_mc:.2e} (bound {bound:.2e})"),
         (worst_q <= 1e-10, f"Gauss-Hermite 40 nodes worst err={worst_q:.2e}"),

@@ -9,23 +9,27 @@ from dualrail import (
     FockError,
     FockSpace,
     NoiseParams,
-    amplitude_damping_channel,
     apply_unitary,
-    balanced_lossy_fredkin_channel,
     basis_density,
     basis_pure,
     beamsplitter_unitary,
     decibels,
-    dephased_fredkin_apply,
     dephased_fredkin_channel,
-    dephased_fredkin_mc,
     fredkin_unitary,
     index_of,
     kerr_unitary,
     lambda_from_physical,
     lossy_fredkin_channel,
 )
-from dualrail.channels import KrausChannel, _damping_kraus, sampled_phi
+from dualrail.channels import (
+    KrausChannel,
+    _damping,
+    _damping_kraus,
+    gaussian_phi,
+    lossy_gate_stack,
+    phase_average_stack,
+    sampled_phi,
+)
 from dualrail.correction import lossy_gate_output_101
 from dualrail.fock import occupation_table
 from conftest import (
@@ -35,7 +39,7 @@ from conftest import (
     random_density,
     space_id,
 )
-from oracles import dephased_fredkin_ghq, noisy_fredkin_sample, sampled_phi_outer
+from oracles import apply_stack, dephased_fredkin_ghq, noisy_fredkin_sample, sampled_phi_outer
 
 SPACE3 = FockSpace(3)
 REACHABLE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -50,6 +54,22 @@ def apply_raw(channel, matrix):
     for k in channel.kraus_ops:
         out += k @ matrix @ k.conj().T
     return out
+
+
+def dephased(lam, rho):
+    """The analytic dephased gate on modes (0, 1, 2) of SPACE3, applied to one state."""
+    return apply_stack(phase_average_stack(SPACE3, 0, 1, 2, gaussian_phi(lam)[None]), rho)
+
+
+def sampled(lam, n, seed):
+    """The Monte-Carlo dephased gate on modes (0, 1, 2) of SPACE3, as a map of one state."""
+    gate = phase_average_stack(SPACE3, 0, 1, 2, sampled_phi(lam, n, seed)[None])
+    return lambda rho: apply_stack(gate, rho)
+
+
+def damping(space, mode, gamma):
+    """Photon loss on one mode, as the machine applies it, as a map of one state."""
+    return lambda rho: apply_stack(_damping(space, [mode], [gamma]), rho)
 
 
 def lossy_reference_101(gamma):
@@ -69,24 +89,22 @@ def lossy_reference_101(gamma):
 def test_amplitude_damping_populations():
     space = FockSpace(1)
     gamma = 0.37
-    chan = amplitude_damping_channel(space, 0, gamma)
-    out = chan.apply(basis_density(space, (1,))).matrix
+    out = damping(space, 0, gamma)(basis_density(space, (1,))).matrix
     assert out[0, 0] == pytest.approx(1 - math.exp(-gamma), abs=1e-14)
     assert out[1, 1] == pytest.approx(math.exp(-gamma), abs=1e-14)
 
 
 def test_amplitude_damping_zero_is_identity():
     space = FockSpace(2)
-    chan = amplitude_damping_channel(space, 1, 0.0)
     rho = random_density(space, np.random.default_rng(3))
-    assert np.max(np.abs(chan.apply(rho).matrix - rho.matrix)) < 1e-14
+    assert np.max(np.abs(damping(space, 1, 0.0)(rho).matrix - rho.matrix)) < 1e-14
 
 
 def test_amplitude_damping_coherence_decay():
     space = FockSpace(1)
     gamma = 0.2
     plus = DensityOperator(space, np.full((2, 2), 0.5, dtype=complex))
-    out = amplitude_damping_channel(space, 0, gamma).apply(plus).matrix
+    out = damping(space, 0, gamma)(plus).matrix
     assert out[0, 1] == pytest.approx(0.5 * math.exp(-0.1), abs=1e-14)
 
 
@@ -138,9 +156,8 @@ def test_noise_params_validation():
 def test_damping_semigroup(seed, g1, g2):
     space = FockSpace(2)
     rho = random_density(space, np.random.default_rng(seed))
-    stepwise = amplitude_damping_channel(space, 0, g2).apply(
-        amplitude_damping_channel(space, 0, g1).apply(rho))
-    direct = amplitude_damping_channel(space, 0, g1 + g2).apply(rho)
+    stepwise = damping(space, 0, g2)(damping(space, 0, g1)(rho))
+    direct = damping(space, 0, g1 + g2)(rho)
     assert np.max(np.abs(stepwise.matrix - direct.matrix)) < 1e-12
 
 
@@ -225,68 +242,74 @@ def test_loss_placement_general_case_report():
 
 def test_balanced_lossy_zero_loss_is_fredkin():
     space = FockSpace(4)
-    chan = balanced_lossy_fredkin_channel(space, 0, 1, 2, (0, 1, 2, 3), 0.0)
+    gate = lossy_gate_stack(space, 0, 1, 2, (0, 1, 2, 3), [0.0])
     f = fredkin_unitary(space, 0, 1, 2)
     rho = random_density(space, np.random.default_rng(8))
-    assert np.max(np.abs(chan(rho).matrix - apply_unitary(rho, f).matrix)) < 1e-12
+    assert np.max(np.abs(apply_stack(gate, rho).matrix - apply_unitary(rho, f).matrix)) < 1e-12
 
 
 def test_balanced_lossy_rejects_mode_collision():
     with pytest.raises(FockError):
-        balanced_lossy_fredkin_channel(FockSpace(4), 0, 1, 2, (0, 1, 2, 2), 0.1)
+        lossy_gate_stack(FockSpace(4), 0, 1, 2, (0, 1, 2, 2), [0.1])
 
 
 def test_balanced_lossy_rejects_out_of_range_mode():
     with pytest.raises(FockError):
-        balanced_lossy_fredkin_channel(FockSpace(4), 0, 1, 2, (0, 1, 2, 4), 0.1)
+        lossy_gate_stack(FockSpace(4), 0, 1, 2, (0, 1, 2, 4), [0.1])
 
 
-NOISY_FREDKIN_GATES = {  # name -> (space, modes) -> the gate as a map on density operators
-    "balanced-loss": lambda space, modes: balanced_lossy_fredkin_channel(space, *modes,
-                                                                         (0, 1, 2), 0.1),
-    "lossy-kraus": lambda space, modes: lossy_fredkin_channel(space, *modes, 0.1).apply,
-    "dephased-apply": lambda space, modes: (
-        lambda rho: dephased_fredkin_apply(space, *modes, 0.1, rho)),
-    "dephased-mc": lambda space, modes: dephased_fredkin_mc(space, *modes, 0.1, 10, seed=0),
-    "dephased-kraus": lambda space, modes: dephased_fredkin_channel(space, *modes, 0.1).apply,
+NOISY_FREDKIN_GATES = {  # name -> (space, modes) -> the gate: a stack map or a Kraus channel
+    "balanced-loss": lambda space, modes: lossy_gate_stack(space, *modes, (0, 1, 2), [0.1]),
+    "lossy-kraus": lambda space, modes: lossy_fredkin_channel(space, *modes, 0.1),
+    "dephased-apply": lambda space, modes: phase_average_stack(space, *modes,
+                                                               gaussian_phi(0.1)[None]),
+    "dephased-mc": lambda space, modes: phase_average_stack(space, *modes,
+                                                            sampled_phi(0.1, 10, 0)[None]),
+    "dephased-kraus": lambda space, modes: dephased_fredkin_channel(space, *modes, 0.1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NOISY_FREDKIN_GATES))
 def test_noisy_fredkin_gates_follow_the_mode_and_space_rules(name):
     # the rules fredkin_unitary and KrausChannel.apply enforce: three distinct in-range
-    # modes, and a state on the gate's own space
+    # modes, and a state on the gate's own space; a stack map takes a bare array, which
+    # carries no space, so only the Kraus channels check the second rule
     build = NOISY_FREDKIN_GATES[name]
     rho = basis_density(SPACE3, (1, 0, 1))
     for modes in ((0, 1, 0), (0, 1, 3), (-1, 1, 2)):
         with pytest.raises(FockError):
-            build(SPACE3, modes)(rho)
-    with pytest.raises(FockError):
-        build(SPACE3, (0, 1, 2))(basis_density(FockSpace(4), (1, 0, 1, 0)))
-    assert np.max(np.abs(build(SPACE3, (0, 1, 2))(rho).matrix)) > 0
+            build(SPACE3, modes)
+    gate = build(SPACE3, (0, 1, 2))
+    if isinstance(gate, KrausChannel):
+        with pytest.raises(FockError):
+            gate.apply(basis_density(FockSpace(4), (1, 0, 1, 0)))
+        out = gate.apply(rho)
+    else:
+        out = apply_stack(gate, rho)
+    assert np.max(np.abs(out.matrix)) > 0
 
 
 def test_balanced_lossy_k0_gate_matches_composed_channel():
     # the k1 = 0 gate couples (a, b, e) while the loss hits the rails a-d
     space, gamma = FockSpace(5), 0.35
-    chan = balanced_lossy_fredkin_channel(space, 0, 1, 4, (0, 1, 2, 3), gamma)
+    gate = lossy_gate_stack(space, 0, 1, 4, (0, 1, 2, 3), [gamma])
     b = beamsplitter_unitary(space, 0, 1)
     rng = np.random.default_rng(21)
     for _ in range(3):
         rho = random_density(space, rng)
         ref = apply_unitary(apply_unitary(rho, b), kerr_unitary(space, 1, 4))
         for m in (0, 1, 2, 3):
-            ref = amplitude_damping_channel(space, m, gamma).apply(ref)
+            ref = KrausChannel(space, tuple(_damping_kraus(space, m, gamma))).apply(ref)
         ref = apply_unitary(ref, b.dagger)
-        assert np.max(np.abs(chan(rho).matrix - ref.matrix)) < 1e-12
+        assert np.max(np.abs(apply_stack(gate, rho).matrix - ref.matrix)) < 1e-12
 
 
 def test_balanced_lossy_gate_is_trace_preserving_and_positive():
     space = FockSpace(4)
-    chan = balanced_lossy_fredkin_channel(space, 0, 1, 2, (0, 1, 2, 3), 0.2)
+    gate = lossy_gate_stack(space, 0, 1, 2, (0, 1, 2, 3), [0.2])
     rng = np.random.default_rng(17)
     for _ in range(100):
-        out = chan(random_density(space, rng))
+        out = apply_stack(gate, random_density(space, rng))
         # DensityOperator construction re-validates Hermiticity, trace, positivity
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-10
 
@@ -295,8 +318,7 @@ def test_balanced_lossy_gate_is_trace_preserving_and_positive():
 
 @pytest.mark.parametrize("lam", [0.05, 0.37, 1.5])
 def test_dephased_gate_two_state_mixture(lam):
-    out = dephased_fredkin_apply(SPACE3, 0, 1, 2, lam,
-                                 basis_density(SPACE3, (1, 0, 1))).matrix
+    out = dephased(lam, basis_density(SPACE3, (1, 0, 1))).matrix
     q = math.exp(-lam)
     expected = ((1 + q) / 2 * np.outer(ket((0, 1, 1)), ket((0, 1, 1)))
                 + (1 - q) / 2 * np.outer(ket((1, 0, 1)), ket((1, 0, 1)))).astype(complex)
@@ -304,8 +326,7 @@ def test_dephased_gate_two_state_mixture(lam):
 
 
 def test_dephased_gate_mirrored_input(lam=0.37):
-    out = dephased_fredkin_apply(SPACE3, 0, 1, 2, lam,
-                                 basis_density(SPACE3, (0, 1, 1))).matrix
+    out = dephased(lam, basis_density(SPACE3, (0, 1, 1))).matrix
     q = math.exp(-lam)
     expected = ((1 + q) / 2 * np.outer(ket((1, 0, 1)), ket((1, 0, 1)))
                 + (1 - q) / 2 * np.outer(ket((0, 1, 1)), ket((0, 1, 1)))).astype(complex)
@@ -315,7 +336,7 @@ def test_dephased_gate_mirrored_input(lam=0.37):
 def test_dephased_gate_zero_strength_is_fredkin():
     f = fredkin_unitary(SPACE3, 0, 1, 2)
     rho = random_density(SPACE3, np.random.default_rng(21))
-    out = dephased_fredkin_apply(SPACE3, 0, 1, 2, 0.0, rho)
+    out = dephased(0.0, rho)
     assert np.max(np.abs(out.matrix - apply_unitary(rho, f).matrix)) < 1e-12
 
 
@@ -325,7 +346,7 @@ def test_dephased_suppression_and_kraus_forms_agree(lam):
     chan = dephased_fredkin_channel(SPACE3, 0, 1, 2, lam)
     for _ in range(10):
         rho = random_density(SPACE3, rng)
-        a = dephased_fredkin_apply(SPACE3, 0, 1, 2, lam, rho).matrix
+        a = dephased(lam, rho).matrix
         b = chan.apply(rho).matrix
         assert np.max(np.abs(a - b)) < 1e-12
 
@@ -333,8 +354,8 @@ def test_dephased_suppression_and_kraus_forms_agree(lam):
 def test_fully_dephasing_limit():
     rng = np.random.default_rng(12)
     rho = random_density(SPACE3, rng)
-    once = dephased_fredkin_apply(SPACE3, 0, 1, 2, math.inf, rho)
-    twice = dephased_fredkin_apply(SPACE3, 0, 1, 2, math.inf, once)
+    once = dephased(math.inf, rho)
+    twice = dephased(math.inf, once)
     assert np.max(np.abs(once.matrix - twice.matrix)) < 1e-12
     # in the interferometer frame nothing connects different cell photon numbers
     b = beamsplitter_unitary(SPACE3, 0, 1).matrix
@@ -353,11 +374,11 @@ def test_gauss_hermite_oracle_matches_analytic(lam):
     worst = 0.0
     for occ in REACHABLE:
         rho = basis_density(SPACE3, occ)
-        a = dephased_fredkin_apply(SPACE3, 0, 1, 2, lam, rho).matrix
-        assert np.max(np.abs(quad(rho).matrix - a)) < 1e-10
+        a = dephased(lam, rho).matrix
+        assert np.max(np.abs(apply_stack(quad, rho).matrix - a)) < 1e-10
     rho = random_density(SPACE3, np.random.default_rng(4))
-    a = dephased_fredkin_apply(SPACE3, 0, 1, 2, lam, rho).matrix
-    assert np.max(np.abs(quad(rho).matrix - a)) < 1e-10
+    a = dephased(lam, rho).matrix
+    assert np.max(np.abs(apply_stack(quad, rho).matrix - a)) < 1e-10
 
 
 # ---------------------------------------------------------------- Monte Carlo
@@ -376,7 +397,7 @@ def test_mc_oracle_is_the_literal_sample_mean():
     rho = random_density(SPACE3, np.random.default_rng(8))
     eps = np.random.default_rng(seed).normal(0.0, math.sqrt(2 * lam), size=n)
     literal = _literal_phase_average(SPACE3, rho, eps, np.full(n, 1.0 / n))
-    oracle = dephased_fredkin_mc(SPACE3, 0, 1, 2, lam, n, seed)
+    oracle = sampled(lam, n, seed)
     assert np.max(np.abs(oracle(rho).matrix - literal)) < 1e-13
 
 
@@ -386,20 +407,20 @@ def test_quadrature_oracle_is_the_literal_node_sum():
     x, w = np.polynomial.hermite.hermgauss(40)
     literal = _literal_phase_average(SPACE3, rho, 2 * math.sqrt(lam) * x, w / math.sqrt(math.pi))
     quad = dephased_fredkin_ghq(SPACE3, 0, 1, 2, lam)
-    assert np.max(np.abs(quad(rho).matrix - literal)) < 1e-13
+    assert np.max(np.abs(apply_stack(quad, rho).matrix - literal)) < 1e-13
 
 
 def test_mc_zero_strength_exact():
     f = fredkin_unitary(SPACE3, 0, 1, 2)
     rho = basis_density(SPACE3, (1, 0, 1))
     for lam in (0.0, -0.0):  # a negative zero passes the lam >= 0 rule
-        oracle = dephased_fredkin_mc(SPACE3, 0, 1, 2, lam, 100, seed=0)
+        oracle = sampled(lam, 100, 0)
         assert np.max(np.abs(oracle(rho).matrix - apply_unitary(rho, f).matrix)) < 1e-12
 
 
 def test_mc_diagonal_weights_within_three_sigma():
     lam, n = 0.1, 10**5
-    oracle = dephased_fredkin_mc(SPACE3, 0, 1, 2, lam, n, seed=20240)
+    oracle = sampled(lam, n, 20240)
     out = oracle(basis_density(SPACE3, (1, 0, 1))).matrix
     q = math.exp(-lam)
     # per-sample weight (1 -+ cos eps)/2, so Var = ((1 + e^-4lam)/2 - e^-2lam)/4
@@ -412,13 +433,13 @@ def test_mc_diagonal_weights_within_three_sigma():
 def test_mc_error_shrinks_like_inverse_sqrt_n():
     lam = 0.1
     rho = basis_density(SPACE3, (1, 0, 1))
-    exact = dephased_fredkin_apply(SPACE3, 0, 1, 2, lam, rho).matrix
+    exact = dephased(lam, rho).matrix
     sizes = [10**3, 10**4, 10**5]
     mean_errs = []
     for n in sizes:
         errs = []
         for seed in range(8):
-            oracle = dephased_fredkin_mc(SPACE3, 0, 1, 2, lam, n, seed=[seed, n])
+            oracle = sampled(lam, n, [seed, n])
             errs.append(np.max(np.abs(oracle(rho).matrix - exact)))
         mean_errs.append(np.mean(errs))
     slope = np.polyfit(np.log(sizes), np.log(mean_errs), 1)[0]
@@ -426,15 +447,10 @@ def test_mc_error_shrinks_like_inverse_sqrt_n():
 
 
 def test_mc_is_deterministic_per_seed():
-    oracle1 = dephased_fredkin_mc(SPACE3, 0, 1, 2, 0.2, 5000, seed=77)
-    oracle2 = dephased_fredkin_mc(SPACE3, 0, 1, 2, 0.2, 5000, seed=77)
+    oracle1 = sampled(0.2, 5000, 77)
+    oracle2 = sampled(0.2, 5000, 77)
     rho = basis_density(SPACE3, (0, 1, 1))
     assert np.array_equal(oracle1(rho).matrix, oracle2(rho).matrix)
-
-
-def test_mc_rejects_zero_samples():
-    with pytest.raises(FockError):
-        dephased_fredkin_mc(SPACE3, 0, 1, 2, 0.1, 0, seed=1)
 
 
 @pytest.mark.parametrize("seed", [0, [424242, 1]], ids=["int", "list"])
@@ -487,7 +503,7 @@ def test_kraus_channel_rejects_non_finite_operators():
 
 def _channel_zoo():
     return [
-        ("amp-damp", SPACE3, amplitude_damping_channel(SPACE3, 1, 0.3)),
+        ("amp-damp", SPACE3, KrausChannel(SPACE3, tuple(_damping_kraus(SPACE3, 1, 0.3)))),
         ("lossy-fredkin", SPACE3, lossy_fredkin_channel(SPACE3, 0, 1, 2, 0.2)),
         ("lossy-split", SPACE3, lossy_fredkin_channel(SPACE3, 0, 1, 2, 0.6, "split")),
         ("dephased", SPACE3, dephased_fredkin_channel(SPACE3, 0, 1, 2, 0.3)),
@@ -517,6 +533,9 @@ def test_lambda_from_physical():
         lambda_from_physical(1.0, 0.0)
     with pytest.raises(FockError):
         lambda_from_physical(-1.0, 1.0)
+    for omega, intensity in (("1", 1.0), (None, 1.0), (1j, 1.0), (True, 1.0), (1.0, True)):
+        with pytest.raises(FockError):
+            lambda_from_physical(omega, intensity)
 
 
 def test_decibels():

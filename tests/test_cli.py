@@ -11,6 +11,7 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dualrail import cli
 from dualrail.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 
 SMALL_GRID = ["--grid-start", "0.01", "--grid-stop", "0.5", "--grid-count", "5"]
@@ -88,6 +89,16 @@ def test_sweep_dephasing_noise_free_points_pass(capsys):
                              capsys)
     assert (code, err) == (EXIT_OK, "")
     assert out.splitlines()[1] == "1e-16,4.34294481903e-16,0,0,1"
+
+
+@pytest.mark.parametrize("closed_form", ["p_projective_closed", "p_accept_projective_closed"])
+def test_sweep_dephasing_checks_the_projective_columns(monkeypatch, capsys, closed_form):
+    # a closed form off by 1e-9, ten times the 1e-10 tolerance, fails the sweep
+    exact = getattr(cli, closed_form)
+    monkeypatch.setattr(cli, closed_form, lambda lam: exact(lam) + 1e-9)
+    code, out, err = run_cli(["sweep-dephasing", *SMALL_GRID], capsys)
+    assert code == EXIT_VALIDATION
+    assert "validation failed" in err
 
 
 def test_sweep_dephasing_fits_distinct_lambdas_only(capsys):

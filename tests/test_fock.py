@@ -34,7 +34,8 @@ def test_dim():
     assert [f.name for f in dataclasses.fields(FockSpace)] == ["n_modes"]  # the one setting
 
 
-@pytest.mark.parametrize("n_modes", [0, 2.0, "2"], ids=["no-modes", "float-modes", "string-modes"])
+@pytest.mark.parametrize("n_modes", [0, 2.0, "2", True],
+                         ids=["no-modes", "float-modes", "string-modes", "bool-modes"])
 def test_fock_space_validation(n_modes):
     with pytest.raises(FockError):
         FockSpace(n_modes)

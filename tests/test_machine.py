@@ -9,12 +9,9 @@ from dualrail import (
     MachineConfig,
     NoiseParams,
     apply_unitary,
-    balanced_lossy_fredkin_channel,
     basis_pure,
     beamsplitter_unitary,
-    dephased_fredkin_apply,
     dephased_fredkin_channel,
-    dephased_fredkin_mc,
     fredkin_unitary,
     gate_modes,
     index_of,
@@ -31,7 +28,13 @@ from dualrail import (
     which_path_error,
 )
 from dualrail import channels, cli, correction, fock, machine
-from dualrail.channels import KrausChannel
+from dualrail.channels import (
+    KrausChannel,
+    gaussian_phi,
+    lossy_gate_stack,
+    phase_average_stack,
+    sampled_phi,
+)
 from dualrail.machine import (
     NOISE_MODELS,
     NOISE_PLACEMENT,
@@ -41,7 +44,7 @@ from dualrail.machine import (
 )
 from dualrail.cli import main
 from conftest import outcome_distribution
-from oracles import fold_stages, product_form_output
+from oracles import apply_stack, fold_stages, product_form_output
 
 SPACE = machine_space()
 SQ2 = math.sqrt(2)
@@ -57,15 +60,16 @@ def cfg(k1, model="none", gamma=0.0, lam=0.0, **kw):
 
 
 def gate_map(config, slot):
-    """The public one-state map of gate slot ``slot``: the Fredkin unitary or its noisy gate."""
+    """Gate slot ``slot`` as a map of one state: the Fredkin unitary or its noisy stack map."""
     modes = gate_modes(config.k1)
     noisy_slots, damped = NOISE_PLACEMENT[config.noise_model]
     if slot not in noisy_slots:
         return lambda rho: apply_unitary(rho, fredkin_unitary(SPACE, *modes))
     if damped is not None:
-        return balanced_lossy_fredkin_channel(SPACE, *modes, damped(config.k1),
-                                              config.noise.gamma)
-    return lambda rho: dephased_fredkin_apply(SPACE, *modes, config.noise.lam, rho)
+        gate = lossy_gate_stack(SPACE, *modes, damped(config.k1), [config.noise.gamma])
+    else:
+        gate = phase_average_stack(SPACE, *modes, gaussian_phi(config.noise.lam)[None])
+    return lambda rho: apply_stack(gate, rho)
 
 
 # ---------------------------------------------------------------- stages
@@ -85,7 +89,7 @@ def test_stages_list_the_pipeline_that_run_folds(model, k1, projective_ec):
     projection = [PROJECTION] if projective_ec else []
     assert kinds == ["unitary", 0, *projection, "unitary", 1, "unitary"]
     assert np.array_equal(steps[-1].matrix, steps[0].matrix.conj().T)
-    # the stacked fold at G = 1 is bit for bit the public gate maps folded one state at a time
+    # the stacked fold at G = 1 is bit for bit the gate maps folded one state at a time
     folded = fold_stages(config, lambda slot: gate_map(config, slot))
     assert np.array_equal(folded.matrix, run(config).output_state.matrix)
 
@@ -315,8 +319,8 @@ def test_mc_run_seeds_gate_streams_from_mc_seed():
     # run keys gate slot s's phase stream as [mc_seed, s]; the default seed is 0
     n, lam = 2000, 0.2
     config = cfg(1, "dephasing", lam=lam)
-    rho = fold_stages(config, lambda slot: dephased_fredkin_mc(SPACE, *gate_modes(1), lam, n,
-                                                               seed=[5, slot]))
+    rho = fold_stages(config, lambda slot: lambda state: apply_stack(
+        phase_average_stack(SPACE, *gate_modes(1), sampled_phi(lam, n, [5, slot])[None]), state))
     assert np.array_equal(run(config, mc_samples=n, mc_seed=5).output_state.matrix, rho.matrix)
     assert np.array_equal(run(config, mc_samples=n).output_state.matrix,
                           run(config, mc_samples=n, mc_seed=0).output_state.matrix)
