@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,17 +34,14 @@ from .fock import (
     FockSpace,
     annihilation_operator,
     check_finite,
+    check_integer,
     check_modes,
+    check_strength,
     occupation_table,
 )
 from .gates import beamsplitter_unitary, kerr_unitary
 
 LOSS_PLACEMENTS = ("before-kerr", "after-kerr", "split")
-
-
-def _real(value) -> bool:
-    """Whether a noise strength is a real number: a bool, a string or a complex is not."""
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -56,14 +52,13 @@ class NoiseParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (_real(self.gamma) and math.isfinite(self.gamma) and self.gamma >= 0):
-            raise FockError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if not (_real(self.lam) and self.lam >= 0):  # lam = inf is the fully dephasing limit
-            raise FockError(f"lam must be >= 0, got {self.lam!r}")
+        check_strength(self.gamma, "gamma")
+        check_strength(self.lam, "lam", finite=False)  # lam = inf is the fully dephasing limit
 
 
 def decibels(value: float) -> float:
     """Convert a damping exponent in nats to dB: 10 * value * log10(e)."""
+    check_strength(value, "damping exponent", finite=False)
     return 10.0 * value * math.log10(math.e)
 
 
@@ -103,7 +98,7 @@ def _damping_kraus(space: FockSpace, mode: int, gamma: float) -> list[np.ndarray
     column of the mode, and the jump sqrt(1 - e^(-gamma)) * lowering; the
     jump vanishes at gamma = 0 and is then left out.
     """
-    NoiseParams(gamma=gamma)  # raises FockError unless gamma is finite and >= 0
+    check_strength(gamma, "gamma")
     check_modes(space, mode)
     surv = math.exp(-gamma)
     ops = [np.diag((surv ** 0.5) ** occupation_table(space)[:, mode]).astype(complex)]
@@ -197,7 +192,7 @@ def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float]) ->
     """
     check_modes(space, *damped)
     for g in gamma:
-        NoiseParams(gamma=g)  # raises FockError unless gamma is finite and >= 0
+        check_strength(g, "gamma")
     surv = [math.exp(-g) for g in gamma]
     keep = np.array([s ** 0.5 for s in surv])[:, None]
     jump = np.array([(1 - s) ** 0.5 for s in surv])[:, None, None]
@@ -222,6 +217,7 @@ def lossy_gate_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
 
 def gaussian_phi(lam: float) -> np.ndarray:
     """phi(k) = <exp(i k eps)> = exp(-k^2 lam), k = 0, 1, 2; safe at lam = inf."""
+    check_strength(lam, "lam", finite=False)
     k = np.arange(1, 3, dtype=float)
     with np.errstate(over="ignore"):  # a huge finite lam overflows to the lam = inf limit
         return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
@@ -230,15 +226,6 @@ def gaussian_phi(lam: float) -> np.ndarray:
 # Each draw is three numbers.  A stack of four runs draws eight, one per point and
 # dephased slot, so the k1 = 1 and k1 = 0 stacks of one grid and seed both fit.
 MC_DRAWS_KEPT = 16
-
-
-def _integer(value, what: str, least: int) -> int:
-    """``value`` as a Python int >= ``least``; a bool, a float or a non-number raises FockError."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise FockError(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise FockError(f"{what} must be >= {least}, got {value}")
-    return int(value)
 
 
 @lru_cache(maxsize=MC_DRAWS_KEPT)
@@ -266,13 +253,14 @@ def sampled_phi(lam: float, n_samples: int, seed: int | Sequence[int]) -> np.nda
     keyed on (lam, n_samples, seed), so the gates of runs that share a seed
     draw once.
     """
-    n_samples = _integer(n_samples, "n_samples", 1)
-    if not (_real(lam) and math.isfinite(2 * lam) and lam >= 0):  # the phase variance is 2 lam
+    n_samples = check_integer(n_samples, "n_samples", 1)
+    check_strength(lam, "lam", finite=False)
+    if not math.isfinite(2 * lam):  # the phase variance is 2 lam
         raise FockError(f"lam must be >= 0 with 2 lam finite, got {lam!r}")
     if isinstance(seed, (list, tuple)):
-        key = tuple(_integer(word, "seed entries", 0) for word in seed)
+        key = tuple(check_integer(word, "seed entries", 0) for word in seed)
     else:
-        key = _integer(seed, "seed", 0)
+        key = check_integer(seed, "seed", 0)
     return _sampled_phi(float(lam), n_samples, key)
 
 
@@ -316,7 +304,6 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     ``gaussian_phi(lam)`` to 1e-12.
     """
     check_modes(space, m_a, m_b, m_c)
-    NoiseParams(lam=lam)  # raises FockError unless lam >= 0 (inf allowed)
     phi = gaussian_phi(lam)
     evals, evecs = np.linalg.eigh(_phase_correlation(phi, np.arange(len(phi))))
     n = _cell_photon_numbers(space, m_b, m_c)
@@ -328,12 +315,10 @@ def lambda_from_physical(omega: float, intensity: float) -> float:
     """Dephasing strength for a pi cross-phase shift: lam = pi * omega / intensity.
 
     ``omega`` is the medium resonant frequency [1/s]; ``intensity`` the pulse
-    intensity [photons/s]; each must be a real number, not a bool.
+    intensity [photons/s]; each must be a finite strength, and the intensity nonzero.
     """
-    if not all(_real(v) and math.isfinite(v) for v in (omega, intensity)):
-        raise FockError(f"omega and intensity must be finite, got {omega!r} and {intensity!r}")
-    if intensity <= 0:
+    check_strength(omega, "omega")
+    check_strength(intensity, "intensity")
+    if intensity == 0:
         raise FockError(f"intensity must be positive, got {intensity}")
-    if omega < 0:
-        raise FockError(f"omega must be >= 0, got {omega}")
     return math.pi * omega / intensity

@@ -47,6 +47,7 @@ from .fock import (
     FockError,
     FockSpace,
     basis_density,
+    check_strength,
     index_of,
     occupation_label,
 )
@@ -184,8 +185,9 @@ def cmd_truthtable(args) -> list[str]:
 
 
 def cmd_lossy_gate(args) -> list[str]:
+    gamma = args.gamma
     try:
-        gamma = NoiseParams(gamma=args.gamma).gamma
+        check_strength(gamma, "gamma")
     except FockError as exc:
         raise UsageError(exc) from None
     sp = _TRUTH_TABLE_SPACE

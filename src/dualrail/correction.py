@@ -29,6 +29,7 @@ from .fock import (
     LinearOperator,
     apply_unitary,
     basis_pure,
+    check_strength,
     index_of,
     occupation_table,
 )
@@ -166,8 +167,7 @@ def p_noec_closed(gamma: float) -> float:
     Written with expm1 as (expm1(-gamma) - 2 expm1(-3 gamma / 2)) / 4, so
     small gamma loses no digits to cancellation.
     """
-    if not gamma >= 0:  # nan fails, +inf passes
-        raise FockError(f"gamma must be >= 0, got {gamma}")
+    check_strength(gamma, "gamma", finite=False)
     return (math.expm1(-gamma) - 2.0 * math.expm1(-1.5 * gamma)) / 4.0
 
 
@@ -179,16 +179,14 @@ def p_ec_closed(gamma: float) -> float:
     by cosh^2(gamma/4): t^2 / (1 + t^2) with t = tanh(gamma/4), which cannot
     overflow and is exactly 1/2 once tanh rounds to 1.
     """
-    if not gamma >= 0:  # nan fails, +inf passes
-        raise FockError(f"gamma must be >= 0, got {gamma}")
+    check_strength(gamma, "gamma", finite=False)
     t2 = math.tanh(gamma / 4.0) ** 2
     return t2 / (1.0 + t2)
 
 
 def p_plain_closed(lam: float) -> float:
     """Exact which-path error of the uncorrected dephasing machine: (1 - e^-2lam)/2, via expm1."""
-    if not lam >= 0:  # nan fails, +inf passes
-        raise FockError(f"lam must be >= 0, got {lam}")
+    check_strength(lam, "lam", finite=False)
     return abs(math.expm1(-2 * lam)) / 2  # abs keeps lam = 0 at +0.0
 
 
@@ -198,21 +196,20 @@ def p_projective_closed(lam: float) -> float:
     With q = e^-lam:  (1 - q)(6 + 5q) / (6 (2 + q)), whose small-lam series
     starts 11 lam / 18 - 41 lam^2 / 108.  1 - q is taken as |expm1(-lam)|.
     """
-    if not lam >= 0:  # nan fails, +inf passes
-        raise FockError(f"lam must be >= 0, got {lam}")
+    check_strength(lam, "lam", finite=False)
     q = math.exp(-lam)
     return abs(math.expm1(-lam)) * (6.0 + 5.0 * q) / (6.0 * (2.0 + q))
 
 
 def p_accept_projective_closed(lam: float) -> float:
     """Exact acceptance probability of the projective correction step: (2 + e^-lam)/3."""
-    if not lam >= 0:  # nan fails, +inf passes
-        raise FockError(f"lam must be >= 0, got {lam}")
+    check_strength(lam, "lam", finite=False)
     return (2.0 + math.exp(-lam)) / 3.0
 
 
 def lossy_gate_output_101(gamma: float) -> np.ndarray:
     """Closed-form output of the lossy gate on |101><101| (modes a, b, c, loss on b, c)."""
+    check_strength(gamma, "gamma")
     sp = FockSpace(3)
     surv = math.exp(-gamma)
     half = math.exp(-gamma / 2)
@@ -249,8 +246,8 @@ def fit_series(points: list[tuple[float, float]]) -> SeriesFit:
         raise FockError("need at least 4 grid points for a stable quadratic fit")
     x = np.array([p[0] for p in points], dtype=float)
     y = np.array([p[1] for p in points], dtype=float)
-    if np.any(x <= 0) or len(np.unique(x)) < len(x):
-        raise FockError("grid values must be positive and distinct")
+    if not np.isfinite([x, y]).all() or np.any(x <= 0) or len(np.unique(x)) < len(x):
+        raise FockError("points must be finite and grid values positive and distinct")
     design = np.vstack([x, x ** 2]).T
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ coeffs

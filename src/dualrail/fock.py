@@ -20,9 +20,10 @@ pure functions, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ OccupationVector = tuple[int, ...]
 
 
 class FockError(ValueError):
-    """Rejected input: occupation, index, or operator outside the space."""
+    """Rejected input: a mode, occupation, count, seed, strength, state or operator out of range."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -56,10 +57,7 @@ class FockSpace:
     n_modes: int
 
     def __post_init__(self):
-        if isinstance(self.n_modes, bool) or not isinstance(self.n_modes, Integral):
-            raise FockError(f"n_modes must be an integer, got {self.n_modes!r}")
-        if self.n_modes < 1:
-            raise FockError(f"n_modes must be positive, got {self.n_modes}")
+        check_integer(self.n_modes, "n_modes", 1)
 
     @property
     def dim(self) -> int:
@@ -78,6 +76,23 @@ def occupation_table(space: FockSpace) -> np.ndarray:
     length 2 per mode, so mode 0 is the most significant bit.
     """
     return _readonly(np.indices((2,) * space.n_modes).reshape(space.n_modes, -1).T)
+
+
+def check_integer(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int in [low, high]; a bool or a float, 1.0 too, is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise FockError(f"{what} must be an integer, got {value!r}")
+    if value < low or high is not None and value > high:
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise FockError(f"{what} must be {bounds}, got {value}")
+    return int(value)
+
+
+def check_strength(value, what: str, finite: bool = True):
+    """Reject a strength unless it is a real number >= 0, not a bool, finite too if ``finite``."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not value >= 0
+            or finite and not value <= sys.float_info.max):
+        raise FockError(f"{what} must be {'finite and ' if finite else ''}>= 0, got {value!r}")
 
 
 def check_finite(a: np.ndarray, what: str):
@@ -109,10 +124,9 @@ def check_densities(matrices: np.ndarray):
 
 
 def check_modes(space: FockSpace, *modes: int):
-    """Reject mode indices outside [0, n_modes) or repeated: the one mode-index rule."""
+    """Reject a mode index that is not an integer in [0, n_modes), or a repeated one."""
     for m in modes:
-        if not 0 <= m < space.n_modes:
-            raise FockError(f"mode {m} outside [0, {space.n_modes})")
+        check_integer(m, "mode", 0, space.n_modes - 1)
     if len(set(modes)) != len(modes):
         raise FockError(f"modes {modes} must be distinct")
 
@@ -138,9 +152,7 @@ def index_of(space: FockSpace, occ: Sequence[int]) -> int:
         raise FockError(f"expected {space.n_modes} modes, got {len(occ)}")
     index = 0
     for n in occ:
-        if not (isinstance(n, Integral) and 0 <= n <= 1):
-            raise FockError(f"occupation {occ} is not an integer in [0, 1]")
-        index = index * 2 + int(n)
+        index = index * 2 + check_integer(n, f"entries of occupation {occ}", 0, 1)
     return index
 
 

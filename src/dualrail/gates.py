@@ -2,9 +2,9 @@
 
 All constructors return operators on the full space (identity on untouched
 modes) so they compose freely; nothing acts in place.  Everything returned
-is immutable, so every constructor is memoized: a sweep builds and
-validates each fixed gate once, the beamsplitter's eigendecomposition
-included.
+is immutable, so every constructor is memoized: a sweep builds and validates
+each fixed gate once, the beamsplitter's eigendecomposition included.  The
+caches are typed, so a bool or float mode (True == 1) misses and is rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .fock import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     """50/50 beamsplitter B = exp[theta (a_i^dag a_j - a_j^dag a_i)] at theta = pi/4.
 
@@ -41,7 +41,7 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOp
     return LinearOperator(space, (v * np.exp(-1j * w)) @ v.conj().T)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     """Cross-phase modulation K = exp[i pi n_i n_j], the sign flip on |11>."""
     check_modes(space, mode_i, mode_j)
@@ -49,14 +49,14 @@ def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     return LinearOperator(space, np.diag(np.exp(1j * math.pi * n[:, mode_i] * n[:, mode_j])))
 
 
-@lru_cache(maxsize=128)  # phi is continuous, so the cache is bounded
+@lru_cache(maxsize=128, typed=True)  # phi is continuous, so the cache is bounded
 def phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperator:
     """Single-mode phase shift exp[i phi n_mode]."""
     check_modes(space, mode)
     return LinearOperator(space, np.diag(np.exp(1j * phi * occupation_table(space)[:, mode])))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOperator:
     """Optical Fredkin gate F = B^dag K B.
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -51,6 +50,7 @@ from .fock import (
     PureState,
     basis_pure,
     check_densities,
+    check_integer,
     checked_densities,
     marginal_distribution,
     occupation_table,
@@ -118,8 +118,9 @@ class MachineConfig:
     projective_ec: bool = False
 
     def __post_init__(self):
-        if isinstance(self.k1, bool) or not isinstance(self.k1, Integral) or self.k1 not in (0, 1):
-            raise FockError("k1 must be 0 or 1")
+        check_integer(self.k1, "k1", 0, 1)
+        if not (isinstance(self.noise, NoiseParams) and isinstance(self.projective_ec, bool)):
+            raise FockError("noise must be a NoiseParams and projective_ec a bool")
         if self.noise_model not in NOISE_MODELS:
             raise FockError(f"noise_model must be one of {NOISE_MODELS}")
         read = _read_strength(self.noise_model)
@@ -227,6 +228,8 @@ def run_many(configs: Iterable[MachineConfig], mc_samples: int | None = None,
     are those of ``run``, applied to every configuration.
     """
     configs = list(configs)
+    if not all(isinstance(c, MachineConfig) for c in configs):
+        raise FockError("run_many needs MachineConfig values")
     if len({(c.k1, c.noise_model, c.projective_ec) for c in configs}) > 1:
         raise FockError("run_many needs configurations that share k1, noise model "
                         "and projection")

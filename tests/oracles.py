@@ -32,7 +32,7 @@ from dualrail import (
     stages,
 )
 from dualrail.channels import StackMap, _damping_kraus, _gate_sandwich, phase_average_stack
-from dualrail.fock import check_modes, occupation_table
+from dualrail.fock import check_modes, check_strength, occupation_table
 from dualrail.machine import NOISE_PLACEMENT, PROJECTION
 
 GHQ_NODES = 40  # Gauss-Hermite abscissas of the quadrature oracle
@@ -72,8 +72,7 @@ def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
     independent check on the analytic channel.  The mean is divided by its
     k = 0 entry, the sum of the weights, so phi(0) is exactly 1.
     """
-    if not (math.isfinite(lam) and lam >= 0):
-        raise FockError(f"lam must be finite and >= 0, got {lam}")
+    check_strength(lam, "lam")
     x, w = np.polynomial.hermite.hermgauss(GHQ_NODES)
     phi = np.exp(1j * np.outer(np.arange(3), 2.0 * math.sqrt(lam) * x)) @ w
     return phase_average_stack(space, m_a, m_b, m_c, (phi / phi[0])[None])

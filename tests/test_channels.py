@@ -541,3 +541,15 @@ def test_lambda_from_physical():
 def test_decibels():
     assert decibels(1.0) == pytest.approx(10 * math.log10(math.e))
     assert decibels(0.0) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gaussian_phi(-1.0), lambda: gaussian_phi(math.nan), lambda: gaussian_phi(None),
+    lambda: lossy_gate_output_101(-1.0), lambda: lossy_gate_output_101(math.inf),
+    lambda: decibels(None), lambda: decibels(-1.0),
+    lambda: lossy_gate_stack(SPACE3, 0, 1, 2, [1.0], [0.1]),
+], ids=["phi-negative", "phi-nan", "phi-none", "101-negative", "101-inf", "db-none",
+        "db-negative", "stack-float-mode"])
+def test_entry_points_reject_bad_strengths_and_modes(call):
+    with pytest.raises(FockError):
+        call()

@@ -231,10 +231,9 @@ def test_closed_forms_have_no_cancellation(closed_form):
                                          p_projective_closed, p_accept_projective_closed],
                          ids=lambda f: f.__name__)
 def test_closed_forms_reject_nan_and_accept_inf(closed_form):
-    with pytest.raises(FockError):
-        closed_form(math.nan)
-    with pytest.raises(FockError):
-        closed_form(-0.1)
+    for bad in (math.nan, -0.1, None, "0.1", 1j, True):
+        with pytest.raises(FockError):
+            closed_form(bad)
     assert math.isfinite(closed_form(math.inf))
 
 
@@ -269,6 +268,10 @@ def test_fit_series_rejects_degenerate_grids():
         fit_series([(0.01, 0.01), (0.02, 0.02)])
     with pytest.raises(FockError):
         fit_series([(0.0, 0.0), (0.01, 0.01), (0.02, 0.02), (0.03, 0.03)])
+    # a nan grid value would reach LAPACK, an infinite value would fit to nan
+    for bad in ((math.nan, 0.005), (0.005, math.inf)):
+        with pytest.raises(FockError):
+            fit_series([bad, (0.01, 0.01), (0.02, 0.02), (0.03, 0.03)])
 
 
 FIT_GRID = [0.005, 0.01, 0.02, 0.03, 0.05]

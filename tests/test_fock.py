@@ -106,7 +106,7 @@ def test_index_rejects_bad_occupations():
         index_of(space, (0, 2, 0))
     with pytest.raises(FockError):
         index_of(space, (0, 0))
-    for occ in ((0.9, 1), (1.7, 0), (1.0, 0)):
+    for occ in ((0.9, 1), (1.7, 0), (1.0, 0), (True, 0)):
         with pytest.raises(FockError):
             index_of(FockSpace(2), occ)
 

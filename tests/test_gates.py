@@ -54,12 +54,20 @@ def test_beamsplitter_rejects_mode_collision():
 
 
 def test_number_diagonal_rejects_out_of_range_modes():
-    # a negative mode would otherwise index the occupation table from the end
-    for mode in (-1, 2):
+    # a negative mode would otherwise index the occupation table from the end, and a
+    # bool or a float one would index it as a mask or fail; the gates on the in-range
+    # modes are cached first, so a cache entry equal to the bad key cannot skip the check
+    space = FockSpace(2)
+    phase_shift_unitary(space, 1, 0.1)
+    kerr_unitary(space, 0, 1)
+    beamsplitter_unitary(space, 0, 1)
+    for mode in (-1, 2, True, 1.0):
         with pytest.raises(FockError):
-            phase_shift_unitary(FockSpace(2), mode, 0.1)
+            phase_shift_unitary(space, mode, 0.1)
         with pytest.raises(FockError):
-            kerr_unitary(FockSpace(2), 0, mode)
+            kerr_unitary(space, 0, mode)
+        with pytest.raises(FockError):
+            beamsplitter_unitary(space, 0, mode)
 
 
 def test_fixed_gates_are_built_once():

@@ -455,6 +455,15 @@ def test_config_rejects_bad_values():
             MachineConfig(k1=k1)
     with pytest.raises(FockError):
         cfg(1, "thermal")
+    for noise in (None, 0.1):
+        with pytest.raises(FockError):
+            MachineConfig(k1=1, noise=noise)
+    with pytest.raises(FockError):
+        cfg(0, "dephasing", lam=0.1, projective_ec="no")
+    with pytest.raises(FockError):
+        run(None)
+    with pytest.raises(FockError):
+        run_many([cfg(1), None])  # raised eagerly, before any stack is folded
 
 
 @pytest.mark.parametrize("model, strengths", [
