@@ -53,8 +53,6 @@ from .machine import (
     MachineConfig,
     RunResult,
     gate_modes,
-    machine_input,
-    machine_space,
     readout_error,
     run,
     run_many,

@@ -223,8 +223,8 @@ def gaussian_phi(lam: float) -> np.ndarray:
         return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
 
 
-# Each draw is three numbers.  A stack of four runs draws eight, one per point and
-# dephased slot, so the k1 = 1 and k1 = 0 stacks of one grid and seed both fit.
+# Every Monte-Carlo caller calls ``run``, which draws one phi per dephased slot; the k1 = 1 and
+# k1 = 0 runs of one lambda and seed share both draws.  A draw is three numbers.
 MC_DRAWS_KEPT = 16
 
 

@@ -89,10 +89,14 @@ def check_integer(value, what: str, low: int, high: int | None = None) -> int:
 
 
 def check_strength(value, what: str, finite: bool = True):
-    """Reject a strength unless it is a real number >= 0, not a bool, finite too if ``finite``."""
-    if (isinstance(value, bool) or not isinstance(value, Real) or not value >= 0
-            or finite and not value <= sys.float_info.max):
-        raise FockError(f"{what} must be {'finite and ' if finite else ''}>= 0, got {value!r}")
+    """Reject a strength unless it is a real number in [0, largest float], not a bool.
+
+    Unless ``finite``, inf is a strength too; an int above the float range is not.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (0 <= value <= sys.float_info.max or not finite and value == float("inf"))):
+        bound = "finite and >= 0" if finite else f">= 0 and <= {sys.float_info.max!r}, or inf"
+        raise FockError(f"{what} must be {bound}, got {value!r}")
 
 
 def check_finite(a: np.ndarray, what: str):

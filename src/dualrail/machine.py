@@ -1,12 +1,13 @@
 """The two-switch single-photon interferometer machine and its noisy runs.
 
-Five optical modes a, b, c, d, e (indices 0..4); input |abcde> = |01010>.
-``stages`` is the one statement of the pipeline order: B_cd, gate slot 0,
-[projective correction], S_a(pi), gate slot 1, B_cd^dag.  Both gates are
+Five optical modes a, b, c, d, e (indices 0..4), SPACE; input INPUT = |01010>.
+``stages`` is the one statement of the pipeline order: B_cd, gate 0,
+[projective correction], S_a(pi), gate 1, B_cd^dag.  Both gates are
 Fredkin gates acting on (a, b, e) for switch k1 = 0 and on (a, b, c) for
-k1 = 1.  Noise-free, the machine ends in |0101> for k1 = 0 and |0110> for
-k1 = 1, and the function class is read from the mode-d detector: a click
-answers for k1 = 0, no click for k1 = 1.
+k1 = 1; only a gate that NOISE_PLACEMENT makes noisy is built per stack.
+Noise-free, the machine ends in |0101> for k1 = 0 and |0110> for k1 = 1,
+and the function class is read from the mode-d detector: a click answers
+for k1 = 0, no click for k1 = 1.
 
 ``run_many`` folds ``stages`` over a stack of runs that share one stage
 list, up to STACK_HEIGHT grid points at once, checking every stage's output;
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ from .fock import (
     FockError,
     FockSpace,
     LinearOperator,
-    PureState,
     basis_pure,
     check_densities,
     check_integer,
@@ -58,6 +57,9 @@ from .fock import (
 from .gates import beamsplitter_unitary, fredkin_unitary, phase_shift_unitary
 
 MODE_A, MODE_B, MODE_C, MODE_D, MODE_E = range(5)
+SPACE = FockSpace(5)
+INPUT = basis_pure(SPACE, (0, 1, 0, 1, 0))
+_INPUT_DENSITY = INPUT.density().matrix  # validated and read-only, the start of every fold
 RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
 RAILS = FockSpace(len(RAIL_MODES))  # the space of the a-d outcomes every figure is read from
 PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the legal span
@@ -66,20 +68,6 @@ PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the l
 # folding all 61 points of a sweep at once raised the peak memory of the
 # loss-sweep benchmark from 41.3 MB (stacks of 4) to 46.8 MB.
 STACK_HEIGHT = 4
-
-
-def machine_space() -> FockSpace:
-    return FockSpace(5)
-
-
-def machine_input(space: FockSpace) -> PureState:
-    return basis_pure(space, (0, 1, 0, 1, 0) + (0,) * (space.n_modes - 5))
-
-
-@lru_cache(maxsize=None)
-def _input_density(space: FockSpace) -> DensityOperator:
-    """The validated input density, built once per space."""
-    return machine_input(space).density()
 
 
 def gate_modes(k1: int) -> tuple[int, int, int]:
@@ -164,56 +152,55 @@ def _conditional(probs: np.ndarray, legal: np.ndarray | None,
     return hit / accepted, accepted
 
 
-def _gate_stack(space: FockSpace, configs: Sequence[MachineConfig], slot: int,
-                mc_samples: int | None, mc_seed: int) -> StackMap:
-    """The map of gate slot 0 or 1 on a stack of runs that share k1 and noise model.
+def _gate_stack(configs: Sequence[MachineConfig], slot: int, mc_samples: int | None,
+                mc_seed: int) -> StackMap:
+    """The map of noisy gate slot 0 or 1 on a stack of runs that share k1 and noise model.
 
-    Noise-free slots apply the Fredkin unitary.  Lossy slots damp their modes
-    in the Kerr-cell frame; dephased slots apply the phase average there,
-    with the Gaussian phi analytically and the sampled phi under
-    ``mc_samples``.  Point g reads the strength of ``configs[g]``.
+    Lossy slots damp their modes in the Kerr-cell frame; dephased slots apply
+    the phase average there, with the Gaussian phi analytically and the
+    sampled phi under ``mc_samples``.  Point g reads the strength of configs[g].
     """
     config = configs[0]
     modes = gate_modes(config.k1)
-    noisy_slots, damped = NOISE_PLACEMENT[config.noise_model]
-    if slot not in noisy_slots:
-        f = fredkin_unitary(space, *modes).matrix
-        return lambda stack: f @ stack @ f.conj().T
+    damped = NOISE_PLACEMENT[config.noise_model][1]
     if damped is not None:
-        return lossy_gate_stack(space, *modes, damped(config.k1),
+        return lossy_gate_stack(SPACE, *modes, damped(config.k1),
                                 [c.noise.gamma for c in configs])
     if mc_samples is None:
         phi = [gaussian_phi(c.noise.lam) for c in configs]
     else:
         phi = [sampled_phi(c.noise.lam, mc_samples, [mc_seed, slot]) for c in configs]
-    return phase_average_stack(space, *modes, np.array(phi))
+    return phase_average_stack(SPACE, *modes, np.array(phi))
 
 
 def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
-    """The pipeline in order: unitaries, gate slots 0 and 1, and PROJECTION if corrected."""
-    space = machine_space()
-    bcd = beamsplitter_unitary(space, MODE_C, MODE_D)
+    """The pipeline in order: unitaries, the gates in slots 0 and 1, and PROJECTION if corrected.
+
+    A gate slot NOISE_PLACEMENT leaves noise-free holds the Fredkin unitary;
+    a noisy one holds its int, 0 or 1, and ``_gate_stack`` builds its map.
+    """
+    bcd, noisy = beamsplitter_unitary(SPACE, MODE_C, MODE_D), NOISE_PLACEMENT[config.noise_model][0]
+    g0, g1 = [s if s in noisy else fredkin_unitary(SPACE, *gate_modes(config.k1)) for s in (0, 1)]
     projection = [PROJECTION] if config.projective_ec else []
-    return [bcd, 0, *projection, phase_shift_unitary(space, MODE_A, math.pi), 1, bcd.dagger]
+    return [bcd, g0, *projection, phase_shift_unitary(SPACE, MODE_A, math.pi), g1, bcd.dagger]
 
 
 def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
           mc_seed: int) -> Iterator[RunResult]:
     """Fold one stack of runs over ``stages``, checking every stage's output, and yield each run."""
-    space = machine_space()
-    rho = np.broadcast_to(_input_density(space).matrix, (len(configs), space.dim, space.dim))
+    rho = np.broadcast_to(_INPUT_DENSITY, (len(configs), SPACE.dim, SPACE.dim))
     p_accept = np.ones(len(configs))
     for stage in stages(configs[0]):
         if isinstance(stage, LinearOperator):
             u = stage.matrix
             rho = u @ rho @ u.conj().T
         elif stage == PROJECTION:
-            rho, p_accept = projective_ec_stack(space, rho)
+            rho, p_accept = projective_ec_stack(SPACE, rho)
         else:
-            rho = _gate_stack(space, configs, stage, mc_samples, mc_seed)(rho)
+            rho = _gate_stack(configs, stage, mc_samples, mc_seed)(rho)
         check_densities(rho)
 
-    for config, state, accepted in zip(configs, checked_densities(space, rho), p_accept.tolist()):
+    for config, state, accepted in zip(configs, checked_densities(SPACE, rho), p_accept.tolist()):
         yield RunResult(config, state, accepted)
 
 

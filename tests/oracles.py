@@ -23,17 +23,14 @@ from dualrail import (
     apply_unitary,
     beamsplitter_unitary,
     dephased_fredkin_channel,
-    fredkin_unitary,
     gate_modes,
     kerr_unitary,
-    machine_input,
-    machine_space,
     projective_ec_step,
     stages,
 )
 from dualrail.channels import StackMap, _damping_kraus, _gate_sandwich, phase_average_stack
 from dualrail.fock import check_modes, check_strength, occupation_table
-from dualrail.machine import NOISE_PLACEMENT, PROJECTION
+from dualrail.machine import INPUT, NOISE_PLACEMENT, PROJECTION, SPACE
 
 GHQ_NODES = 40  # Gauss-Hermite abscissas of the quadrature oracle
 
@@ -92,9 +89,9 @@ def fold_stages(config, gate):
     """The machine input folded over ``stages(config)``, one state at a time.
 
     Unitaries conjugate the state, the projection applies
-    ``projective_ec_step``, and gate slot s applies the map ``gate(s)``.
+    ``projective_ec_step``, and noisy gate slot s applies the map ``gate(s)``.
     """
-    rho = machine_input(machine_space()).density()
+    rho = INPUT.density()
     for stage in stages(config):
         if isinstance(stage, LinearOperator):
             rho = apply_unitary(rho, stage)
@@ -109,10 +106,10 @@ def product_form_output(config) -> np.ndarray:
     """The machine output with each noisy gate as one product Kraus list.
 
     Lossy gates are B^dag D_m .. D_m' K B over the damped modes' Kraus pairs,
-    dephased gates the eigen-Kraus form ``dephased_fredkin_channel``, and
-    noise-free slots the Fredkin unitary.
+    dephased gates the eigen-Kraus form ``dephased_fredkin_channel``;
+    ``stages`` holds the Fredkin unitary of each noise-free gate.
     """
-    space = machine_space()
+    space = SPACE
     modes = gate_modes(config.k1)
     slots, damped = NOISE_PLACEMENT[config.noise_model]
     if damped is not None:
@@ -121,6 +118,4 @@ def product_form_output(config) -> np.ndarray:
         noisy = _gate_sandwich(space, *modes[:2], kraus)
     elif slots:
         noisy = dephased_fredkin_channel(space, *modes, config.noise.lam)
-    fredkin = fredkin_unitary(space, *modes)
-    return fold_stages(config, lambda slot: noisy.apply if slot in slots
-                       else lambda rho: apply_unitary(rho, fredkin)).matrix
+    return fold_stages(config, lambda slot: noisy.apply).matrix

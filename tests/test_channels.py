@@ -142,9 +142,12 @@ def test_noise_params_validation():
     with pytest.raises(FockError):
         NoiseParams(lam=-0.1)
     for strengths in ({"gamma": "0.1"}, {"lam": None}, {"gamma": 1j}, {"gamma": True},
-                      {"lam": True}, {"lam": "inf"}):
+                      {"lam": True}, {"lam": "inf"}, {"gamma": 10**400}):
         with pytest.raises(FockError):
             NoiseParams(**strengths)
+    # an int above the float range is no strength, though inf is
+    with pytest.raises(FockError, match=r"^lam must be >= 0 and <= 1\.7976931348623157e\+308, or inf"):
+        NoiseParams(lam=10**400)
     NoiseParams(lam=math.inf)  # fully dephasing limit is allowed
 
 
@@ -472,9 +475,10 @@ def test_sampled_phi_zero_is_exactly_one(n):
 @pytest.mark.parametrize("lam, n_samples, seed", [
     (0.1, 2.5, 0), (0.1, True, 0), (0.1, 0, 0), (0.1, 10, -1), (0.1, 10, 1.5), (0.1, 10, True),
     (0.1, 10, None), (0.1, 10, [0, -1]), (0.1, 10, [0, 1.5]),
-    (0.1, 10, np.random.default_rng(0)), (None, 10, 0), ("x", 10, 0),
+    (0.1, 10, np.random.default_rng(0)), (None, 10, 0), ("x", 10, 0), (10**400, 10, 0),
 ], ids=["float-n", "bool-n", "zero-n", "negative-seed", "float-seed", "bool-seed",
-        "none-seed", "negative-word", "float-word", "generator-seed", "none-lam", "string-lam"])
+        "none-seed", "negative-word", "float-word", "generator-seed", "none-lam", "string-lam",
+        "huge-int-lam"])
 def test_sampled_phi_rejects_malformed_draws(lam, n_samples, seed):
     with pytest.raises(FockError, match="must be (an integer|>= )"):
         sampled_phi(lam, n_samples, seed)
@@ -545,11 +549,12 @@ def test_decibels():
 
 @pytest.mark.parametrize("call", [
     lambda: gaussian_phi(-1.0), lambda: gaussian_phi(math.nan), lambda: gaussian_phi(None),
+    lambda: gaussian_phi(10**400),
     lambda: lossy_gate_output_101(-1.0), lambda: lossy_gate_output_101(math.inf),
-    lambda: decibels(None), lambda: decibels(-1.0),
+    lambda: decibels(None), lambda: decibels(-1.0), lambda: decibels(10**400),
     lambda: lossy_gate_stack(SPACE3, 0, 1, 2, [1.0], [0.1]),
-], ids=["phi-negative", "phi-nan", "phi-none", "101-negative", "101-inf", "db-none",
-        "db-negative", "stack-float-mode"])
+], ids=["phi-negative", "phi-nan", "phi-none", "phi-huge-int", "101-negative", "101-inf",
+        "db-none", "db-negative", "db-huge-int", "stack-float-mode"])
 def test_entry_points_reject_bad_strengths_and_modes(call):
     with pytest.raises(FockError):
         call()

@@ -8,15 +8,12 @@ from dualrail import (
     LinearOperator,
     MachineConfig,
     NoiseParams,
-    apply_unitary,
     basis_pure,
     beamsplitter_unitary,
     dephased_fredkin_channel,
     fredkin_unitary,
     gate_modes,
     index_of,
-    machine_input,
-    machine_space,
     marginal_distribution,
     p_ec_closed,
     p_noec_closed,
@@ -36,17 +33,18 @@ from dualrail.channels import (
     sampled_phi,
 )
 from dualrail.machine import (
+    INPUT,
     NOISE_MODELS,
     NOISE_PLACEMENT,
     PROJECTION,
     RAIL_MODES,
+    SPACE,
     STACK_HEIGHT,
 )
 from dualrail.cli import main
 from conftest import outcome_distribution
 from oracles import apply_stack, fold_stages, product_form_output
 
-SPACE = machine_space()
 SQ2 = math.sqrt(2)
 
 
@@ -59,12 +57,10 @@ def cfg(k1, model="none", gamma=0.0, lam=0.0, **kw):
                          noise_model=model, **kw)
 
 
-def gate_map(config, slot):
-    """Gate slot ``slot`` as a map of one state: the Fredkin unitary or its noisy stack map."""
+def gate_map(config):
+    """A noisy gate of ``config`` as a map of one state: its stack map at G = 1."""
     modes = gate_modes(config.k1)
-    noisy_slots, damped = NOISE_PLACEMENT[config.noise_model]
-    if slot not in noisy_slots:
-        return lambda rho: apply_unitary(rho, fredkin_unitary(SPACE, *modes))
+    damped = NOISE_PLACEMENT[config.noise_model][1]
     if damped is not None:
         gate = lossy_gate_stack(SPACE, *modes, damped(config.k1), [config.noise.gamma])
     else:
@@ -87,10 +83,14 @@ def test_stages_list_the_pipeline_that_run_folds(model, k1, projective_ec):
     steps = stages(config)
     kinds = ["unitary" if isinstance(s, LinearOperator) else s for s in steps]
     projection = [PROJECTION] if projective_ec else []
-    assert kinds == ["unitary", 0, *projection, "unitary", 1, "unitary"]
+    # a noise-free gate slot holds the Fredkin unitary, a noisy one its int
+    gates = [slot if slot in NOISE_PLACEMENT[model][0] else "unitary" for slot in (0, 1)]
+    assert kinds == ["unitary", gates[0], *projection, "unitary", gates[1], "unitary"]
     assert np.array_equal(steps[-1].matrix, steps[0].matrix.conj().T)
+    fredkin = fredkin_unitary(SPACE, *gate_modes(k1)).matrix
+    assert all(np.array_equal(steps[i].matrix, fredkin) for i in (1, -2) if kinds[i] == "unitary")
     # the stacked fold at G = 1 is bit for bit the gate maps folded one state at a time
-    folded = fold_stages(config, lambda slot: gate_map(config, slot))
+    folded = fold_stages(config, lambda slot: gate_map(config))
     assert np.array_equal(folded.matrix, run(config).output_state.matrix)
 
 
@@ -100,7 +100,7 @@ def test_ideal_run_intermediate_chain():
     # the k1 = 1 noise-free pipeline composed gate by gate on the machine input
     bcd = beamsplitter_unitary(SPACE, 2, 3)
     fredkin = fredkin_unitary(SPACE, *gate_modes(1))
-    psi1 = bcd.matrix @ machine_input(SPACE).amplitudes
+    psi1 = bcd.matrix @ INPUT.amplitudes
     psi2 = fredkin.matrix @ psi1
     psi3 = phase_shift_unitary(SPACE, 0, math.pi).matrix @ psi2
     exp1 = (ket5((0, 1, 0, 1)) + ket5((0, 1, 1, 0))) / SQ2
@@ -420,10 +420,15 @@ def test_non_positive_gate_in_the_middle_of_a_stack_raises(monkeypatch, model):
     # one point of a stack raises, though every later stage is trace preserving
     bad = np.zeros((SPACE.dim, SPACE.dim), dtype=complex)
     bad[0, 0], bad[1, 1] = 1.5, -0.5  # Hermitian, unit trace, eigenvalue -0.5
-    gate_stack = machine._gate_stack
+    stage_list, gate_stack = machine.stages, machine._gate_stack
 
-    def inject(space, configs, slot, mc_samples, mc_seed):
-        gate = gate_stack(space, configs, slot, mc_samples, mc_seed)
+    def slot_0_built_per_stack(config):  # so that every model routes slot 0 through inject
+        steps = stage_list(config)
+        steps[1] = 0
+        return steps
+
+    def inject(configs, slot, mc_samples, mc_seed):
+        gate = gate_stack(configs, slot, mc_samples, mc_seed)
         if slot != 0:
             return gate
 
@@ -434,10 +439,26 @@ def test_non_positive_gate_in_the_middle_of_a_stack_raises(monkeypatch, model):
 
         return apply
 
+    monkeypatch.setattr(machine, "stages", slot_0_built_per_stack)
     monkeypatch.setattr(machine, "_gate_stack", inject)
     configs = [cfg(1, model, **STACK_STRENGTHS[model](x)) for x in (0.1, 0.2, 0.3)]
     with pytest.raises(FockError, match="negative eigenvalue"):
         list(run_many(configs))
+
+
+@pytest.mark.parametrize("model, slots", [
+    ("none", []), ("loss", [1]), ("balanced-loss", [0, 1]), ("dephasing", [0, 1]),
+])
+def test_only_noisy_gates_are_built_per_stack(monkeypatch, model, slots):
+    # a noise-free gate is a fixed unitary of ``stages``; only noisy slots reach _gate_stack
+    built = []
+    gate_stack = machine._gate_stack
+    monkeypatch.setattr(machine, "_gate_stack", lambda configs, slot, *mc: built.append(slot)
+                        or gate_stack(configs, slot, *mc))
+    for k1 in (0, 1):
+        list(run_many([cfg(k1, model, **STACK_STRENGTHS[model](x)) for x in (0.1, 0.2)]))
+        assert built == slots
+        built.clear()
 
 
 # ---------------------------------------------------------------- config validation
