@@ -33,7 +33,7 @@ from .fock import (
     FockError,
     FockSpace,
     annihilation_operator,
-    check_finite,
+    check_array,
     check_integer,
     check_modes,
     check_strength,
@@ -70,16 +70,9 @@ class KrausChannel:
     kraus_ops: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        d = self.space.dim
-        ops = []
-        for k in self.kraus_ops:
-            k = np.asarray(k, dtype=complex)
-            if k.shape != (d, d):
-                raise FockError(f"Kraus operator has shape {k.shape}, expected ({d}, {d})")
-            check_finite(k, "Kraus operator")
-            ops.append(k)
+        ops = [check_array(k, (self.space.dim,) * 2, "Kraus operator") for k in self.kraus_ops]
         total = sum(k.conj().T @ k for k in ops)
-        dev = np.max(np.abs(total - np.eye(d)))
+        dev = np.max(np.abs(total - np.eye(self.space.dim)))
         if dev > KRAUS_COMPLETENESS_TOL:
             raise FockError(f"sum K^dag K deviates from identity by {dev:.2e}")
         object.__setattr__(self, "kraus_ops", tuple(ops))
@@ -282,12 +275,13 @@ def phase_average_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
                         phi: np.ndarray) -> StackMap:
     """The phase-averaged gate rho -> E[V(eps) rho V(eps)^dag] on a stack.
 
-    Point g's phase law has <exp(i k eps)> = phi[g, k].  V(eps) = B^dag
-    exp(i eps N) K B, so the random phase multiplies the coherence between
-    cell photon numbers N and N' by exp(i eps (N - N')): the cell-frame noise
-    is the element-wise product with C[i, j] = phi(N_i - N_j).  The phase law
-    enters only through phi.
+    Point g's phase law has <exp(i k eps)> = phi[g, k], phi finite with shape
+    (G, 3).  V(eps) = B^dag exp(i eps N) K B, so the random phase multiplies
+    the coherence between cell photon numbers N and N' by exp(i eps (N - N')):
+    the cell-frame noise is the element-wise product with C[i, j] =
+    phi(N_i - N_j).  The phase law enters only through phi.
     """
+    phi = check_array(phi, (len(np.atleast_2d(phi)), 3), "phi")
     corr = _phase_correlation(phi, _cell_photon_numbers(space, m_b, m_c))
     return _cell_gate(space, m_a, m_b, m_c, lambda mid: mid * corr)
 

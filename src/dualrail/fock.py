@@ -14,8 +14,9 @@ from ``occupation_table`` and ``marginal_distribution``.  Every single-mode
 operator is a function of one table column (number, phase, damping) or the
 lowering row map ``annihilation_operator``.
 
-Everything here is immutable after construction and all operations are
-pure functions, so values can be shared freely between threads.
+Inputs obey one rule per kind: ``check_integer``, ``check_strength`` and
+``check_array``, which gives each state and operator its own read-only copy.
+So values are immutable and functions pure: share them freely between threads.
 """
 
 from __future__ import annotations
@@ -78,13 +79,21 @@ def occupation_table(space: FockSpace) -> np.ndarray:
     return _readonly(np.indices((2,) * space.n_modes).reshape(space.n_modes, -1).T)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or its type where that refuses, as for an int of over 4300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def check_integer(value, what: str, low: int, high: int | None = None) -> int:
     """``value`` as a Python int in [low, high]; a bool or a float, 1.0 too, is not an integer."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise FockError(f"{what} must be an integer, got {value!r}")
+        raise FockError(f"{what} must be an integer, got {_shown(value)}")
     if value < low or high is not None and value > high:
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise FockError(f"{what} must be {bounds}, got {value}")
+        raise FockError(f"{what} must be {bounds}, got {_shown(value)}")
     return int(value)
 
 
@@ -96,13 +105,22 @@ def check_strength(value, what: str, finite: bool = True):
     if (isinstance(value, bool) or not isinstance(value, Real)
             or not (0 <= value <= sys.float_info.max or not finite and value == float("inf"))):
         bound = "finite and >= 0" if finite else f">= 0 and <= {sys.float_info.max!r}, or inf"
-        raise FockError(f"{what} must be {bound}, got {value!r}")
+        raise FockError(f"{what} must be {bound}, got {_shown(value)}")
 
 
 def check_finite(a: np.ndarray, what: str):
     """Reject an array with a NaN or infinite entry, which every tolerance comparison would pass."""
     if not np.isfinite(a).all():
         raise FockError(f"{what} has non-finite entries")
+
+
+def check_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``value`` as its own read-only complex copy of ``shape``, with finite entries."""
+    a = np.array(value, dtype=complex)
+    if a.shape != shape:
+        raise FockError(f"{what} has shape {a.shape}, expected {shape}")
+    check_finite(a, what)
+    return _readonly(a)
 
 
 def check_densities(matrices: np.ndarray):
@@ -154,9 +172,9 @@ def index_of(space: FockSpace, occ: Sequence[int]) -> int:
     occ = tuple(occ)
     if len(occ) != space.n_modes:
         raise FockError(f"expected {space.n_modes} modes, got {len(occ)}")
-    index = 0
+    what, index = f"entries of occupation {_shown(occ)}", 0
     for n in occ:
-        index = index * 2 + check_integer(n, f"entries of occupation {occ}", 0, 1)
+        index = index * 2 + check_integer(n, what, 0, 1)
     return index
 
 
@@ -173,14 +191,11 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.space.dim,):
-            raise FockError(f"amplitude vector has shape {amps.shape}, expected ({self.space.dim},)")
-        check_finite(amps, "amplitude vector")
+        amps = check_array(self.amplitudes, (self.space.dim,), "amplitude vector")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise FockError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        object.__setattr__(self, "amplitudes", amps)
 
     def density(self) -> "DensityOperator":
         return DensityOperator(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -194,12 +209,9 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.space.dim
-        if m.shape != (d, d):
-            raise FockError(f"matrix has shape {m.shape}, expected ({d}, {d})")
+        m = check_array(self.matrix, (self.space.dim,) * 2, "density matrix")
         check_densities(m[None])
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,15 +222,11 @@ class LinearOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.space.dim
-        if m.shape != (d, d):
-            raise FockError(f"matrix has shape {m.shape}, expected ({d}, {d})")
-        check_finite(m, "operator matrix")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(d)))
+        m = check_array(self.matrix, (self.space.dim,) * 2, "operator matrix")
+        dev = np.max(np.abs(m.conj().T @ m - np.eye(self.space.dim)))
         if dev > UNITARITY_TOL:
             raise FockError(f"unitarity violated by {dev:.2e}")
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", m)
 
     @cached_property
     def dagger(self) -> "LinearOperator":
@@ -231,8 +239,6 @@ def checked_densities(space: FockSpace, matrices: np.ndarray) -> list[DensityOpe
     Each state is built without ``DensityOperator.__post_init__``, whose
     checks the stack has already passed as a whole.
     """
-    if matrices.shape[1:] != (space.dim, space.dim):
-        raise FockError(f"stack has shape {matrices.shape}, expected (G, {space.dim}, {space.dim})")
     states = []
     for m in matrices:
         state = object.__new__(DensityOperator)

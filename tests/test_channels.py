@@ -142,7 +142,8 @@ def test_noise_params_validation():
     with pytest.raises(FockError):
         NoiseParams(lam=-0.1)
     for strengths in ({"gamma": "0.1"}, {"lam": None}, {"gamma": 1j}, {"gamma": True},
-                      {"lam": True}, {"lam": "inf"}, {"gamma": 10**400}):
+                      {"lam": True}, {"lam": "inf"}, {"gamma": 10**400},
+                      {"lam": 10**5000}, {"gamma": -10**5000}):
         with pytest.raises(FockError):
             NoiseParams(**strengths)
     # an int above the float range is no strength, though inf is
@@ -476,9 +477,10 @@ def test_sampled_phi_zero_is_exactly_one(n):
     (0.1, 2.5, 0), (0.1, True, 0), (0.1, 0, 0), (0.1, 10, -1), (0.1, 10, 1.5), (0.1, 10, True),
     (0.1, 10, None), (0.1, 10, [0, -1]), (0.1, 10, [0, 1.5]),
     (0.1, 10, np.random.default_rng(0)), (None, 10, 0), ("x", 10, 0), (10**400, 10, 0),
+    (10**5000, 10, 0),
 ], ids=["float-n", "bool-n", "zero-n", "negative-seed", "float-seed", "bool-seed",
         "none-seed", "negative-word", "float-word", "generator-seed", "none-lam", "string-lam",
-        "huge-int-lam"])
+        "huge-int-lam", "unprintable-int-lam"])
 def test_sampled_phi_rejects_malformed_draws(lam, n_samples, seed):
     with pytest.raises(FockError, match="must be (an integer|>= )"):
         sampled_phi(lam, n_samples, seed)
@@ -552,9 +554,13 @@ def test_decibels():
     lambda: gaussian_phi(10**400),
     lambda: lossy_gate_output_101(-1.0), lambda: lossy_gate_output_101(math.inf),
     lambda: decibels(None), lambda: decibels(-1.0), lambda: decibels(10**400),
+    lambda: decibels(-10**5000),
     lambda: lossy_gate_stack(SPACE3, 0, 1, 2, [1.0], [0.1]),
+    lambda: phase_average_stack(SPACE3, 0, 1, 2, np.array([[1.0, math.nan, 0.5]])),
+    lambda: phase_average_stack(SPACE3, 0, 1, 2, gaussian_phi(0.1)),  # phi is (G, 3)
 ], ids=["phi-negative", "phi-nan", "phi-none", "phi-huge-int", "101-negative", "101-inf",
-        "db-none", "db-negative", "db-huge-int", "stack-float-mode"])
+        "db-none", "db-negative", "db-huge-int", "db-unprintable-int", "stack-float-mode",
+        "stack-nan-phi", "stack-1d-phi"])
 def test_entry_points_reject_bad_strengths_and_modes(call):
     with pytest.raises(FockError):
         call()

@@ -9,6 +9,7 @@ from dualrail import (
     DensityOperator,
     FockError,
     FockSpace,
+    KrausChannel,
     LinearOperator,
     PureState,
     apply_unitary,
@@ -106,7 +107,7 @@ def test_index_rejects_bad_occupations():
         index_of(space, (0, 2, 0))
     with pytest.raises(FockError):
         index_of(space, (0, 0))
-    for occ in ((0.9, 1), (1.7, 0), (1.0, 0), (True, 0)):
+    for occ in ((0.9, 1), (1.7, 0), (1.0, 0), (True, 0), (0, 10**5000)):
         with pytest.raises(FockError):
             index_of(FockSpace(2), occ)
 
@@ -239,6 +240,35 @@ def test_linear_operator_unitarity_check():
 def test_linear_operator_rejects_non_finite_entries():
     with pytest.raises(FockError, match="non-finite"):
         LinearOperator(FockSpace(1), np.full((2, 2), math.nan))
+
+
+# kind -> (build from the caller's arrays, the arrays the value stores, the caller's
+# arrays).  They are complex, so a value could keep a reference to them.
+OWNED = {
+    "pure-state": (lambda a: PureState(FockSpace(1), a), lambda v: [v.amplitudes],
+                   [np.array([0.6, 0.8j])]),
+    "density-operator": (lambda a: DensityOperator(FockSpace(1), a), lambda v: [v.matrix],
+                         [np.diag([0.25, 0.75]).astype(complex)]),
+    "linear-operator": (lambda a: LinearOperator(FockSpace(1), a), lambda v: [v.matrix],
+                        [np.array([[0.0, 1.0], [1j, 0.0]])]),
+    "kraus-channel": (lambda *ks: KrausChannel(FockSpace(1), ks), lambda v: list(v.kraus_ops),
+                      [np.diag([1.0, 0.5 ** 0.5]).astype(complex),
+                       np.array([[0.0, 0.5 ** 0.5], [0.0, 0.0]], dtype=complex)]),
+}
+
+
+@pytest.mark.parametrize("build, stored, arrays", OWNED.values(), ids=OWNED.keys())
+def test_values_own_read_only_copies_of_their_arrays(build, stored, arrays):
+    value = build(*arrays)
+    before = [a.copy() for a in stored(value)]
+    for a in arrays:
+        assert a.flags.writeable  # the caller's array is left as it was
+        a[...] = math.nan
+    assert all(np.array_equal(a, b) for a, b in zip(stored(value), before))
+    for a in stored(value):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_dagger_is_built_once():

@@ -471,7 +471,7 @@ def test_config_rejects_projective_ec_with_loss():
 
 
 def test_config_rejects_bad_values():
-    for k1 in (2, True, 1.0):
+    for k1 in (2, True, 1.0, 10**5000):
         with pytest.raises(FockError):
             MachineConfig(k1=k1)
     with pytest.raises(FockError):
