@@ -70,6 +70,8 @@ class KrausChannel:
     kraus_ops: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if not isinstance(self.kraus_ops, (list, tuple)):
+            raise FockError("Kraus operators must be a list or tuple of arrays")
         ops = [check_array(k, (self.space.dim,) * 2, "Kraus operator") for k in self.kraus_ops]
         total = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(total - np.eye(self.space.dim)))
@@ -165,7 +167,7 @@ def _cell_gate(space: FockSpace, m_a: int, m_b: int, m_c: int, noise: StackMap) 
 
     ``noise`` maps the stack in the Kerr-cell frame, between the cross-phase
     interaction and the closing beamsplitter.  The map does not validate what
-    it returns: ``machine.run_many`` does after every stage.
+    it returns: ``machine.run_many`` checks each noisy gate's output.
     """
     check_modes(space, m_a, m_b, m_c)
     b = beamsplitter_unitary(space, m_a, m_b).matrix

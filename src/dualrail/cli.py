@@ -115,10 +115,8 @@ def _emit(records: list[dict], args: argparse.Namespace):
     """Write the records, whose keys in order are the output columns."""
     columns = list(records[0])
     if args.format == "csv":
-        lines = [",".join(columns)]
-        for rec in records:
-            lines.append(",".join(_fmt(rec[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
+        rows = ([_fmt(rec[c]) for c in columns] for rec in records)
+        text = "".join(",".join(row) + "\n" for row in [columns, *rows])
     else:
         rounded = [{c: _json_value(rec[c]) for c in columns} for rec in records]
         text = json.dumps({"columns": columns, "records": rounded}, indent=2,

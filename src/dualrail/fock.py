@@ -116,7 +116,10 @@ def check_finite(a: np.ndarray, what: str):
 
 def check_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     """``value`` as its own read-only complex copy of ``shape``, with finite entries."""
-    a = np.array(value, dtype=complex)
+    try:
+        a = np.array(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise FockError(f"{what} is not an array of numbers") from None
     if a.shape != shape:
         raise FockError(f"{what} has shape {a.shape}, expected {shape}")
     check_finite(a, what)
@@ -234,10 +237,10 @@ class LinearOperator:
 
 
 def checked_densities(space: FockSpace, matrices: np.ndarray) -> list[DensityOperator]:
-    """The matrices of a (G, dim, dim) stack that ``check_densities`` has passed, as states.
+    """The matrices of a (G, dim, dim) stack of density operators, as states, unchecked.
 
-    Each state is built without ``DensityOperator.__post_init__``, whose
-    checks the stack has already passed as a whole.
+    The caller vouches for the stack: it passed ``check_densities``, or came
+    from checked states through checked unitaries only.
     """
     states = []
     for m in matrices:

@@ -65,8 +65,6 @@ def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOpe
     photon in m_c.  F is Hermitian, so F is its own inverse.
     """
     check_modes(space, m_a, m_b, m_c)
-    b = beamsplitter_unitary(space, m_a, m_b)
-    k = kerr_unitary(space, m_b, m_c)
-    f = b.matrix.conj().T @ k.matrix @ b.matrix
-    return LinearOperator(space, f)
+    b = beamsplitter_unitary(space, m_a, m_b).matrix
+    return LinearOperator(space, b.conj().T @ kerr_unitary(space, m_b, m_c).matrix @ b)
 

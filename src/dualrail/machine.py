@@ -10,7 +10,8 @@ and the function class is read from the mode-d detector: a click answers
 for k1 = 0, no click for k1 = 1.
 
 ``run_many`` folds ``stages`` over a stack of runs that share one stage
-list, up to STACK_HEIGHT grid points at once, checking every stage's output;
+list, up to STACK_HEIGHT grid points at once, checking the output of each
+noisy gate and of the projection: a checked unitary keeps a state a state.
 ``run`` is its one-config case.  A run yields its output state, and both
 error figures read their a-d outcomes from it, one marginal per call.
 ``readout_error`` scores the mode-d readout against the correct class;
@@ -166,10 +167,8 @@ def _gate_stack(configs: Sequence[MachineConfig], slot: int, mc_samples: int | N
     if damped is not None:
         return lossy_gate_stack(SPACE, *modes, damped(config.k1),
                                 [c.noise.gamma for c in configs])
-    if mc_samples is None:
-        phi = [gaussian_phi(c.noise.lam) for c in configs]
-    else:
-        phi = [sampled_phi(c.noise.lam, mc_samples, [mc_seed, slot]) for c in configs]
+    phi = [gaussian_phi(c.noise.lam) if mc_samples is None
+           else sampled_phi(c.noise.lam, mc_samples, [mc_seed, slot]) for c in configs]
     return phase_average_stack(SPACE, *modes, np.array(phi))
 
 
@@ -187,14 +186,14 @@ def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
 
 def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
           mc_seed: int) -> Iterator[RunResult]:
-    """Fold one stack of runs over ``stages``, checking every stage's output, and yield each run."""
+    """Fold one stack of runs over ``stages``, checking only noisy-gate and projection outputs."""
     rho = np.broadcast_to(_INPUT_DENSITY, (len(configs), SPACE.dim, SPACE.dim))
     p_accept = np.ones(len(configs))
     for stage in stages(configs[0]):
-        if isinstance(stage, LinearOperator):
-            u = stage.matrix
-            rho = u @ rho @ u.conj().T
-        elif stage == PROJECTION:
+        if isinstance(stage, LinearOperator):  # checked unitary: U rho U^dag stays a state
+            rho = stage.matrix @ rho @ stage.matrix.conj().T
+            continue
+        if stage == PROJECTION:
             rho, p_accept = projective_ec_stack(SPACE, rho)
         else:
             rho = _gate_stack(configs, stage, mc_samples, mc_seed)(rho)

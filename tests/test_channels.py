@@ -503,6 +503,11 @@ def test_sampled_phi_copies_a_list_seed():
 def test_kraus_channel_rejects_non_finite_operators():
     with pytest.raises(FockError, match="non-finite"):
         KrausChannel(SPACE3, (np.full((SPACE3.dim, SPACE3.dim), math.nan),))
+    for bad in (None, 5, np.eye(SPACE3.dim)):  # not a list or tuple of operators
+        with pytest.raises(FockError, match="must be a list or tuple"):
+            KrausChannel(SPACE3, bad)
+    with pytest.raises(FockError, match="Kraus operator is not an array of numbers"):
+        KrausChannel(SPACE3, ("x",))
 
 
 # ---------------------------------------------------------------- CPTP properties

@@ -189,6 +189,9 @@ def test_density_operator_validation():
         DensityOperator(space, np.diag([0.7, 0.7]))  # trace != 1
     with pytest.raises(FockError):
         DensityOperator(space, np.diag([1.5, -0.5]))  # negative eigenvalue
+    for bad in ("x", {"a": 1}, [[1, 0], [0]]):  # a string, a dict, a ragged list
+        with pytest.raises(FockError, match="density matrix is not an array of numbers"):
+            DensityOperator(space, bad)
 
 
 @pytest.mark.parametrize("matrix", [
@@ -224,6 +227,9 @@ def test_pure_state_validation():
     space = FockSpace(1)
     with pytest.raises(FockError):
         PureState(space, np.array([1.0, 1.0]))
+    for bad in ([[1], [0, 1]], ["1", "x"], [10 ** 5000, 0]):  # ragged, a string, past the floats
+        with pytest.raises(FockError, match="amplitude vector is not an array of numbers"):
+            PureState(space, bad)
 
 
 def test_pure_state_rejects_non_finite_amplitudes():
@@ -240,6 +246,9 @@ def test_linear_operator_unitarity_check():
 def test_linear_operator_rejects_non_finite_entries():
     with pytest.raises(FockError, match="non-finite"):
         LinearOperator(FockSpace(1), np.full((2, 2), math.nan))
+    for bad in ({"a": 1}, [[1, 0], "x"]):
+        with pytest.raises(FockError, match="operator matrix is not an array of numbers"):
+            LinearOperator(FockSpace(1), bad)
 
 
 # kind -> (build from the caller's arrays, the arrays the value stores, the caller's

@@ -393,13 +393,35 @@ def test_run_many_folds_stacks_of_at_most_four_as_they_are_consumed(monkeypatch)
     results = run_many(configs)
     assert heights == []  # nothing runs before the first result is asked for
     first = next(results)
-    n_stages = len(stages(configs[0]))
-    assert STACK_HEIGHT == 4 and heights == [4] * n_stages  # every stage checked, one stack
+    n_checked = sum(not isinstance(s, LinearOperator) for s in stages(configs[0]))
+    assert STACK_HEIGHT == 4 and heights == [4] * n_checked  # one stack, its noisy gate checked
     rest = list(results)
-    assert heights == [4] * n_stages + [1] * n_stages
+    assert heights == [4] * n_checked + [1] * n_checked
     assert [r.config for r in [first, *rest]] == configs
     for result in [first, *rest]:
         assert np.array_equal(result.output_state.matrix, run(result.config).output_state.matrix)
+
+
+# checks per stack: one per noisy gate slot, plus one for the projection
+CHECKS = {"none": 0, "loss": 1, "balanced-loss": 2, "dephasing": 2}
+
+
+@pytest.mark.parametrize("model, k1, projective_ec", STAGE_CASES,
+                         ids=[f"{m}-k1={k}-ec={e}" for m, k, e in STAGE_CASES])
+def test_run_many_checks_the_output_of_each_non_unitary_stage(monkeypatch, model, k1,
+                                                              projective_ec):
+    # a checked unitary keeps a checked state a state, so only noisy gates and the
+    # projection are followed by the state check
+    heights = []
+    check = fock.check_densities
+    monkeypatch.setattr(machine, "check_densities",
+                        lambda stack: heights.append(len(stack)) or check(stack))
+    configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
+               for x in (0.1, 0.2, 0.3)]
+    list(run_many(configs))
+    n_checked = sum(not isinstance(s, LinearOperator) for s in stages(configs[0]))
+    assert n_checked == CHECKS[model] + projective_ec
+    assert heights == [3] * n_checked
 
 
 @pytest.mark.parametrize("first, other", [
@@ -414,12 +436,30 @@ def test_run_many_rejects_mixed_stage_lists(first, other):
         run_many([first, first, other])
 
 
-@pytest.mark.parametrize("model", NOISE_MODELS)
-def test_non_positive_gate_in_the_middle_of_a_stack_raises(monkeypatch, model):
-    # every stage output is checked: a non-positive state from gate slot 0 for
-    # one point of a stack raises, though every later stage is trace preserving
-    bad = np.zeros((SPACE.dim, SPACE.dim), dtype=complex)
-    bad[0, 0], bad[1, 1] = 1.5, -0.5  # Hermitian, unit trace, eigenvalue -0.5
+def _replace_with_bad_state(out):
+    out[1] = 0
+    out[1, 0, 0], out[1, 1, 1] = 1.5, -0.5  # Hermitian, unit trace, eigenvalue -0.5
+
+
+def _add_dark_block(out):
+    # +0.5 at |00000>, -0.5 at |00001>: outside the legal span, so the projection removes it
+    out[1, 0, 0] += 0.5
+    out[1, 1, 1] -= 0.5
+
+
+# case -> (model, k1, projective_ec, how point 1 of gate slot 0's output is spoilt)
+INJECTIONS = {model: (model, 1, False, _replace_with_bad_state) for model in NOISE_MODELS}
+INJECTIONS.update({f"dephasing-projective-k1={k1}": ("dephasing", k1, True, _add_dark_block)
+                   for k1 in (0, 1)})
+
+
+@pytest.mark.parametrize("model, k1, projective_ec, spoil", INJECTIONS.values(),
+                         ids=INJECTIONS.keys())
+def test_non_positive_gate_in_the_middle_of_a_stack_raises(monkeypatch, model, k1,
+                                                           projective_ec, spoil):
+    # every noisy gate's output is checked: a non-positive state from gate slot 0
+    # for one point of a stack raises, though every later stage is trace preserving
+    # and the projection would discard the negative block
     stage_list, gate_stack = machine.stages, machine._gate_stack
 
     def slot_0_built_per_stack(config):  # so that every model routes slot 0 through inject
@@ -434,14 +474,15 @@ def test_non_positive_gate_in_the_middle_of_a_stack_raises(monkeypatch, model):
 
         def apply(stack):
             out = gate(stack).copy()
-            out[1] = bad
+            spoil(out)
             return out
 
         return apply
 
     monkeypatch.setattr(machine, "stages", slot_0_built_per_stack)
     monkeypatch.setattr(machine, "_gate_stack", inject)
-    configs = [cfg(1, model, **STACK_STRENGTHS[model](x)) for x in (0.1, 0.2, 0.3)]
+    configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
+               for x in (0.1, 0.2, 0.3)]
     with pytest.raises(FockError, match="negative eigenvalue"):
         list(run_many(configs))
 
