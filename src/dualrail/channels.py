@@ -12,8 +12,9 @@ Two noise families:
 Every noisy gate the machine runs is B^dag N(K B rho B^dag K^dag) B, the
 noise N acting in the Kerr-cell frame: loss damps the listed modes one after
 another, dephasing multiplies by the phase correlation C.  Its one form is a
-map of a (G, dim, dim) stack, one noise strength per point
-(``lossy_gate_stack``, ``phase_average_stack``).  Product Kraus lists remain
+map of a stack, one noise strength per point, over every basis state
+(``lossy_gate_stack``, ``phase_average_stack``) or, in the machine's fold,
+over those with at most n photons.  Product Kraus lists remain
 only in ``lossy_fredkin_channel`` (the loss placements) and
 ``dephased_fredkin_channel`` (the phase average's independent reference).
 """
@@ -38,6 +39,7 @@ from .fock import (
     check_modes,
     check_strength,
     occupation_table,
+    photon_basis,
 )
 from .gates import beamsplitter_unitary, kerr_unitary
 
@@ -162,27 +164,46 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
 StackMap = Callable[[np.ndarray], np.ndarray]
 
 
-def _cell_gate(space: FockSpace, m_a: int, m_b: int, m_c: int, noise: StackMap) -> StackMap:
-    """The noisy Fredkin gate rho -> B^dag noise(K B rho B^dag K^dag) B on a stack.
-
-    ``noise`` maps the stack in the Kerr-cell frame, between the cross-phase
-    interaction and the closing beamsplitter.  The map does not validate what
-    it returns: ``machine.run_many`` checks each noisy gate's output.
-    """
+@lru_cache(maxsize=None, typed=True)
+def _cell_frame(space: FockSpace, m_a: int, m_b: int, m_c: int, n_max: float) -> tuple:
+    """B, K B and the cell photon numbers n_b + n_c, cut once to ``photon_basis(space, n_max)``."""
     check_modes(space, m_a, m_b, m_c)
+    keep, table = photon_basis(space, n_max), occupation_table(space)
     b = beamsplitter_unitary(space, m_a, m_b).matrix
     kb = kerr_unitary(space, m_b, m_c).matrix @ b
+    return b[np.ix_(keep, keep)], kb[np.ix_(keep, keep)], table[keep, m_b] + table[keep, m_c]
+
+
+def _cell_gate(space: FockSpace, m_a: int, m_b: int, m_c: int, noise: StackMap,
+               n_max: float = math.inf) -> StackMap:
+    """The noisy Fredkin gate rho -> B^dag noise(K B rho B^dag K^dag) B on a stack.
+
+    The stack holds the rows and columns of ``photon_basis(space, n_max)``, all
+    of them by default.  ``noise`` maps it in the Kerr-cell frame, between the
+    cross-phase interaction and the closing beamsplitter.  The map does not
+    validate what it returns: ``machine.run_many`` checks each noisy gate's output.
+    """
+    b, kb, _ = _cell_frame(space, m_a, m_b, m_c, n_max)
     return lambda stack: b.conj().T @ noise(kb @ stack @ kb.conj().T) @ b
 
 
-def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float]) -> StackMap:
+@lru_cache(maxsize=None)
+def _lowering(space: FockSpace, mode: int, n_max: float) -> tuple:
+    """n_mode and the (lowered, raised) position pairs of a_mode, cut to ``photon_basis``."""
+    keep = photon_basis(space, n_max)
+    pairs = np.nonzero(annihilation_operator(space, mode)[np.ix_(keep, keep)])
+    return occupation_table(space)[keep, mode], *pairs
+
+
+def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float],
+             n_max: float = math.inf) -> StackMap:
     """Photon loss of strength gamma[g] on point g of a stack, mode by mode in ``damped`` order.
 
-    Mode m's Kraus pair (``_damping_kraus``) acts without a matrix product:
-    the no-jump diag(s ** n_m), s = e^(-gamma/2), scales the rows and then
-    the columns with n_m = 1, and the jump sqrt(1 - e^-gamma) a_m gathers the
-    block of rows and columns with n_m = 1 into the block with n_m = 0, both
-    row sets read off the occupation table as ``annihilation_operator`` does.
+    Mode m's Kraus pair (``_damping_kraus``) acts without a matrix product on
+    the stack of ``photon_basis(space, n_max)``: the no-jump diag(s ** n_m),
+    s = e^(-gamma/2), scales the rows and columns with n_m = 1, and the jump
+    sqrt(1 - e^-gamma) a_m gathers their block into that of their lowered
+    states, which hold fewer photons and so stay in the basis (``_lowering``).
     Every product is taken in the Kraus sum's order, so the bits agree.
     """
     check_modes(space, *damped)
@@ -191,8 +212,8 @@ def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float]) ->
     surv = [math.exp(-g) for g in gamma]
     keep = np.array([s ** 0.5 for s in surv])[:, None]
     jump = np.array([(1 - s) ** 0.5 for s in surv])[:, None, None]
-    steps = [(np.where(n == 1, keep, 1.0), np.flatnonzero(n == 0), np.flatnonzero(n == 1))
-             for n in occupation_table(space)[:, list(damped)].T]
+    steps = [(np.where(n == 1, keep, 1.0), zero, one)
+             for n, zero, one in (_lowering(space, m, n_max) for m in damped)]
 
     def damp(mid: np.ndarray) -> np.ndarray:
         for scale, zero, one in steps:
@@ -213,9 +234,14 @@ def lossy_gate_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
 def gaussian_phi(lam: float) -> np.ndarray:
     """phi(k) = <exp(i k eps)> = exp(-k^2 lam), k = 0, 1, 2; safe at lam = inf."""
     check_strength(lam, "lam", finite=False)
-    k = np.arange(1, 3, dtype=float)
+    return _gaussian_phis([lam])[0]
+
+
+def _gaussian_phis(lam: Sequence[float]) -> np.ndarray:
+    """``gaussian_phi`` of each checked lam[g], as the rows of one (G, 3) array."""
     with np.errstate(over="ignore"):  # a huge finite lam overflows to the lam = inf limit
-        return np.concatenate(([1.0], np.exp(-k ** 2 * lam)))
+        tail = np.exp(-np.arange(1.0, 3.0) ** 2 * np.array(lam, dtype=float)[:, None])
+    return np.hstack((np.ones((len(tail), 1)), tail))
 
 
 # Every Monte-Carlo caller calls ``run``, which draws one phi per dephased slot; the k1 = 1 and
@@ -266,11 +292,12 @@ def _phase_correlation(phi: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(d < 0, c.conj(), c)
 
 
-def _cell_photon_numbers(space: FockSpace, m_b: int, m_c: int) -> np.ndarray:
-    """N = n_b + n_c, the photon number in the Kerr cell, per basis state."""
-    check_modes(space, m_b, m_c)
-    table = occupation_table(space)
-    return table[:, m_b] + table[:, m_c]
+def _phase_mask(space: FockSpace, m_a: int, m_b: int, m_c: int, phi: np.ndarray,
+                n_max: float = math.inf) -> StackMap:
+    """Cell-frame phase noise on ``photon_basis``: the product with C[i, j] = phi(N_i - N_j)."""
+    corr = _phase_correlation(check_array(phi, (None, 3), "phi"),
+                              _cell_frame(space, m_a, m_b, m_c, n_max)[2])
+    return lambda mid: mid * corr
 
 
 def phase_average_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -283,9 +310,7 @@ def phase_average_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
     the cell-frame noise is the element-wise product with C[i, j] =
     phi(N_i - N_j).  The phase law enters only through phi.
     """
-    phi = check_array(phi, (len(np.atleast_2d(phi)), 3), "phi")
-    corr = _phase_correlation(phi, _cell_photon_numbers(space, m_b, m_c))
-    return _cell_gate(space, m_a, m_b, m_c, lambda mid: mid * corr)
+    return _cell_gate(space, m_a, m_b, m_c, _phase_mask(space, m_a, m_b, m_c, phi))
 
 
 def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -302,7 +327,7 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     check_modes(space, m_a, m_b, m_c)
     phi = gaussian_phi(lam)
     evals, evecs = np.linalg.eigh(_phase_correlation(phi, np.arange(len(phi))))
-    n = _cell_photon_numbers(space, m_b, m_c)
+    n = _cell_frame(space, m_a, m_b, m_c, math.inf)[2]
     diagonals = [np.diag(math.sqrt(w) * v[n]) for w, v in zip(evals, evecs.T) if w >= 1e-14]
     return _gate_sandwich(space, m_a, m_b, [[kerr_unitary(space, m_b, m_c).matrix], diagonals])
 

@@ -32,6 +32,7 @@ from .fock import (
     check_strength,
     index_of,
     occupation_table,
+    photon_basis,
 )
 
 DUAL_RAIL_PAIRS = ((0, 1), (2, 3))
@@ -109,12 +110,14 @@ def projective_ec_step(rho: DensityOperator) -> tuple[DensityOperator, float]:
     return project_onto(rho, legal_projector(rho.space))
 
 
-def projective_ec_stack(space: FockSpace, matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``projective_ec_step`` on a (G, dim, dim) stack: the projected stack and the acceptances.
+def projective_ec_stack(space: FockSpace, matrices: np.ndarray,
+                        n_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """``projective_ec_step`` on a stack over ``photon_basis(space, n_max)``, and the acceptances.
 
     The stack it returns is not validated; ``machine.run_many`` checks it.
     """
-    return _project(matrices, legal_projector(space))
+    keep = photon_basis(space, n_max)
+    return _project(matrices, legal_projector(space)[np.ix_(keep, keep)])
 
 
 def restore_unitary(space: FockSpace) -> LinearOperator:

@@ -9,10 +9,10 @@ bit of the basis index:
 
 so the occupation reads like a binary string.
 This convention is normative for all file output produced by the CLI.
-Only this module relies on it: other modules get occupations and marginals
-from ``occupation_table`` and ``marginal_distribution``.  Every single-mode
-operator is a function of one table column (number, phase, damping) or the
-lowering row map ``annihilation_operator``.
+Only this module relies on it: other modules get occupations, photon-number
+sectors and marginals from ``occupation_table``, ``photon_basis`` and
+``marginal_distribution``, and every single-mode operator is a function of one
+table column (number, phase, damping) or of ``annihilation_operator``.
 
 Inputs obey one rule per kind: ``check_integer``, ``check_strength`` and
 ``check_array``, which gives each state and operator its own read-only copy.
@@ -79,6 +79,12 @@ def occupation_table(space: FockSpace) -> np.ndarray:
     return _readonly(np.indices((2,) * space.n_modes).reshape(space.n_modes, -1).T)
 
 
+@lru_cache(maxsize=None)
+def photon_basis(space: FockSpace, n_max: float) -> np.ndarray:
+    """Read-only indices, in index order, of the basis states holding at most ``n_max`` photons."""
+    return _readonly(np.flatnonzero(occupation_table(space).sum(axis=1) <= n_max))
+
+
 def _shown(value) -> str:
     """``repr(value)``, or its type where that refuses, as for an int of over 4300 digits."""
     try:
@@ -114,13 +120,13 @@ def check_finite(a: np.ndarray, what: str):
         raise FockError(f"{what} has non-finite entries")
 
 
-def check_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """``value`` as its own read-only complex copy of ``shape``, with finite entries."""
+def check_array(value, shape: tuple[int | None, ...], what: str) -> np.ndarray:
+    """``value`` as its own read-only complex copy of ``shape`` (None: any length), finite."""
     try:
         a = np.array(value, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         raise FockError(f"{what} is not an array of numbers") from None
-    if a.shape != shape:
+    if a.ndim != len(shape) or any(want not in (n, None) for n, want in zip(a.shape, shape)):
         raise FockError(f"{what} has shape {a.shape}, expected {shape}")
     check_finite(a, what)
     return _readonly(a)

@@ -10,10 +10,13 @@ and the function class is read from the mode-d detector: a click answers
 for k1 = 0, no click for k1 = 1.
 
 ``run_many`` folds ``stages`` over a stack of runs that share one stage
-list, up to STACK_HEIGHT grid points at once, checking the output of each
-noisy gate and of the projection: a checked unitary keeps a state a state.
-``run`` is its one-config case.  A run yields its output state, and both
-error figures read their a-d outcomes from it, one marginal per call.
+list, up to STACK_HEIGHT grid points at once, on the reachable basis: no
+stage raises INPUT's PHOTONS = 2 photons, so only the 16 basis states with
+at most two hold weight, and each output is embedded into SPACE at the end.
+It checks the output of each noisy gate and of the projection: a checked
+unitary keeps a state a state.  ``run`` is its one-config case.  A run
+yields its output state, and both error figures read their a-d outcomes
+from it, one marginal per call.
 ``readout_error`` scores the mode-d readout against the correct class;
 without post-selection it additionally charges half of the probability of
 lone-photon outcomes left on the noisy gate's Kerr-cell rails, since a run
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,9 +40,10 @@ import numpy as np
 from .channels import (
     NoiseParams,
     StackMap,
-    gaussian_phi,
-    lossy_gate_stack,
-    phase_average_stack,
+    _cell_gate,
+    _damping,
+    _gaussian_phis,
+    _phase_mask,
     sampled_phi,
 )
 from .correction import ZeroAcceptanceError, legal_mask, projective_ec_stack
@@ -54,13 +59,15 @@ from .fock import (
     checked_densities,
     marginal_distribution,
     occupation_table,
+    photon_basis,
 )
 from .gates import beamsplitter_unitary, fredkin_unitary, phase_shift_unitary
 
 MODE_A, MODE_B, MODE_C, MODE_D, MODE_E = range(5)
 SPACE = FockSpace(5)
 INPUT = basis_pure(SPACE, (0, 1, 0, 1, 0))
-_INPUT_DENSITY = INPUT.density().matrix  # validated and read-only, the start of every fold
+_INPUT_DENSITY = INPUT.density()  # validated, the start of every fold
+PHOTONS = 2  # INPUT's photon number; the reachable basis is photon_basis(SPACE, PHOTONS)
 RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
 RAILS = FockSpace(len(RAIL_MODES))  # the space of the a-d outcomes every figure is read from
 PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the legal span
@@ -155,7 +162,7 @@ def _conditional(probs: np.ndarray, legal: np.ndarray | None,
 
 def _gate_stack(configs: Sequence[MachineConfig], slot: int, mc_samples: int | None,
                 mc_seed: int) -> StackMap:
-    """The map of noisy gate slot 0 or 1 on a stack of runs that share k1 and noise model.
+    """Noisy gate slot 0 or 1 on a reachable-basis stack of runs that share k1 and noise model.
 
     Lossy slots damp their modes in the Kerr-cell frame; dephased slots apply
     the phase average there, with the Gaussian phi analytically and the
@@ -165,11 +172,12 @@ def _gate_stack(configs: Sequence[MachineConfig], slot: int, mc_samples: int | N
     modes = gate_modes(config.k1)
     damped = NOISE_PLACEMENT[config.noise_model][1]
     if damped is not None:
-        return lossy_gate_stack(SPACE, *modes, damped(config.k1),
-                                [c.noise.gamma for c in configs])
-    phi = [gaussian_phi(c.noise.lam) if mc_samples is None
-           else sampled_phi(c.noise.lam, mc_samples, [mc_seed, slot]) for c in configs]
-    return phase_average_stack(SPACE, *modes, np.array(phi))
+        noise = _damping(SPACE, damped(config.k1), [c.noise.gamma for c in configs], PHOTONS)
+    else:
+        lam = [c.noise.lam for c in configs]
+        noise = _phase_mask(SPACE, *modes, _gaussian_phis(lam) if mc_samples is None else
+                            [sampled_phi(x, mc_samples, [mc_seed, slot]) for x in lam], PHOTONS)
+    return _cell_gate(SPACE, *modes, noise, PHOTONS)
 
 
 def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
@@ -184,22 +192,33 @@ def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
     return [bcd, g0, *projection, phase_shift_unitary(SPACE, MODE_A, math.pi), g1, bcd.dagger]
 
 
+@lru_cache(maxsize=None)  # only the input and the memoized unitaries of ``stages`` arrive
+def _reachable_block(op: DensityOperator | LinearOperator) -> np.ndarray:
+    """The block of the input or of a stage unitary on the reachable basis, cut once."""
+    keep = photon_basis(SPACE, PHOTONS)
+    return op.matrix[np.ix_(keep, keep)]
+
+
 def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
           mc_seed: int) -> Iterator[RunResult]:
-    """Fold one stack of runs over ``stages``, checking only noisy-gate and projection outputs."""
-    rho = np.broadcast_to(_INPUT_DENSITY, (len(configs), SPACE.dim, SPACE.dim))
+    """Fold one stack over ``stages`` on the reachable basis, checking only non-unitary stages."""
+    keep = photon_basis(SPACE, PHOTONS)
+    rho = np.broadcast_to(_reachable_block(_INPUT_DENSITY), (len(configs), len(keep), len(keep)))
     p_accept = np.ones(len(configs))
     for stage in stages(configs[0]):
         if isinstance(stage, LinearOperator):  # checked unitary: U rho U^dag stays a state
-            rho = stage.matrix @ rho @ stage.matrix.conj().T
+            u = _reachable_block(stage)
+            rho = u @ rho @ u.conj().T
             continue
         if stage == PROJECTION:
-            rho, p_accept = projective_ec_stack(SPACE, rho)
+            rho, p_accept = projective_ec_stack(SPACE, rho, PHOTONS)
         else:
             rho = _gate_stack(configs, stage, mc_samples, mc_seed)(rho)
         check_densities(rho)
 
-    for config, state, accepted in zip(configs, checked_densities(SPACE, rho), p_accept.tolist()):
+    out = np.zeros((len(configs), SPACE.dim, SPACE.dim), dtype=complex)
+    out[:, keep[:, None], keep] = rho
+    for config, state, accepted in zip(configs, checked_densities(SPACE, out), p_accept.tolist()):
         yield RunResult(config, state, accepted)
 
 

@@ -25,6 +25,7 @@ from dualrail.channels import (
     KrausChannel,
     _damping,
     _damping_kraus,
+    _gaussian_phis,
     gaussian_phi,
     lossy_gate_stack,
     phase_average_stack,
@@ -457,6 +458,22 @@ def test_mc_is_deterministic_per_seed():
     assert np.array_equal(oracle1(rho).matrix, oracle2(rho).matrix)
 
 
+def pointwise_gaussian_phi(lam):
+    """phi(0) = 1, then exp(-k^2 lam) for k = 1, 2, for one lambda."""
+    with np.errstate(over="ignore"):
+        return np.concatenate(([1.0], np.exp(-np.arange(1, 3, dtype=float) ** 2 * lam)))
+
+
+@pytest.mark.parametrize("height", [1, 4, 61])
+def test_gaussian_phi_of_a_stack_is_the_pointwise_law_bit_for_bit(height):
+    lams = [*np.logspace(-8, 3, 997).tolist(), 0.0, 5e-324, 1e300, math.inf, 10**300]
+    for start in range(0, len(lams), height):
+        chunk = lams[start:start + height]
+        want = np.array([pointwise_gaussian_phi(lam) for lam in chunk])
+        assert_bit_equal(_gaussian_phis(chunk), want)
+        assert all(gaussian_phi(lam).tobytes() == row.tobytes() for lam, row in zip(chunk, want))
+
+
 @pytest.mark.parametrize("seed", [0, [424242, 1]], ids=["int", "list"])
 @pytest.mark.parametrize("n", [1, 17, 5000, 100000])
 @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.1, 1.0, 1e4], ids=str)
@@ -563,9 +580,10 @@ def test_decibels():
     lambda: lossy_gate_stack(SPACE3, 0, 1, 2, [1.0], [0.1]),
     lambda: phase_average_stack(SPACE3, 0, 1, 2, np.array([[1.0, math.nan, 0.5]])),
     lambda: phase_average_stack(SPACE3, 0, 1, 2, gaussian_phi(0.1)),  # phi is (G, 3)
+    lambda: phase_average_stack(SPACE3, 0, 1, 2, [[1, 0.5, 0.2], [1, 0.5]]),
 ], ids=["phi-negative", "phi-nan", "phi-none", "phi-huge-int", "101-negative", "101-inf",
         "db-none", "db-negative", "db-huge-int", "db-unprintable-int", "stack-float-mode",
-        "stack-nan-phi", "stack-1d-phi"])
+        "stack-nan-phi", "stack-1d-phi", "stack-ragged-phi"])
 def test_entry_points_reject_bad_strengths_and_modes(call):
     with pytest.raises(FockError):
         call()

@@ -18,7 +18,7 @@ from dualrail import (
     index_of,
     marginal_distribution,
 )
-from dualrail.fock import annihilation_operator, check_densities, occupation_table
+from dualrail.fock import annihilation_operator, check_densities, occupation_table, photon_basis
 from conftest import (
     assert_bit_equal,
     digits_of,
@@ -71,6 +71,16 @@ def test_occupation_table_rows_round_trip(space):
     assert occupation_table(space) is table
     with pytest.raises(ValueError):
         table[0, 0] = 1
+
+
+@pytest.mark.parametrize("space", ROUND_TRIP_SPACES, ids=space_id)
+def test_photon_basis_lists_the_states_of_at_most_n_photons_in_index_order(space):
+    for n_max in (0, 1, 2, space.n_modes, math.inf):
+        want = [i for i in range(space.dim) if sum(digits_of(space, i)) <= n_max]
+        assert photon_basis(space, n_max).tolist() == want
+    assert len(photon_basis(space, 2)) == sum(math.comb(space.n_modes, n) for n in range(3))
+    with pytest.raises(ValueError):
+        photon_basis(space, 2)[0] = 1
 
 
 def loop_annihilation(space, mode):

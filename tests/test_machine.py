@@ -32,10 +32,12 @@ from dualrail.channels import (
     phase_average_stack,
     sampled_phi,
 )
+from dualrail.fock import occupation_table, photon_basis
 from dualrail.machine import (
     INPUT,
     NOISE_MODELS,
     NOISE_PLACEMENT,
+    PHOTONS,
     PROJECTION,
     RAIL_MODES,
     SPACE,
@@ -57,14 +59,23 @@ def cfg(k1, model="none", gamma=0.0, lam=0.0, **kw):
                          noise_model=model, **kw)
 
 
-def gate_map(config):
-    """A noisy gate of ``config`` as a map of one state: its stack map at G = 1."""
+def full_space_gate(config, height=1, mc_samples=None, seed=None):
+    """A noisy gate of ``config`` as its full-space stack map, all ``height`` points alike.
+
+    With ``mc_samples`` a dephased gate reads the phi sampled under ``seed``.
+    """
     modes = gate_modes(config.k1)
     damped = NOISE_PLACEMENT[config.noise_model][1]
+    lam = config.noise.lam
     if damped is not None:
-        gate = lossy_gate_stack(SPACE, *modes, damped(config.k1), [config.noise.gamma])
-    else:
-        gate = phase_average_stack(SPACE, *modes, gaussian_phi(config.noise.lam)[None])
+        return lossy_gate_stack(SPACE, *modes, damped(config.k1), [config.noise.gamma] * height)
+    phi = gaussian_phi(lam) if mc_samples is None else sampled_phi(lam, mc_samples, seed)
+    return phase_average_stack(SPACE, *modes, np.tile(phi, (height, 1)))
+
+
+def gate_map(config, mc_samples=None, seed=None):
+    """A noisy gate of ``config`` as a map of one state: its stack map at G = 1."""
+    gate = full_space_gate(config, 1, mc_samples, seed)
     return lambda rho: apply_stack(gate, rho)
 
 
@@ -411,17 +422,17 @@ CHECKS = {"none": 0, "loss": 1, "balanced-loss": 2, "dephasing": 2}
 def test_run_many_checks_the_output_of_each_non_unitary_stage(monkeypatch, model, k1,
                                                               projective_ec):
     # a checked unitary keeps a checked state a state, so only noisy gates and the
-    # projection are followed by the state check
-    heights = []
+    # projection are followed by the state check, on the fold's 16-state reachable basis
+    shapes = []
     check = fock.check_densities
     monkeypatch.setattr(machine, "check_densities",
-                        lambda stack: heights.append(len(stack)) or check(stack))
+                        lambda stack: shapes.append(stack.shape) or check(stack))
     configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
                for x in (0.1, 0.2, 0.3)]
     list(run_many(configs))
     n_checked = sum(not isinstance(s, LinearOperator) for s in stages(configs[0]))
     assert n_checked == CHECKS[model] + projective_ec
-    assert heights == [3] * n_checked
+    assert shapes == [(3, 16, 16)] * n_checked
 
 
 @pytest.mark.parametrize("first, other", [
@@ -500,6 +511,60 @@ def test_only_noisy_gates_are_built_per_stack(monkeypatch, model, slots):
         list(run_many([cfg(k1, model, **STACK_STRENGTHS[model](x)) for x in (0.1, 0.2)]))
         assert built == slots
         built.clear()
+
+
+# ---------------------------------------------------------------- the reachable basis
+
+REACHABLE = photon_basis(SPACE, PHOTONS)
+UNREACHABLE = np.setdiff1d(np.arange(SPACE.dim), REACHABLE)
+
+
+def off_the_reachable_basis(matrix):
+    """Whether a (..., dim, dim) array has a nonzero entry in a row or column off REACHABLE."""
+    return matrix[..., UNREACHABLE, :].any() or matrix[..., :, UNREACHABLE].any()
+
+
+def test_the_reachable_basis_holds_at_most_the_input_photons_in_index_order():
+    numbers = occupation_table(SPACE).sum(axis=1)
+    assert np.abs(INPUT.amplitudes) ** 2 @ numbers == PHOTONS == 2
+    numbers = numbers[REACHABLE]
+    assert len(REACHABLE) == 16 and np.bincount(numbers).tolist() == [1, 5, 10]
+    assert REACHABLE.tolist() == sorted(REACHABLE.tolist())
+    assert REACHABLE[:2].tolist() == [index_of(SPACE, (0,) * 5), index_of(SPACE, (0, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("model, k1, projective_ec", STAGE_CASES,
+                         ids=[f"{m}-k1={k}-ec={e}" for m, k, e in STAGE_CASES])
+def test_no_stage_couples_the_reachable_basis_to_the_rest(model, k1, projective_ec):
+    # the restriction of the fold is exact: each fixed unitary and the projector have zero
+    # blocks between reachable and unreachable states, and each noisy gate's full-space
+    # map sends every matrix unit on the reachable basis to a matrix on it
+    config = cfg(k1, model, projective_ec=projective_ec, **STRENGTHS[model])
+    steps = stages(config)
+    for u in (stage.matrix for stage in steps if isinstance(stage, LinearOperator)):
+        assert not u[np.ix_(UNREACHABLE, REACHABLE)].any()
+        assert not u[np.ix_(REACHABLE, UNREACHABLE)].any()
+    assert not off_the_reachable_basis(correction.legal_projector(SPACE))
+    if any(isinstance(stage, int) for stage in steps):  # both slots build the same gate
+        d = len(REACHABLE)
+        units = np.zeros((d * d, SPACE.dim, SPACE.dim), dtype=complex)
+        units[np.arange(d * d), np.repeat(REACHABLE, d), np.tile(REACHABLE, d)] = 1
+        assert not off_the_reachable_basis(full_space_gate(config, d * d)(units))
+
+
+@pytest.mark.parametrize("model, k1, projective_ec", STACK_CASES,
+                         ids=[f"{m}-k1={k}-ec={e}" for m, k, e in STACK_CASES])
+def test_run_many_output_is_the_full_space_fold_on_the_reachable_basis(model, k1, projective_ec):
+    configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
+               for x in (0.0, 0.05, 0.4, 1.0, 3.0)]
+    draws = [None, 700] if model == "dephasing" else [None]
+    for mc_samples in draws:
+        for result in run_many(configs, mc_samples, mc_seed=11):
+            out = result.output_state.matrix
+            assert not off_the_reachable_basis(out)  # every entry off it is exactly 0.0
+            want = fold_stages(result.config,
+                               lambda slot: gate_map(result.config, mc_samples, [11, slot]))
+            assert np.max(np.abs(out - want.matrix)) <= 1e-15
 
 
 # ---------------------------------------------------------------- config validation
