@@ -14,9 +14,9 @@ noise N acting in the Kerr-cell frame: loss damps the listed modes one after
 another, dephasing multiplies by the phase correlation C.  Its one form is a
 map of a stack, one noise strength per point, over every basis state
 (``lossy_gate_stack``, ``phase_average_stack``) or, in the machine's fold,
-over those with at most n photons.  Product Kraus lists remain
-only in ``lossy_fredkin_channel`` (the loss placements) and
-``dephased_fredkin_channel`` (the phase average's independent reference).
+over those with at most n photons.  Product Kraus lists remain only in
+``lossy_fredkin_channel`` (each loss placement a share of gamma before the
+cross-phase) and ``dephased_fredkin_channel`` (the phase average's reference).
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from .fock import (
 )
 from .gates import beamsplitter_unitary, kerr_unitary
 
-LOSS_PLACEMENTS = ("before-kerr", "after-kerr", "split")
+# Loss placement -> the share of gamma taken before the cross-phase, in ``lossy-gate`` order.
+LOSS_PLACEMENTS = {"after-kerr": 0.0, "before-kerr": 1.0, "split": 0.5}
 
 
 @dataclass(frozen=True)
@@ -131,33 +132,21 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
                           gamma: float, placement: str = "after-kerr") -> KrausChannel:
     """Fredkin gate with photon loss on the two Kerr-cell modes (m_b, m_c), as a Kraus list.
 
-    ``placement`` selects where along the cell the loss acts: entirely after
-    the cross-phase interaction, entirely before it, or split half/half.
-    Loss operators are referred to the gate output frame (see
+    ``placement`` names the share of gamma that damps m_b and m_c before the
+    cross-phase (``LOSS_PLACEMENTS``): none, all, or half; the rest damps them
+    after it.  Loss before it is referred to the gate output frame (see
     ``_frame_conjugate``), so all three placements realize the identical
     channel; gamma is the total damping either way.
     """
     check_modes(space, m_a, m_b, m_c)
+    check_strength(gamma, "gamma")
     if placement not in LOSS_PLACEMENTS:
-        raise FockError(f"placement must be one of {LOSS_PLACEMENTS}, got {placement!r}")
-    k = kerr_unitary(space, m_b, m_c).matrix
-    if placement == "after-kerr":
-        stages = [[k], *(_damping_kraus(space, m, gamma) for m in (m_b, m_c))]
-    elif placement == "before-kerr":
-        stages = [
-            _frame_conjugate(_damping_kraus(space, m_b, gamma), k),
-            _frame_conjugate(_damping_kraus(space, m_c, gamma), k),
-            [k],
-        ]
-    else:  # split
-        stages = [
-            _frame_conjugate(_damping_kraus(space, m_b, gamma / 2), k),
-            _frame_conjugate(_damping_kraus(space, m_c, gamma / 2), k),
-            [k],
-            _damping_kraus(space, m_b, gamma / 2),
-            _damping_kraus(space, m_c, gamma / 2),
-        ]
-    return _gate_sandwich(space, m_a, m_b, stages)
+        raise FockError(f"placement must be one of {tuple(LOSS_PLACEMENTS)}, got {placement!r}")
+    share, k = LOSS_PLACEMENTS[placement], kerr_unitary(space, m_b, m_c).matrix
+    before = [_frame_conjugate(_damping_kraus(space, m, gamma * share), k)
+              for m in (m_b, m_c) if share > 0]
+    after = [_damping_kraus(space, m, gamma * (1 - share)) for m in (m_b, m_c) if share < 1]
+    return _gate_sandwich(space, m_a, m_b, [*before, [k], *after])
 
 
 # A map of a (G, dim, dim) stack of matrices, one grid point per leading index.
@@ -207,6 +196,8 @@ def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float],
     Every product is taken in the Kraus sum's order, so the bits agree.
     """
     check_modes(space, *damped)
+    if not isinstance(gamma, (list, tuple)) and np.ndim(gamma) != 1:  # or a 1-D array
+        raise FockError(f"gamma must be a sequence of strengths, got type {type(gamma).__name__}")
     for g in gamma:
         check_strength(g, "gamma")
     surv = [math.exp(-g) for g in gamma]
@@ -325,11 +316,10 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     ``gaussian_phi(lam)`` to 1e-12.
     """
     check_modes(space, m_a, m_b, m_c)
-    phi = gaussian_phi(lam)
-    evals, evecs = np.linalg.eigh(_phase_correlation(phi, np.arange(len(phi))))
-    n = _cell_frame(space, m_a, m_b, m_c, math.inf)[2]
-    diagonals = [np.diag(math.sqrt(w) * v[n]) for w, v in zip(evals, evecs.T) if w >= 1e-14]
-    return _gate_sandwich(space, m_a, m_b, [[kerr_unitary(space, m_b, m_c).matrix], diagonals])
+    evals, evecs = np.linalg.eigh(_phase_correlation(gaussian_phi(lam), np.arange(3)))
+    b, kb, n = _cell_frame(space, m_a, m_b, m_c, math.inf)
+    return KrausChannel(space, tuple(b.conj().T @ (np.diag(math.sqrt(w) * v[n]) @ kb)
+                                     for w, v in zip(evals, evecs.T) if w >= 1e-14))
 
 
 def lambda_from_physical(omega: float, intensity: float) -> float:

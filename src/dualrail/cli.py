@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from .channels import (
+    LOSS_PLACEMENTS,
     NoiseParams,
     decibels,
     dephased_fredkin_channel,
@@ -193,7 +194,7 @@ def cmd_lossy_gate(args) -> list[str]:
     ref101 = lossy_gate_output_101(gamma)
     ref011 = ref101[np.ix_(swapped, swapped)]
     records, ok = [], True
-    for placement in ("after-kerr", "before-kerr", "split"):
+    for placement in LOSS_PLACEMENTS:
         chan = lossy_fredkin_channel(sp, 0, 1, 2, gamma, placement)
         for label, occ, ref in (("101", (1, 0, 1), ref101), ("011", (0, 1, 1), ref011)):
             out = chan.apply(basis_density(sp, occ)).matrix

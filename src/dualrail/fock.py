@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Central numerical tolerances.  Tests import these, do not inline the values.
+# Central numerical tolerances, stated only here: every reader, a test too, imports the name.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
@@ -79,9 +79,10 @@ def occupation_table(space: FockSpace) -> np.ndarray:
     return _readonly(np.indices((2,) * space.n_modes).reshape(space.n_modes, -1).T)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True, equal to 1, is not a photon number
 def photon_basis(space: FockSpace, n_max: float) -> np.ndarray:
     """Read-only indices, in index order, of the basis states holding at most ``n_max`` photons."""
+    check_strength(n_max, "n_max", finite=False)
     return _readonly(np.flatnonzero(occupation_table(space).sum(axis=1) <= n_max))
 
 

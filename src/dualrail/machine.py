@@ -72,9 +72,9 @@ RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
 RAILS = FockSpace(len(RAIL_MODES))  # the space of the a-d outcomes every figure is read from
 PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the legal span
 # Grid points folded through the pipeline at once.  A taller stack saves
-# little more per-call overhead but holds more (dim, dim) intermediates:
-# folding all 61 points of a sweep at once raised the peak memory of the
-# loss-sweep benchmark from 41.3 MB (stacks of 4) to 46.8 MB.
+# per-call overhead but holds more intermediates: stacking all 61 points of a
+# default sweep raised the traced peak of three sweeps from 0.53 to 2.8 MB and
+# sweep-loss's peak RSS from 31.9 to 34.6 MB, above the benchmark's 5% bound.
 STACK_HEIGHT = 4
 
 

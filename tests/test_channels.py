@@ -22,16 +22,20 @@ from dualrail import (
     lossy_fredkin_channel,
 )
 from dualrail.channels import (
+    LOSS_PLACEMENTS,
     KrausChannel,
     _damping,
     _damping_kraus,
+    _frame_conjugate,
+    _gate_sandwich,
     _gaussian_phis,
+    _phase_correlation,
     gaussian_phi,
     lossy_gate_stack,
     phase_average_stack,
     sampled_phi,
 )
-from dualrail.correction import lossy_gate_output_101
+from dualrail.correction import lossy_gate_output_101, projective_ec_stack
 from dualrail.fock import occupation_table
 from conftest import (
     assert_bit_equal,
@@ -207,6 +211,58 @@ def test_lossy_fredkin_rejects_bad_placement():
         lossy_fredkin_channel(SPACE3, 0, 1, 2, 0.1, "inside")
 
 
+@pytest.mark.parametrize("placement", LOSS_PLACEMENTS)
+@pytest.mark.parametrize("gamma", [True, math.nan, -1, math.inf, 10**400],
+                         ids=["bool", "nan", "negative", "inf", "huge-int"])
+def test_lossy_fredkin_rejects_a_bad_gamma_under_every_placement(gamma, placement):
+    # gamma is checked whole, before any placement takes its share of it
+    with pytest.raises(FockError):
+        lossy_fredkin_channel(SPACE3, 0, 1, 2, gamma, placement)
+
+
+def hand_written_stages(space, gamma, placement):
+    """Each placement's stage list written out by hand, jumps before K referred past it."""
+    k = kerr_unitary(space, 1, 2).matrix
+
+    def before(mode, g):
+        return _frame_conjugate(_damping_kraus(space, mode, g), k)
+
+    if placement == "after-kerr":
+        return [[k], _damping_kraus(space, 1, gamma), _damping_kraus(space, 2, gamma)]
+    if placement == "before-kerr":
+        return [before(1, gamma), before(2, gamma), [k]]
+    half = gamma / 2
+    return [before(1, half), before(2, half), [k],
+            _damping_kraus(space, 1, half), _damping_kraus(space, 2, half)]
+
+
+@pytest.mark.parametrize("placement", LOSS_PLACEMENTS)
+@pytest.mark.parametrize("gamma", [0, 0.3, 5])
+def test_a_loss_placement_is_the_share_of_gamma_taken_before_the_cross_phase(gamma, placement):
+    assert list(LOSS_PLACEMENTS.items()) == [("after-kerr", 0), ("before-kerr", 1), ("split", 0.5)]
+    for space in (SPACE3, FockSpace(5)):
+        got = lossy_fredkin_channel(space, 0, 1, 2, gamma, placement).kraus_ops
+        want = _gate_sandwich(space, 0, 1, hand_written_stages(space, gamma, placement)).kraus_ops
+        assert len(got) == len(want)
+        for op, ref in zip(got, want):
+            assert_bit_equal(op, ref)
+
+
+@pytest.mark.parametrize("lam", [0, 0.37, math.inf])
+def test_dephased_kraus_reference_is_the_eigen_diagonal_sandwich(lam):
+    # one operator B^dag diag(sqrt(w) v[N]) K B per kept eigenpair of C, in eigh order
+    for space, modes in ((SPACE3, (0, 1, 2)), (FockSpace(5), (3, 1, 4))):
+        evals, evecs = np.linalg.eigh(_phase_correlation(gaussian_phi(lam), np.arange(3)))
+        n = occupation_table(space)[:, modes[1]] + occupation_table(space)[:, modes[2]]
+        diagonals = [np.diag(math.sqrt(w) * v[n]) for w, v in zip(evals, evecs.T) if w >= 1e-14]
+        stages = [[kerr_unitary(space, *modes[1:]).matrix], diagonals]
+        want = _gate_sandwich(space, *modes[:2], stages).kraus_ops
+        got = dephased_fredkin_channel(space, *modes, lam).kraus_ops
+        assert len(got) == len(want)
+        for op, ref in zip(got, want):
+            assert_bit_equal(op, ref)
+
+
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
 def test_loss_placement_equivalence_on_reachable_inputs(gamma):
     chans = [lossy_fredkin_channel(SPACE3, 0, 1, 2, gamma, p)
@@ -223,24 +279,24 @@ def test_loss_placement_equivalence_on_reachable_inputs(gamma):
 
 
 def test_loss_placement_general_case_report():
-    """Report (without failing) how placement-sensitive the channel would be
-    if the loss operators were inserted without the output-frame correction."""
-    gamma = 0.3
+    """Without the output-frame correction, loss before the cross-phase would be a
+    different channel: on the diagonal matrix units it deviates from the canonical
+    one by exactly (1 - e^-gamma) e^(-gamma/2), which is why ``_frame_conjugate`` exists."""
     b = beamsplitter_unitary(SPACE3, 0, 1).matrix
     k = kerr_unitary(SPACE3, 1, 2).matrix
-    ops = [b]  # the product list B^dag K D_c D_b B, jumps not referred to the output frame
-    for mode in (1, 2):
-        ops = [d @ o for d in _damping_kraus(SPACE3, mode, gamma) for o in ops]
-    naive_before = KrausChannel(SPACE3, tuple(b.conj().T @ k @ o for o in ops))
-    canonical = lossy_fredkin_channel(SPACE3, 0, 1, 2, gamma, "after-kerr")
-    worst = 0.0
-    for i in range(SPACE3.dim):
-        unit = np.zeros((SPACE3.dim, SPACE3.dim), dtype=complex)
-        unit[i, i] = 1.0
-        worst = max(worst, np.max(np.abs(apply_raw(canonical, unit)
-                                         - apply_raw(naive_before, unit))))
-    print(f"static-jump before-kerr insertion deviates by {worst:.3e} "
-          f"(frame-corrected placements agree exactly)")
+    for gamma in (0.01, 0.1, 0.3, 1.0):
+        ops = [b]  # the product list B^dag K D_c D_b B, jumps not referred to the output frame
+        for mode in (1, 2):
+            ops = [d @ o for d in _damping_kraus(SPACE3, mode, gamma) for o in ops]
+        naive_before = KrausChannel(SPACE3, tuple(b.conj().T @ k @ o for o in ops))
+        canonical = lossy_fredkin_channel(SPACE3, 0, 1, 2, gamma, "after-kerr")
+        worst = 0.0
+        for i in range(SPACE3.dim):
+            unit = np.zeros((SPACE3.dim, SPACE3.dim), dtype=complex)
+            unit[i, i] = 1.0
+            worst = max(worst, np.max(np.abs(apply_raw(canonical, unit)
+                                             - apply_raw(naive_before, unit))))
+        assert worst == pytest.approx(-math.expm1(-gamma) * math.exp(-gamma / 2), abs=1e-12)
 
 
 # ---------------------------------------------------------------- balanced loss
@@ -251,6 +307,13 @@ def test_balanced_lossy_zero_loss_is_fredkin():
     f = fredkin_unitary(space, 0, 1, 2)
     rho = random_density(space, np.random.default_rng(8))
     assert np.max(np.abs(apply_stack(gate, rho).matrix - apply_unitary(rho, f).matrix)) < 1e-12
+
+
+def test_an_empty_strength_list_is_a_zero_height_stack():
+    empty = np.zeros((0, SPACE3.dim, SPACE3.dim), dtype=complex)
+    for gate in (lossy_gate_stack(SPACE3, 0, 1, 2, (1, 2), []),
+                 phase_average_stack(SPACE3, 0, 1, 2, np.zeros((0, 3)))):
+        assert gate(empty).shape == empty.shape
 
 
 def test_balanced_lossy_rejects_mode_collision():
@@ -575,15 +638,21 @@ def test_decibels():
     lambda: gaussian_phi(-1.0), lambda: gaussian_phi(math.nan), lambda: gaussian_phi(None),
     lambda: gaussian_phi(10**400),
     lambda: lossy_gate_output_101(-1.0), lambda: lossy_gate_output_101(math.inf),
+    lambda: projective_ec_stack(FockSpace(5), np.zeros((1, 32, 32)), "x"),
+    lambda: projective_ec_stack(FockSpace(5), np.zeros((1, 32, 32)), math.nan),
     lambda: decibels(None), lambda: decibels(-1.0), lambda: decibels(10**400),
     lambda: decibels(-10**5000),
     lambda: lossy_gate_stack(SPACE3, 0, 1, 2, [1.0], [0.1]),
+    lambda: lossy_gate_stack(SPACE3, 0, 1, 2, (1, 2), 0.1),
+    lambda: lossy_gate_stack(SPACE3, 0, 1, 2, (1, 2), np.array(0.1)),
     lambda: phase_average_stack(SPACE3, 0, 1, 2, np.array([[1.0, math.nan, 0.5]])),
     lambda: phase_average_stack(SPACE3, 0, 1, 2, gaussian_phi(0.1)),  # phi is (G, 3)
     lambda: phase_average_stack(SPACE3, 0, 1, 2, [[1, 0.5, 0.2], [1, 0.5]]),
 ], ids=["phi-negative", "phi-nan", "phi-none", "phi-huge-int", "101-negative", "101-inf",
+        "ec-stack-str-n-max", "ec-stack-nan-n-max",
         "db-none", "db-negative", "db-huge-int", "db-unprintable-int", "stack-float-mode",
-        "stack-nan-phi", "stack-1d-phi", "stack-ragged-phi"])
+        "stack-scalar-gamma", "stack-0d-gamma", "stack-nan-phi", "stack-1d-phi",
+        "stack-ragged-phi"])
 def test_entry_points_reject_bad_strengths_and_modes(call):
     with pytest.raises(FockError):
         call()
