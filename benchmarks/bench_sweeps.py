@@ -3,10 +3,11 @@
 The sweeps run on the default 61-point log grid.  The Monte-Carlo case is
 the ``mc-oracle`` operation: one seeded ``machine.run`` for k1 = 1 and one
 for k1 = 0 with projective correction, sharing lambda, sample count and seed.
-The state-check case times ``fock.check_densities`` on a (4, 16, 16) stack
-of plain-loss machine outputs cut to the reachable basis
-``photon_basis(SPACE, PHOTONS)``: the check ``run_many`` makes on one stack
-after each noisy gate and the projection, since it folds on that basis.
+The state-check case times ``fock.check_densities`` on a
+(STACK_HEIGHT, 16, 16) stack of plain-loss machine outputs cut to the
+reachable basis ``photon_basis(SPACE, PHOTONS)``: the check ``run_many``
+makes on one full stack after each noisy gate and the projection, since it
+folds STACK_HEIGHT points at a time on that basis.
 
 The file name does not match ``test_*.py``, so the test suite does not collect
 it.  Run it on a source tree with pytest-benchmark:
@@ -26,7 +27,7 @@ import pytest
 
 from dualrail import MachineConfig, NoiseParams, cli, run, run_many
 from dualrail.fock import check_densities, photon_basis
-from dualrail.machine import PHOTONS, SPACE
+from dualrail.machine import PHOTONS, SPACE, STACK_HEIGHT
 
 GRID = ["--grid-start", "1e-3", "--grid-stop", "1", "--grid-count", "61", "--log"]
 MC_SAMPLES = 100_000
@@ -56,8 +57,8 @@ def test_mc_oracle(benchmark):
 
 def test_state_check(benchmark):
     configs = [MachineConfig(k1=1, noise=NoiseParams(gamma=g), noise_model="loss")
-               for g in (0.01, 0.1, 0.3, 1.0)]
+               for g in np.geomspace(0.01, 1.0, STACK_HEIGHT)]
     keep = photon_basis(SPACE, PHOTONS)
     stack = np.stack([r.output_state.matrix[np.ix_(keep, keep)] for r in run_many(configs)])
-    assert stack.shape == (4, 16, 16)
+    assert stack.shape == (STACK_HEIGHT, 16, 16)
     assert benchmark.pedantic(check_densities, (stack,), rounds=200, warmup_rounds=5) is None

@@ -153,10 +153,14 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
 StackMap = Callable[[np.ndarray], np.ndarray]
 
 
-@lru_cache(maxsize=None, typed=True)
 def _cell_frame(space: FockSpace, m_a: int, m_b: int, m_c: int, n_max: float) -> tuple:
     """B, K B and the cell photon numbers n_b + n_c, cut once to ``photon_basis(space, n_max)``."""
-    check_modes(space, m_a, m_b, m_c)
+    check_modes(space, m_a, m_b, m_c)  # before the cache, which needs hashable modes
+    return _cut_cell_frame(space, m_a, m_b, m_c, n_max)
+
+
+@lru_cache(maxsize=None)
+def _cut_cell_frame(space: FockSpace, m_a: int, m_b: int, m_c: int, n_max: float) -> tuple:
     keep, table = photon_basis(space, n_max), occupation_table(space)
     b = beamsplitter_unitary(space, m_a, m_b).matrix
     kb = kerr_unitary(space, m_b, m_c).matrix @ b
@@ -315,7 +319,6 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     B^dag diag(w) K B.  Agrees with ``phase_average_stack`` at
     ``gaussian_phi(lam)`` to 1e-12.
     """
-    check_modes(space, m_a, m_b, m_c)
     evals, evecs = np.linalg.eigh(_phase_correlation(gaussian_phi(lam), np.arange(3)))
     b, kb, n = _cell_frame(space, m_a, m_b, m_c, math.inf)
     return KrausChannel(space, tuple(b.conj().T @ (np.diag(math.sqrt(w) * v[n]) @ kb)

@@ -79,10 +79,14 @@ def occupation_table(space: FockSpace) -> np.ndarray:
     return _readonly(np.indices((2,) * space.n_modes).reshape(space.n_modes, -1).T)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True, equal to 1, is not a photon number
 def photon_basis(space: FockSpace, n_max: float) -> np.ndarray:
     """Read-only indices, in index order, of the basis states holding at most ``n_max`` photons."""
-    check_strength(n_max, "n_max", finite=False)
+    check_strength(n_max, "n_max", finite=False)  # before the cache, which needs a hashable n_max
+    return _photon_basis(space, n_max)
+
+
+@lru_cache(maxsize=None)
+def _photon_basis(space: FockSpace, n_max: float) -> np.ndarray:
     return _readonly(np.flatnonzero(occupation_table(space).sum(axis=1) <= n_max))
 
 

@@ -12,11 +12,12 @@ for k1 = 0, no click for k1 = 1.
 ``run_many`` folds ``stages`` over a stack of runs that share one stage
 list, up to STACK_HEIGHT grid points at once, on the reachable basis: no
 stage raises INPUT's PHOTONS = 2 photons, so only the 16 basis states with
-at most two hold weight, and each output is embedded into SPACE at the end.
+at most two hold weight, and each output is embedded into SPACE as it is
+yielded.
 It checks the output of each noisy gate and of the projection: a checked
 unitary keeps a state a state.  ``run`` is its one-config case.  A run
-yields its output state, and both error figures read their a-d outcomes
-from it, one marginal per call.
+yields its output state and its a-d outcomes, which the fold reads off the
+stack's diagonal once; both error figures read those outcomes.
 ``readout_error`` scores the mode-d readout against the correct class;
 without post-selection it additionally charges half of the probability of
 lone-photon outcomes left on the noisy gate's Kerr-cell rails, since a run
@@ -67,15 +68,17 @@ MODE_A, MODE_B, MODE_C, MODE_D, MODE_E = range(5)
 SPACE = FockSpace(5)
 INPUT = basis_pure(SPACE, (0, 1, 0, 1, 0))
 _INPUT_DENSITY = INPUT.density()  # validated, the start of every fold
-PHOTONS = 2  # INPUT's photon number; the reachable basis is photon_basis(SPACE, PHOTONS)
+PHOTONS = 2  # INPUT's photon number
+_REACHABLE = photon_basis(SPACE, PHOTONS)  # the basis the fold works on
 RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
 RAILS = FockSpace(len(RAIL_MODES))  # the space of the a-d outcomes every figure is read from
 PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the legal span
 # Grid points folded through the pipeline at once.  A taller stack saves
-# per-call overhead but holds more intermediates: stacking all 61 points of a
-# default sweep raised the traced peak of three sweeps from 0.53 to 2.8 MB and
-# sweep-loss's peak RSS from 31.9 to 34.6 MB, above the benchmark's 5% bound.
-STACK_HEIGHT = 4
+# per-stack overhead but holds more intermediates.  On a 2-core host, the best
+# of 40 61-point sweep-loss runs took 16.7-17.5 ms at height 4, 11.2-11.4 ms
+# at 16 and 11.3-11.6 ms at 64; the benchmark's loss-sweep peak RSS read
+# 40.7-40.8 MB at 4, 40.8-41.0 MB at 16 and 42.0-42.1 MB at 64.
+STACK_HEIGHT = 16
 
 
 def gate_modes(k1: int) -> tuple[int, int, int]:
@@ -132,12 +135,21 @@ class RunResult:
     """Final state of one machine run; ``readout_error`` and ``which_path_error`` score it.
 
     ``p_accept`` is the acceptance of the projective correction, 1 for a run
-    without it.
+    without it.  ``outcomes`` is the read-only a-d distribution of the output
+    state over RAILS, the marginal the figures read: the fold supplies it from
+    its stack, and a result built without it derives it from ``output_state``.
     """
 
     config: MachineConfig
     output_state: DensityOperator
     p_accept: float
+    outcomes: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.outcomes is None:
+            outcomes = marginal_distribution(self.output_state, RAIL_MODES)
+            outcomes.flags.writeable = False
+            object.__setattr__(self, "outcomes", outcomes)
 
 
 def _conditional(probs: np.ndarray, legal: np.ndarray | None,
@@ -195,16 +207,20 @@ def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
 @lru_cache(maxsize=None)  # only the input and the memoized unitaries of ``stages`` arrive
 def _reachable_block(op: DensityOperator | LinearOperator) -> np.ndarray:
     """The block of the input or of a stage unitary on the reachable basis, cut once."""
-    keep = photon_basis(SPACE, PHOTONS)
-    return op.matrix[np.ix_(keep, keep)]
+    return op.matrix[np.ix_(_REACHABLE, _REACHABLE)]
 
 
 def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
           mc_seed: int) -> Iterator[RunResult]:
-    """Fold one stack over ``stages`` on the reachable basis, checking only non-unitary stages."""
-    keep = photon_basis(SPACE, PHOTONS)
-    rho = np.broadcast_to(_reachable_block(_INPUT_DENSITY), (len(configs), len(keep), len(keep)))
-    p_accept = np.ones(len(configs))
+    """Fold one stack over ``stages`` on the reachable basis, checking only non-unitary stages.
+
+    The stack's a-d outcomes are read off its diagonal in one step, the same
+    additions ``marginal_distribution`` makes; each point is embedded into
+    SPACE as it is yielded.
+    """
+    height, keep = len(configs), _REACHABLE
+    rho = np.broadcast_to(_reachable_block(_INPUT_DENSITY), (height, len(keep), len(keep)))
+    p_accept = np.ones(height)
     for stage in stages(configs[0]):
         if isinstance(stage, LinearOperator):  # checked unitary: U rho U^dag stays a state
             u = _reachable_block(stage)
@@ -216,10 +232,16 @@ def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
             rho = _gate_stack(configs, stage, mc_samples, mc_seed)(rho)
         check_densities(rho)
 
-    out = np.zeros((len(configs), SPACE.dim, SPACE.dim), dtype=complex)
-    out[:, keep[:, None], keep] = rho
-    for config, state, accepted in zip(configs, checked_densities(SPACE, out), p_accept.tolist()):
-        yield RunResult(config, state, accepted)
+    probs = np.zeros((height, SPACE.dim))  # the diagonal in SPACE; RAIL_MODES are all but e
+    probs[:, keep] = rho.diagonal(axis1=1, axis2=2).real
+    outcomes = probs.reshape(height, *(2,) * SPACE.n_modes).sum(axis=1 + MODE_E)
+    outcomes = outcomes.reshape(height, RAILS.dim)
+    outcomes.flags.writeable = False
+    for config, block, point, accepted in zip(configs, rho, outcomes, p_accept.tolist()):
+        out = np.zeros((1, SPACE.dim, SPACE.dim), dtype=complex)
+        out[0, keep[:, None], keep] = block
+        [state] = checked_densities(SPACE, out)
+        yield RunResult(config, state, accepted, point)
 
 
 def run_many(configs: Iterable[MachineConfig], mc_samples: int | None = None,
@@ -262,7 +284,7 @@ def readout_error(result: RunResult, postselect: bool = False) -> tuple[float, f
     and the acceptance is the legal mass; raises ZeroAcceptanceError
     when none remains.  Without it the acceptance is 1.
     """
-    probs = marginal_distribution(result.output_state, RAIL_MODES)
+    probs = result.outcomes
     table, legal = occupation_table(RAILS), legal_mask(RAILS)
     k1 = result.config.k1
     # correct readout: mode d clicks for k1 = 0, stays dark for k1 = 1
@@ -282,6 +304,5 @@ def which_path_error(result: RunResult) -> float:
     a/b pair; the projective correction improves exactly this quantity, from
     the uncorrected (1 - e^-2lam)/2 to (1 - q)(6 + 5q)/(6(2 + q)), q = e^-lam.
     """
-    probs = marginal_distribution(result.output_state, RAIL_MODES)
-    return _conditional(probs, None, occupation_table(RAILS)[:, MODE_A] == 1)[0]
+    return _conditional(result.outcomes, None, occupation_table(RAILS)[:, MODE_A] == 1)[0]
 

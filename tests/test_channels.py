@@ -648,11 +648,13 @@ def test_decibels():
     lambda: phase_average_stack(SPACE3, 0, 1, 2, np.array([[1.0, math.nan, 0.5]])),
     lambda: phase_average_stack(SPACE3, 0, 1, 2, gaussian_phi(0.1)),  # phi is (G, 3)
     lambda: phase_average_stack(SPACE3, 0, 1, 2, [[1, 0.5, 0.2], [1, 0.5]]),
+    lambda: phase_average_stack(SPACE3, [0], 1, 2, gaussian_phi(0.1)[None]),  # unhashable mode
+    lambda: lossy_gate_stack(SPACE3, [0], 1, 2, (1, 2), [0.1]),
 ], ids=["phi-negative", "phi-nan", "phi-none", "phi-huge-int", "101-negative", "101-inf",
         "ec-stack-str-n-max", "ec-stack-nan-n-max",
         "db-none", "db-negative", "db-huge-int", "db-unprintable-int", "stack-float-mode",
         "stack-scalar-gamma", "stack-0d-gamma", "stack-nan-phi", "stack-1d-phi",
-        "stack-ragged-phi"])
+        "stack-ragged-phi", "stack-list-mode", "loss-stack-list-mode"])
 def test_entry_points_reject_bad_strengths_and_modes(call):
     with pytest.raises(FockError):
         call()

@@ -81,7 +81,8 @@ def test_photon_basis_lists_the_states_of_at_most_n_photons_in_index_order(space
     assert len(photon_basis(space, 2)) == sum(math.comb(space.n_modes, n) for n in range(3))
     with pytest.raises(ValueError):
         photon_basis(space, 2)[0] = 1
-    for n_max in ("x", math.nan, -1, True, None):  # True equals 1, but is not a photon number
+    # True equals 1, but is not a photon number; a list is checked before it reaches the cache
+    for n_max in ("x", math.nan, -1, True, None, [1]):
         with pytest.raises(FockError):
             photon_basis(space, n_max)
 

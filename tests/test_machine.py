@@ -8,6 +8,7 @@ from dualrail import (
     LinearOperator,
     MachineConfig,
     NoiseParams,
+    RunResult,
     basis_pure,
     beamsplitter_unitary,
     dephased_fredkin_channel,
@@ -44,7 +45,7 @@ from dualrail.machine import (
     STACK_HEIGHT,
 )
 from dualrail.cli import main
-from conftest import outcome_distribution
+from conftest import assert_bit_equal, outcome_distribution
 from oracles import apply_stack, fold_stages, product_form_output
 
 SQ2 = math.sqrt(2)
@@ -395,19 +396,19 @@ def test_run_many_matches_the_product_form(model, k1, projective_ec, height):
         assert np.max(np.abs(result.output_state.matrix - want)) < 1e-12
 
 
-def test_run_many_folds_stacks_of_at_most_four_as_they_are_consumed(monkeypatch):
+def test_run_many_folds_stacks_of_at_most_sixteen_as_they_are_consumed(monkeypatch):
     heights = []
     check = fock.check_densities
     monkeypatch.setattr(machine, "check_densities",
                         lambda stack: heights.append(len(stack)) or check(stack))
-    configs = [cfg(1, "loss", gamma=g) for g in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    configs = [cfg(1, "loss", gamma=g) for g in np.linspace(0.1, 1.7, 17)]
     results = run_many(configs)
     assert heights == []  # nothing runs before the first result is asked for
     first = next(results)
     n_checked = sum(not isinstance(s, LinearOperator) for s in stages(configs[0]))
-    assert STACK_HEIGHT == 4 and heights == [4] * n_checked  # one stack, its noisy gate checked
+    assert STACK_HEIGHT == 16 and heights == [16] * n_checked  # one stack, its noisy gate checked
     rest = list(results)
-    assert heights == [4] * n_checked + [1] * n_checked
+    assert heights == [16] * n_checked + [1] * n_checked
     assert [r.config for r in [first, *rest]] == configs
     for result in [first, *rest]:
         assert np.array_equal(result.output_state.matrix, run(result.config).output_state.matrix)
@@ -631,19 +632,50 @@ def test_only_projective_runs_read_the_legal_span(monkeypatch):
         spaces.clear()
 
 
-def test_runs_read_no_outcomes_and_each_figure_reads_one_marginal(monkeypatch):
+def test_folded_runs_read_no_marginal_and_a_hand_built_result_reads_one(monkeypatch):
     reads = []
     marginal = machine.marginal_distribution
     monkeypatch.setattr(machine, "marginal_distribution", lambda rho, modes: reads.append(modes)
                         or marginal(rho, modes))
+    scores = (readout_error, lambda r: readout_error(r, postselect=True), which_path_error)
     for config in CONFIGS:
         [result] = list(run_many([config]))
-        assert reads == []
-        for score in (readout_error, lambda r: readout_error(r, postselect=True),
-                      which_path_error):
+        for score in scores:
             score(result)
-            assert reads == [RAIL_MODES]
-            reads.clear()
+        assert reads == []  # the fold supplies the outcomes, and the figures read them
+        hand_built = RunResult(config, result.output_state, result.p_accept)
+        assert reads == [RAIL_MODES]  # derived once, when the result is built
+        for score in scores:
+            score(hand_built)
+        assert reads == [RAIL_MODES]
+        reads.clear()
+
+
+OUTCOME_CASES = [(*case, None) for case in STAGE_CASES] + [
+    (*case, 500) for case in STAGE_CASES if case[0] == "dephasing"]
+
+
+@pytest.mark.parametrize("model, k1, projective_ec, mc_samples", OUTCOME_CASES,
+                         ids=[f"{m}-k1={k}-ec={e}-mc={n}" for m, k, e, n in OUTCOME_CASES])
+def test_run_outcomes_are_the_marginal_of_the_output_state(model, k1, projective_ec, mc_samples):
+    # the fold reads a stack's a-d outcomes off its diagonal with the additions of
+    # marginal_distribution, so they, and every figure read from them, keep their bits
+    def figures(result):
+        return np.array([*readout_error(result), *readout_error(result, postselect=True),
+                         which_path_error(result)])
+
+    for height in (1, 16, 17, 61):
+        configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
+                   for x in np.linspace(0.05, 2.0, height)]
+        for result in run_many(configs, mc_samples, mc_seed=5):
+            assert_bit_equal(result.outcomes,
+                             marginal_distribution(result.output_state, RAIL_MODES))
+            with pytest.raises(ValueError):
+                result.outcomes[0] = 1.0
+            hand_built = RunResult(result.config, result.output_state, result.p_accept)
+            assert_bit_equal(hand_built.outcomes, result.outcomes)
+            assert not hand_built.outcomes.flags.writeable
+            assert_bit_equal(figures(hand_built), figures(result))
 
 
 # ---------------------------------------------------------------- sweeps
