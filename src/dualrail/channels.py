@@ -239,31 +239,33 @@ def _gaussian_phis(lam: Sequence[float]) -> np.ndarray:
     return np.hstack((np.ones((len(tail), 1)), tail))
 
 
-# Every Monte-Carlo caller calls ``run``, which draws one phi per dephased slot; the k1 = 1 and
-# k1 = 0 runs of one lambda and seed share both draws.  A draw is three numbers.
-MC_DRAWS_KEPT = 16
+# Both slots of a full machine.STACK_HEIGHT stack: ``machine.run_many`` draws per slot and point,
+# so the k1 = 1 and k1 = 0 runs of one grid and seed share; ``cli.cmd_mc_validate`` draws directly.
+MC_DRAWS_KEPT = 32
 
 
 @lru_cache(maxsize=MC_DRAWS_KEPT)
 def _sampled_phi(lam: float, n_samples: int, seed: int | tuple[int, ...]) -> np.ndarray:
     """``sampled_phi`` on checked, hashable arguments, drawn once per key and read-only.
 
-    phi(k) for k = 1, 2 is the mean of exp(i k eps) over one 1-D array, the
-    same ufuncs on the same values as each row of the (3, n) outer form, so
-    the bits agree; phi(0) is set, not summed.
+    One phasor z = exp(i eps) per sample: phi(1) is the mean of z and phi(2)
+    the mean of z * z, the same ufuncs on the same values as the rows of a
+    (3, n) array of ones, z and z ** 2, so the bits agree; phi(0) is set.
     """
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)  # numpy rejects scale -0.0
-    phi = np.array([1.0, *(np.exp(1j * (k * eps)).mean() for k in (1, 2))])
+    z = np.exp(1j * eps)
+    phi = np.array([1.0, z.mean(), (z * z).mean()])
     phi.flags.writeable = False
     return phi
 
 
 def sampled_phi(lam: float, n_samples: int, seed: int | Sequence[int]) -> np.ndarray:
-    """The empirical phi(k) = (1/n) sum_i exp(i k eps_i), k = 0, 1, 2, as a read-only array.
+    """The empirical phi(k) = (1/n) sum_i z_i^k, z_i = exp(i eps_i), k = 0, 1, 2, read-only.
 
-    Draws eps_i ~ Normal(0, 2 lam), so E[exp(i eps)] = exp(-lam).  ``seed``
-    is an int >= 0 or a list or tuple of them, a seed
+    Draws eps_i ~ Normal(0, 2 lam), so E[exp(i eps)] = exp(-lam).  phi(2)
+    squares each phasor: the mean of exp(2 i eps_i), rounded differently.
+    ``seed`` is an int >= 0 or a list or tuple of them, a seed
     ``numpy.random.default_rng`` accepts; phi is bit-reproducible for a fixed
     seed, and phi(0) is exactly 1.  The last MC_DRAWS_KEPT draws are kept,
     keyed on (lam, n_samples, seed), so the gates of runs that share a seed

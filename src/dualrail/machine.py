@@ -260,8 +260,11 @@ def run_many(configs: Iterable[MachineConfig], mc_samples: int | None = None,
     if len({(c.k1, c.noise_model, c.projective_ec) for c in configs}) > 1:
         raise FockError("run_many needs configurations that share k1, noise model "
                         "and projection")
-    if mc_samples is not None and any(_read_strength(c.noise_model) != "lam" for c in configs):
-        raise FockError("mc_samples requires the dephasing noise model")
+    mc_seed = check_integer(mc_seed, "mc_seed", 0)
+    if mc_samples is not None:
+        mc_samples = check_integer(mc_samples, "mc_samples", 1)
+        if any(_read_strength(c.noise_model) != "lam" for c in configs):
+            raise FockError("mc_samples requires the dephasing noise model")
     return (result for start in range(0, len(configs), STACK_HEIGHT)
             for result in _fold(configs[start:start + STACK_HEIGHT], mc_samples, mc_seed))
 

@@ -7,8 +7,10 @@ gates are checked against both; ``apply_stack`` applies a gate's stack map to
 one density operator.  ``product_form_output`` runs the machine one
 state at a time with every noisy gate as one product Kraus list, the
 reference for the stacked fold of ``machine.run_many``.  ``sampled_phi_outer``
-is the Monte-Carlo phase law as one (3, n) array, the reference for
-``sampled_phi``'s two 1-D means.
+is the Monte-Carlo phase law as one (3, n) array of phasor powers z^k,
+z = exp(i eps), the bit-for-bit reference for ``sampled_phi``'s two 1-D
+means; ``sampled_phi_exponential`` is the same estimator with rows
+exp(i k eps), which rounds phi(2) differently.
 """
 
 import math
@@ -75,13 +77,30 @@ def dephased_fredkin_ghq(space: FockSpace, m_a: int, m_b: int, m_c: int,
     return phase_average_stack(space, m_a, m_b, m_c, (phi / phi[0])[None])
 
 
-def sampled_phi_outer(lam: float, n_samples: int, seed) -> np.ndarray:
-    """The empirical phi(k), k = 0, 1, 2, as the row means of exp(i k eps_j) over a (3, n) array.
+def _sampled_eps(lam: float, n_samples: int, seed) -> np.ndarray:
+    """The Normal(0, 2 lam) phases ``sampled_phi`` draws."""
+    return np.random.default_rng(seed).normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)
 
-    The same Normal(0, 2 lam) draw as ``sampled_phi``; phi(0) is the mean of
-    n ones, which numpy's complex division need not round to exactly 1.
+
+def sampled_phi_outer(lam: float, n_samples: int, seed) -> np.ndarray:
+    """The empirical phi(k), k = 0, 1, 2, as the row means of z_j^k over a (3, n) array.
+
+    z = exp(i eps) on the draw of ``sampled_phi``; the rows are ones, z and
+    its square.  phi(0) is the mean of n ones, which numpy's complex division
+    need not round to exactly 1.
     """
-    eps = np.random.default_rng(seed).normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)
+    z = np.exp(1j * _sampled_eps(lam, n_samples, seed))
+    return np.stack([np.ones_like(z), z, np.square(z)]).mean(axis=1)
+
+
+def sampled_phi_exponential(lam: float, n_samples: int, seed) -> np.ndarray:
+    """The empirical phi(k) as the row means of exp(i k eps_j) over a (3, n) array.
+
+    The same estimator as ``sampled_phi_outer`` with each power its own
+    complex exponential: phi(0) and phi(1) hold the same bits, phi(2) rounds
+    differently.
+    """
+    eps = _sampled_eps(lam, n_samples, seed)
     return np.exp(1j * np.outer(np.arange(3), eps)).mean(axis=1)
 
 

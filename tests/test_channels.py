@@ -44,7 +44,13 @@ from conftest import (
     random_density,
     space_id,
 )
-from oracles import apply_stack, dephased_fredkin_ghq, noisy_fredkin_sample, sampled_phi_outer
+from oracles import (
+    apply_stack,
+    dephased_fredkin_ghq,
+    noisy_fredkin_sample,
+    sampled_phi_exponential,
+    sampled_phi_outer,
+)
 
 SPACE3 = FockSpace(3)
 REACHABLE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -544,6 +550,16 @@ def test_sampled_phi_matches_the_outer_form_bit_for_bit(lam, n, seed):
     phi, reference = sampled_phi(lam, n, seed), sampled_phi_outer(lam, n, seed)
     assert phi.dtype == reference.dtype
     assert phi[1:].tobytes() == reference[1:].tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, [424242, 1]], ids=["int", "list"])
+@pytest.mark.parametrize("n", [1, 17, 5000, 100000])
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.1, 1.0, 1e4], ids=str)
+def test_sampled_phi_rounds_like_the_exponential_form(lam, n, seed):
+    # squaring the phasor rounds phi(2) apart from exp(2 i eps) by at most 2^-52 on these draws
+    phi, reference = sampled_phi(lam, n, seed), sampled_phi_exponential(lam, n, seed)
+    assert phi[:2].tobytes() == reference[:2].tobytes()
+    assert abs(phi[2] - reference[2]) <= 2.0 ** -51
 
 
 @pytest.mark.parametrize("n", [1, 49, 98, 250001, 100000])

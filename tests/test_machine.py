@@ -46,7 +46,7 @@ from dualrail.machine import (
 )
 from dualrail.cli import main
 from conftest import assert_bit_equal, outcome_distribution
-from oracles import apply_stack, fold_stages, product_form_output
+from oracles import apply_stack, fold_stages, product_form_output, sampled_phi_exponential
 
 SQ2 = math.sqrt(2)
 
@@ -350,10 +350,54 @@ def test_mc_runs_sharing_a_seed_draw_each_slot_once():
         assert np.array_equal(a.output_state.matrix, b.output_state.matrix)
 
 
+@pytest.mark.parametrize("k1, projective_ec", [(0, False), (0, True), (1, False), (1, True)])
+@pytest.mark.parametrize("lam", [0.01, 0.3, 1.0], ids=str)
+def test_mc_run_stays_within_1e_15_of_the_exponential_phase_law(lam, k1, projective_ec):
+    # squaring the phasor rounds phi(2) apart from the mean of exp(2 i eps); outputs move < 2e-17
+    n, seed = 10**5, 1729
+    config = cfg(k1, "dephasing", lam=lam, projective_ec=projective_ec)
+
+    def gate(slot):
+        phi = sampled_phi_exponential(lam, n, [seed, slot])
+        phi[0] = 1.0  # as sampled_phi sets it
+        return lambda state: apply_stack(phase_average_stack(SPACE, *gate_modes(k1), phi[None]),
+                                         state)
+
+    reference = fold_stages(config, gate).matrix
+    sampled = run(config, mc_samples=n, mc_seed=seed).output_state.matrix
+    assert np.max(np.abs(sampled - reference)) <= 1e-15
+
+
+def test_mc_draw_memo_keeps_both_slots_of_a_full_stack():
+    assert channels.MC_DRAWS_KEPT >= 2 * STACK_HEIGHT
+
+
+def test_zipped_mc_runs_of_one_grid_draw_each_slot_once():
+    # the CLI sweeps consume their k1 = 1 and k1 = 0 generators together, stack by stack
+    channels._sampled_phi.cache_clear()
+    lams = np.geomspace(0.01, 1.0, STACK_HEIGHT).tolist()
+    runs = [run_many([cfg(k1, "dephasing", lam=lam, projective_ec=ec) for lam in lams],
+                     mc_samples=100, mc_seed=99) for k1, ec in [(1, False), (0, True)]]
+    assert len(list(zip(*runs))) == STACK_HEIGHT
+    info = channels._sampled_phi.cache_info()
+    assert (info.misses, info.hits) == (2 * STACK_HEIGHT, 2 * STACK_HEIGHT)
+
+
 @pytest.mark.parametrize("mc_seed", [-1, 1.5])
 def test_mc_seed_must_be_a_non_negative_integer(mc_seed):
-    with pytest.raises(FockError, match="seed entries must be"):
-        run(cfg(1, "dephasing", lam=0.1), mc_samples=10, mc_seed=mc_seed)
+    config = cfg(1, "dephasing", lam=0.1)
+    with pytest.raises(FockError, match="mc_seed must be"):
+        run(config, mc_samples=10, mc_seed=mc_seed)
+    with pytest.raises(FockError, match="mc_seed must be"):
+        run_many([config], mc_samples=10, mc_seed=mc_seed)  # before any result is asked for
+    with pytest.raises(FockError, match="mc_seed must be"):
+        run(config, mc_seed=mc_seed)
+
+
+@pytest.mark.parametrize("mc_samples", [0, 2.5, True], ids=str)
+def test_mc_samples_must_be_a_positive_integer(mc_samples):
+    with pytest.raises(FockError, match="mc_samples must be"):
+        run_many([cfg(1, "dephasing", lam=0.1)], mc_samples=mc_samples)
 
 
 @pytest.mark.parametrize("k1, projective_ec", [(0, False), (0, True), (1, False), (1, True)])
