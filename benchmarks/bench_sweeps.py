@@ -1,12 +1,8 @@
-"""Wall time of the two CLI sweeps, of one Monte-Carlo oracle check, of one phase draw and
-of the state check.
+"""Wall time of the two CLI sweeps, of one Monte-Carlo oracle check and of the state check.
 
 The sweeps run on the default 61-point log grid.  The Monte-Carlo case is
 the ``mc-oracle`` operation: one seeded ``machine.run`` for k1 = 1 and one
 for k1 = 0 with projective correction, sharing lambda, sample count and seed.
-The draw case times one uncached ``channels.sampled_phi`` at lambda = 0.1
-and 1e5 samples, seeded ``[seed, 0]`` with a fresh seed per round: one of the
-two draws an ``mc-oracle`` operation makes.
 The state-check case times ``fock.check_densities`` on a
 (STACK_HEIGHT, 16, 16) stack of plain-loss machine outputs cut to the
 reachable basis ``photon_basis(SPACE, PHOTONS)``: the check ``run_many``
@@ -30,7 +26,6 @@ import numpy as np
 import pytest
 
 from dualrail import MachineConfig, NoiseParams, cli, run, run_many
-from dualrail.channels import sampled_phi
 from dualrail.fock import check_densities, photon_basis
 from dualrail.machine import PHOTONS, SPACE, STACK_HEIGHT
 
@@ -58,15 +53,6 @@ def test_mc_oracle(benchmark):
         return [run(config, mc_samples=MC_SAMPLES, mc_seed=seed) for config in configs]
 
     assert len(benchmark.pedantic(oracle, rounds=40, warmup_rounds=2)) == 2
-
-
-def test_mc_draw(benchmark):
-    seeds = itertools.count()  # a fresh seed per round, so no round reads the draw memo
-
-    def draw():
-        return sampled_phi(0.1, MC_SAMPLES, [next(seeds), 0])
-
-    assert benchmark.pedantic(draw, rounds=40, warmup_rounds=2).shape == (3,)
 
 
 def test_state_check(benchmark):

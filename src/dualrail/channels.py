@@ -239,9 +239,9 @@ def _gaussian_phis(lam: Sequence[float]) -> np.ndarray:
     return np.hstack((np.ones((len(tail), 1)), tail))
 
 
-# Both slots of a full machine.STACK_HEIGHT stack: ``machine.run_many`` draws per slot and point,
-# so the k1 = 1 and k1 = 0 runs of one grid and seed share; ``cli.cmd_mc_validate`` draws directly.
-MC_DRAWS_KEPT = 32
+# ``run`` draws one phi per dephased slot, so the k1 = 1 and k1 = 0 runs of one lambda and seed
+# share both draws; ``cli.cmd_mc_validate`` draws directly.  A draw is three numbers.
+MC_DRAWS_KEPT = 16
 
 
 @lru_cache(maxsize=MC_DRAWS_KEPT)
@@ -250,7 +250,7 @@ def _sampled_phi(lam: float, n_samples: int, seed: int | tuple[int, ...]) -> np.
 
     One phasor z = exp(i eps) per sample: phi(1) is the mean of z and phi(2)
     the mean of z * z, the same ufuncs on the same values as the rows of a
-    (3, n) array of ones, z and z ** 2, so the bits agree; phi(0) is set.
+    (3, n) array of ones, z and z * z, so the bits agree; phi(0) is set.
     """
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, abs(math.sqrt(2 * lam)), size=n_samples)  # numpy rejects scale -0.0

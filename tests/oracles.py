@@ -86,11 +86,11 @@ def sampled_phi_outer(lam: float, n_samples: int, seed) -> np.ndarray:
     """The empirical phi(k), k = 0, 1, 2, as the row means of z_j^k over a (3, n) array.
 
     z = exp(i eps) on the draw of ``sampled_phi``; the rows are ones, z and
-    its square.  phi(0) is the mean of n ones, which numpy's complex division
+    z * z.  phi(0) is the mean of n ones, which numpy's complex division
     need not round to exactly 1.
     """
     z = np.exp(1j * _sampled_eps(lam, n_samples, seed))
-    return np.stack([np.ones_like(z), z, np.square(z)]).mean(axis=1)
+    return np.stack([np.ones_like(z), z, z * z]).mean(axis=1)
 
 
 def sampled_phi_exponential(lam: float, n_samples: int, seed) -> np.ndarray:

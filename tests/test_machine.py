@@ -368,21 +368,6 @@ def test_mc_run_stays_within_1e_15_of_the_exponential_phase_law(lam, k1, project
     assert np.max(np.abs(sampled - reference)) <= 1e-15
 
 
-def test_mc_draw_memo_keeps_both_slots_of_a_full_stack():
-    assert channels.MC_DRAWS_KEPT >= 2 * STACK_HEIGHT
-
-
-def test_zipped_mc_runs_of_one_grid_draw_each_slot_once():
-    # the CLI sweeps consume their k1 = 1 and k1 = 0 generators together, stack by stack
-    channels._sampled_phi.cache_clear()
-    lams = np.geomspace(0.01, 1.0, STACK_HEIGHT).tolist()
-    runs = [run_many([cfg(k1, "dephasing", lam=lam, projective_ec=ec) for lam in lams],
-                     mc_samples=100, mc_seed=99) for k1, ec in [(1, False), (0, True)]]
-    assert len(list(zip(*runs))) == STACK_HEIGHT
-    info = channels._sampled_phi.cache_info()
-    assert (info.misses, info.hits) == (2 * STACK_HEIGHT, 2 * STACK_HEIGHT)
-
-
 @pytest.mark.parametrize("mc_seed", [-1, 1.5])
 def test_mc_seed_must_be_a_non_negative_integer(mc_seed):
     config = cfg(1, "dephasing", lam=0.1)
