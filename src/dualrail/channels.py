@@ -12,11 +12,12 @@ Two noise families:
 Every noisy gate the machine runs is B^dag N(K B rho B^dag K^dag) B, the
 noise N acting in the Kerr-cell frame: loss damps the listed modes one after
 another, dephasing multiplies by the phase correlation C.  Its one form is a
-map of a stack, one noise strength per point, over every basis state
-(``lossy_gate_stack``, ``phase_average_stack``) or, in the machine's fold,
-over those with at most n photons.  Product Kraus lists remain only in
-``lossy_fredkin_channel`` (each loss placement a share of gamma before the
-cross-phase) and ``dephased_fredkin_channel`` (the phase average's reference).
+map of a stack, one noise strength per point; ``_cell_gate``, ``_damping``
+and ``_phase_mask`` take the arrays of whatever basis the stack is on: every
+state in the checked ``lossy_gate_stack`` and ``phase_average_stack``, the
+reachable ones in ``machine``'s fold, which alone cuts.  Product Kraus lists
+remain only in ``lossy_fredkin_channel`` and ``dephased_fredkin_channel``,
+the references of the loss placements and of the phase average.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .fock import (
     check_modes,
     check_strength,
     occupation_table,
-    photon_basis,
 )
 from .gates import beamsplitter_unitary, kerr_unitary
 
@@ -153,62 +153,34 @@ def lossy_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
 StackMap = Callable[[np.ndarray], np.ndarray]
 
 
-def _cell_frame(space: FockSpace, m_a: int, m_b: int, m_c: int, n_max: float) -> tuple:
-    """B, K B and the cell photon numbers n_b + n_c, cut once to ``photon_basis(space, n_max)``."""
-    check_modes(space, m_a, m_b, m_c)  # before the cache, which needs hashable modes
-    return _cut_cell_frame(space, m_a, m_b, m_c, n_max)
-
-
 @lru_cache(maxsize=None)
-def _cut_cell_frame(space: FockSpace, m_a: int, m_b: int, m_c: int, n_max: float) -> tuple:
-    keep, table = photon_basis(space, n_max), occupation_table(space)
-    b = beamsplitter_unitary(space, m_a, m_b).matrix
-    kb = kerr_unitary(space, m_b, m_c).matrix @ b
-    return b[np.ix_(keep, keep)], kb[np.ix_(keep, keep)], table[keep, m_b] + table[keep, m_c]
+def _cell_frame(space: FockSpace, m_a: int, m_b: int, m_c: int) -> tuple:
+    """B, K B and the cell photon numbers n_b + n_c of the gate on checked modes, built once."""
+    table, b = occupation_table(space), beamsplitter_unitary(space, m_a, m_b).matrix
+    return b, kerr_unitary(space, m_b, m_c).matrix @ b, table[:, m_b] + table[:, m_c]
 
 
-def _cell_gate(space: FockSpace, m_a: int, m_b: int, m_c: int, noise: StackMap,
-               n_max: float = math.inf) -> StackMap:
-    """The noisy Fredkin gate rho -> B^dag noise(K B rho B^dag K^dag) B on a stack.
+def _cell_gate(b: np.ndarray, kb: np.ndarray, noise: StackMap) -> StackMap:
+    """The noisy Fredkin gate B^dag noise(K B rho B^dag K^dag) B, with B and K B on a stack's basis.
 
-    The stack holds the rows and columns of ``photon_basis(space, n_max)``, all
-    of them by default.  ``noise`` maps it in the Kerr-cell frame, between the
-    cross-phase interaction and the closing beamsplitter.  The map does not
-    validate what it returns: ``machine.run_many`` checks each noisy gate's output.
+    It does not validate what it returns: ``machine.run_many`` checks each noisy gate's output.
     """
-    b, kb, _ = _cell_frame(space, m_a, m_b, m_c, n_max)
     return lambda stack: b.conj().T @ noise(kb @ stack @ kb.conj().T) @ b
 
 
-@lru_cache(maxsize=None)
-def _lowering(space: FockSpace, mode: int, n_max: float) -> tuple:
-    """n_mode and the (lowered, raised) position pairs of a_mode, cut to ``photon_basis``."""
-    keep = photon_basis(space, n_max)
-    pairs = np.nonzero(annihilation_operator(space, mode)[np.ix_(keep, keep)])
-    return occupation_table(space)[keep, mode], *pairs
+def _damping(lowerings: Sequence[tuple], gamma: Sequence[float]) -> StackMap:
+    """Photon loss of strength gamma[g] on point g of a stack, mode by mode in ``lowerings`` order.
 
-
-def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float],
-             n_max: float = math.inf) -> StackMap:
-    """Photon loss of strength gamma[g] on point g of a stack, mode by mode in ``damped`` order.
-
-    Mode m's Kraus pair (``_damping_kraus``) acts without a matrix product on
-    the stack of ``photon_basis(space, n_max)``: the no-jump diag(s ** n_m),
-    s = e^(-gamma/2), scales the rows and columns with n_m = 1, and the jump
-    sqrt(1 - e^-gamma) a_m gathers their block into that of their lowered
-    states, which hold fewer photons and so stay in the basis (``_lowering``).
-    Every product is taken in the Kraus sum's order, so the bits agree.
+    Mode m comes as n_m and the (lowered, raised) position pairs of a_m on the
+    stack's basis.  Its Kraus pair (``_damping_kraus``) acts without a matrix
+    product: the no-jump diag(s ** n_m), s = e^(-gamma/2), scales the rows and
+    columns with n_m = 1, and the jump sqrt(1 - e^-gamma) a_m gathers their
+    block into that of their lowered states, each product in the Kraus sum's order.
     """
-    check_modes(space, *damped)
-    if not isinstance(gamma, (list, tuple)) and np.ndim(gamma) != 1:  # or a 1-D array
-        raise FockError(f"gamma must be a sequence of strengths, got type {type(gamma).__name__}")
-    for g in gamma:
-        check_strength(g, "gamma")
     surv = [math.exp(-g) for g in gamma]
     keep = np.array([s ** 0.5 for s in surv])[:, None]
     jump = np.array([(1 - s) ** 0.5 for s in surv])[:, None, None]
-    steps = [(np.where(n == 1, keep, 1.0), zero, one)
-             for n, zero, one in (_lowering(space, m, n_max) for m in damped)]
+    steps = [(np.where(n == 1, keep, 1.0), zero, one) for n, zero, one in lowerings]
 
     def damp(mid: np.ndarray) -> np.ndarray:
         for scale, zero, one in steps:
@@ -223,7 +195,15 @@ def _damping(space: FockSpace, damped: Sequence[int], gamma: Sequence[float],
 def lossy_gate_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
                      damped: Sequence[int], gamma: Sequence[float]) -> StackMap:
     """The Fredkin gate on a stack with loss gamma[g] on point g, on each mode in ``damped``."""
-    return _cell_gate(space, m_a, m_b, m_c, _damping(space, damped, gamma))
+    check_modes(space, m_a, m_b, m_c)
+    check_modes(space, *damped)
+    if not isinstance(gamma, (list, tuple)) and np.ndim(gamma) != 1:  # or a 1-D array
+        raise FockError(f"gamma must be a sequence of strengths, got type {type(gamma).__name__}")
+    for g in gamma:
+        check_strength(g, "gamma")
+    lowerings = [(occupation_table(space)[:, m], *np.nonzero(annihilation_operator(space, m)))
+                 for m in damped]
+    return _cell_gate(*_cell_frame(space, m_a, m_b, m_c)[:2], _damping(lowerings, gamma))
 
 
 def gaussian_phi(lam: float) -> np.ndarray:
@@ -239,8 +219,9 @@ def _gaussian_phis(lam: Sequence[float]) -> np.ndarray:
     return np.hstack((np.ones((len(tail), 1)), tail))
 
 
-# ``run`` draws one phi per dephased slot, so the k1 = 1 and k1 = 0 runs of one lambda and seed
-# share both draws; ``cli.cmd_mc_validate`` draws directly.  A draw is three numbers.
+# The memo serves the single-point k1 = 1 / k1 = 0 pair: ``run`` draws one phi per dephased slot,
+# so both runs of one lambda and seed share both draws.  A Monte-Carlo grid pair of more than 8
+# points misses every draw (a stack holds 16); no caller runs one.  A draw is three numbers.
 MC_DRAWS_KEPT = 16
 
 
@@ -289,11 +270,9 @@ def _phase_correlation(phi: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(d < 0, c.conj(), c)
 
 
-def _phase_mask(space: FockSpace, m_a: int, m_b: int, m_c: int, phi: np.ndarray,
-                n_max: float = math.inf) -> StackMap:
-    """Cell-frame phase noise on ``photon_basis``: the product with C[i, j] = phi(N_i - N_j)."""
-    corr = _phase_correlation(check_array(phi, (None, 3), "phi"),
-                              _cell_frame(space, m_a, m_b, m_c, n_max)[2])
+def _phase_mask(n: np.ndarray, phi: np.ndarray) -> StackMap:
+    """Cell-frame phase noise for cell photon numbers n: the product with C = phi(n_i - n_j)."""
+    corr = _phase_correlation(phi, n)
     return lambda mid: mid * corr
 
 
@@ -307,7 +286,10 @@ def phase_average_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
     the cell-frame noise is the element-wise product with C[i, j] =
     phi(N_i - N_j).  The phase law enters only through phi.
     """
-    return _cell_gate(space, m_a, m_b, m_c, _phase_mask(space, m_a, m_b, m_c, phi))
+    check_modes(space, m_a, m_b, m_c)
+    phi = check_array(phi, (None, 3), "phi")
+    b, kb, n = _cell_frame(space, m_a, m_b, m_c)
+    return _cell_gate(b, kb, _phase_mask(n, phi))
 
 
 def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
@@ -322,7 +304,8 @@ def dephased_fredkin_channel(space: FockSpace, m_a: int, m_b: int, m_c: int,
     ``gaussian_phi(lam)`` to 1e-12.
     """
     evals, evecs = np.linalg.eigh(_phase_correlation(gaussian_phi(lam), np.arange(3)))
-    b, kb, n = _cell_frame(space, m_a, m_b, m_c, math.inf)
+    check_modes(space, m_a, m_b, m_c)
+    b, kb, n = _cell_frame(space, m_a, m_b, m_c)
     return KrausChannel(space, tuple(b.conj().T @ (np.diag(math.sqrt(w) * v[n]) @ kb)
                                      for w, v in zip(evals, evecs.T) if w >= 1e-14))
 

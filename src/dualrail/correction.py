@@ -32,7 +32,6 @@ from .fock import (
     check_strength,
     index_of,
     occupation_table,
-    photon_basis,
 )
 
 DUAL_RAIL_PAIRS = ((0, 1), (2, 3))
@@ -108,16 +107,6 @@ def projective_ec_step(rho: DensityOperator) -> tuple[DensityOperator, float]:
     Only meaningful in a photon-number-preserving (no-loss) context.
     """
     return project_onto(rho, legal_projector(rho.space))
-
-
-def projective_ec_stack(space: FockSpace, matrices: np.ndarray,
-                        n_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """``projective_ec_step`` on a stack over ``photon_basis(space, n_max)``, and the acceptances.
-
-    The stack it returns is not validated; ``machine.run_many`` checks it.
-    """
-    keep = photon_basis(space, n_max)
-    return _project(matrices, legal_projector(space)[np.ix_(keep, keep)])
 
 
 def restore_unitary(space: FockSpace) -> LinearOperator:

@@ -10,13 +10,17 @@ caches are typed, so a bool or float mode (True == 1) misses and is rejected.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
 from .fock import (
+    FockError,
     FockSpace,
     LinearOperator,
+    _shown,
     annihilation_operator,
     check_modes,
     occupation_table,
@@ -49,9 +53,15 @@ def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     return LinearOperator(space, np.diag(np.exp(1j * math.pi * n[:, mode_i] * n[:, mode_j])))
 
 
-@lru_cache(maxsize=128, typed=True)  # phi is continuous, so the cache is bounded
 def phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperator:
-    """Single-mode phase shift exp[i phi n_mode]."""
+    """Single-mode phase shift exp[i phi n_mode], for a finite real phi that is not a bool."""
+    if isinstance(phi, bool) or not isinstance(phi, Real) or not abs(phi) <= sys.float_info.max:
+        raise FockError(f"phase must be a finite real number, got {_shown(phi)}")
+    return _phase_shift_unitary(space, mode, phi)
+
+
+@lru_cache(maxsize=128, typed=True)  # phi is continuous, so the cache is bounded
+def _phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperator:
     check_modes(space, mode)
     return LinearOperator(space, np.diag(np.exp(1j * phi * occupation_table(space)[:, mode])))
 

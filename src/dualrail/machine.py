@@ -12,8 +12,8 @@ for k1 = 0, no click for k1 = 1.
 ``run_many`` folds ``stages`` over a stack of runs that share one stage
 list, up to STACK_HEIGHT grid points at once, on the reachable basis: no
 stage raises INPUT's PHOTONS = 2 photons, so only the 16 basis states with
-at most two hold weight, and each output is embedded into SPACE as it is
-yielded.
+at most two hold weight.  This module alone cuts to them, and it embeds
+each output into SPACE as it is yielded.
 It checks the output of each noisy gate and of the projection: a checked
 unitary keeps a state a state.  ``run`` is its one-config case.  A run
 yields its output state and its a-d outcomes, which the fold reads off the
@@ -33,27 +33,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import correction
 from .channels import (
     NoiseParams,
     StackMap,
+    _cell_frame,
     _cell_gate,
     _damping,
     _gaussian_phis,
     _phase_mask,
     sampled_phi,
 )
-from .correction import ZeroAcceptanceError, legal_mask, projective_ec_stack
 from .fock import (
     PROB_OMIT_THRESHOLD,
     DensityOperator,
     FockError,
     FockSpace,
     LinearOperator,
+    annihilation_operator,
     basis_pure,
     check_densities,
     check_integer,
@@ -70,6 +73,10 @@ INPUT = basis_pure(SPACE, (0, 1, 0, 1, 0))
 _INPUT_DENSITY = INPUT.density()  # validated, the start of every fold
 PHOTONS = 2  # INPUT's photon number
 _REACHABLE = photon_basis(SPACE, PHOTONS)  # the basis the fold works on
+_CUT = np.ix_(_REACHABLE, _REACHABLE)  # matrix[_CUT] is a full-space matrix's block on it
+# Mode m's n_m and (lowered, raised) position pairs of a_m on it; a lowered state stays in it
+_LOWERINGS = [(occupation_table(SPACE)[_REACHABLE, m],
+               *np.nonzero(annihilation_operator(SPACE, m)[_CUT])) for m in range(SPACE.n_modes)]
 RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
 RAILS = FockSpace(len(RAIL_MODES))  # the space of the a-d outcomes every figure is read from
 PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the legal span
@@ -79,11 +86,12 @@ PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the l
 # at 16 and 11.3-11.6 ms at 64; the benchmark's loss-sweep peak RSS read
 # 40.7-40.8 MB at 4, 40.8-41.0 MB at 16 and 42.0-42.1 MB at 64.
 STACK_HEIGHT = 16
+_GATE_MODES = {0: (MODE_A, MODE_B, MODE_E), 1: (MODE_A, MODE_B, MODE_C)}  # checked k1 -> modes
 
 
 def gate_modes(k1: int) -> tuple[int, int, int]:
     """Fredkin modes for a switch setting: (a, b, e) for k1=0, (a, b, c) for k1=1."""
-    return (MODE_A, MODE_B, MODE_C) if k1 == 1 else (MODE_A, MODE_B, MODE_E)
+    return _GATE_MODES[check_integer(k1, "k1", 0, 1)]
 
 
 # Noise placement, the one statement of it: noise model -> (noisy gate slots,
@@ -94,7 +102,7 @@ def gate_modes(k1: int) -> tuple[int, int, int]:
 # the post-selected outcomes error-free; dephasing hits both Kerr cells.
 NOISE_PLACEMENT = {
     "none": ((), None),
-    "loss": ((1,), lambda k1: gate_modes(k1)[1:]),
+    "loss": ((1,), lambda k1: _GATE_MODES[k1][1:]),
     "balanced-loss": ((0, 1), lambda k1: RAIL_MODES),
     "dephasing": ((0, 1), None),
 }
@@ -157,18 +165,18 @@ def _conditional(probs: np.ndarray, legal: np.ndarray | None,
     """(P(event), acceptance) from a-d outcome masks, conditioned on ``legal`` unless None.
 
     An outcome counts when its share of the acceptance exceeds
-    PROB_OMIT_THRESHOLD, so a tiny legal mass is still scored.  The sums add
-    sequentially in index order, which fixes the last digits the CLI prints.
+    PROB_OMIT_THRESHOLD, so a tiny legal mass is still scored.  The sums fold left
+    to right (3.12's ``sum`` compensates), which fixes the last digits the CLI prints.
     """
     accepted = 1.0
     if legal is not None:
         event = event & legal
-        accepted = sum(probs[legal].tolist())
+        accepted = reduce(add, probs[legal].tolist(), 0.0)
         if accepted <= 0.0:
-            raise ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
+            raise correction.ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
     with np.errstate(over="ignore"):  # a share of a subnormal acceptance may overflow to inf
         share = probs / accepted
-    hit = sum(probs[event & (share > PROB_OMIT_THRESHOLD)].tolist())
+    hit = reduce(add, probs[event & (share > PROB_OMIT_THRESHOLD)].tolist(), 0.0)
     return hit / accepted, accepted
 
 
@@ -181,15 +189,16 @@ def _gate_stack(configs: Sequence[MachineConfig], slot: int, mc_samples: int | N
     sampled phi under ``mc_samples``.  Point g reads the strength of configs[g].
     """
     config = configs[0]
-    modes = gate_modes(config.k1)
+    b, kb, n = _reachable_frame(config.k1)
     damped = NOISE_PLACEMENT[config.noise_model][1]
     if damped is not None:
-        noise = _damping(SPACE, damped(config.k1), [c.noise.gamma for c in configs], PHOTONS)
+        noise = _damping([_LOWERINGS[m] for m in damped(config.k1)],
+                         [c.noise.gamma for c in configs])
     else:
         lam = [c.noise.lam for c in configs]
-        noise = _phase_mask(SPACE, *modes, _gaussian_phis(lam) if mc_samples is None else
-                            [sampled_phi(x, mc_samples, [mc_seed, slot]) for x in lam], PHOTONS)
-    return _cell_gate(SPACE, *modes, noise, PHOTONS)
+        noise = _phase_mask(n, np.array(_gaussian_phis(lam) if mc_samples is None else [
+            sampled_phi(x, mc_samples, [mc_seed, slot]) for x in lam], dtype=complex))
+    return _cell_gate(b, kb, noise)
 
 
 def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
@@ -198,8 +207,10 @@ def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
     A gate slot NOISE_PLACEMENT leaves noise-free holds the Fredkin unitary;
     a noisy one holds its int, 0 or 1, and ``_gate_stack`` builds its map.
     """
+    if not isinstance(config, MachineConfig):
+        raise FockError(f"stages needs a MachineConfig, got {type(config).__name__}")
     bcd, noisy = beamsplitter_unitary(SPACE, MODE_C, MODE_D), NOISE_PLACEMENT[config.noise_model][0]
-    g0, g1 = [s if s in noisy else fredkin_unitary(SPACE, *gate_modes(config.k1)) for s in (0, 1)]
+    g0, g1 = [s if s in noisy else fredkin_unitary(SPACE, *_GATE_MODES[config.k1]) for s in (0, 1)]
     projection = [PROJECTION] if config.projective_ec else []
     return [bcd, g0, *projection, phase_shift_unitary(SPACE, MODE_A, math.pi), g1, bcd.dagger]
 
@@ -207,7 +218,14 @@ def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
 @lru_cache(maxsize=None)  # only the input and the memoized unitaries of ``stages`` arrive
 def _reachable_block(op: DensityOperator | LinearOperator) -> np.ndarray:
     """The block of the input or of a stage unitary on the reachable basis, cut once."""
-    return op.matrix[np.ix_(_REACHABLE, _REACHABLE)]
+    return op.matrix[_CUT]
+
+
+@lru_cache(maxsize=None)
+def _reachable_frame(k1: int) -> tuple:
+    """Switch k1's gate frame B, K B and cell photon numbers on the reachable basis, cut once."""
+    b, kb, n = _cell_frame(SPACE, *_GATE_MODES[k1])
+    return b[_CUT], kb[_CUT], n[_REACHABLE]
 
 
 def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
@@ -227,7 +245,7 @@ def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
             rho = u @ rho @ u.conj().T
             continue
         if stage == PROJECTION:
-            rho, p_accept = projective_ec_stack(SPACE, rho, PHOTONS)
+            rho, p_accept = correction._project(rho, correction.legal_projector(SPACE)[_CUT])
         else:
             rho = _gate_stack(configs, stage, mc_samples, mc_seed)(rho)
         check_densities(rho)
@@ -288,13 +306,13 @@ def readout_error(result: RunResult, postselect: bool = False) -> tuple[float, f
     when none remains.  Without it the acceptance is 1.
     """
     probs = result.outcomes
-    table, legal = occupation_table(RAILS), legal_mask(RAILS)
+    table, legal = occupation_table(RAILS), correction.legal_mask(RAILS)
     k1 = result.config.k1
     # correct readout: mode d clicks for k1 = 0, stays dark for k1 = 1
     wrong = legal & (table[:, MODE_D] == k1)
     if postselect:
         return _conditional(probs, legal, wrong)
-    arms = [m for m in gate_modes(k1)[1:] if m in RAIL_MODES]  # the Kerr-cell rails
+    arms = [m for m in _GATE_MODES[k1][1:] if m in RAIL_MODES]  # the Kerr-cell rails
     lone = (table.sum(axis=1) == 1) & (table[:, arms] == 1).any(axis=1)
     return _conditional(probs, None, wrong)[0] + 0.5 * _conditional(probs, None, lone)[0], 1.0
 

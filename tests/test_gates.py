@@ -96,6 +96,22 @@ def test_phase_shift():
     assert np.max(np.abs(s @ s - np.eye(space.dim))) < 1e-12
 
 
+@pytest.mark.parametrize("phi", [[1.0], "x", None, 1j, 10**400, -10**400, 10**5000, True,
+                                 np.bool_(False), math.nan, math.inf, -math.inf],
+                         ids=["list", "str", "None", "complex", "huge-int", "huge-negative-int",
+                              "unprintable-int", "True", "numpy-bool", "nan", "inf", "-inf"])
+def test_phase_shift_rejects_a_phase_that_is_not_a_finite_real(phi):
+    with pytest.raises(FockError, match="phase"):
+        phase_shift_unitary(FockSpace(2), 0, phi)
+
+
+@pytest.mark.parametrize("phi", [0, 0.0, -0.0, -math.pi / 2, -3, np.float64(-1e300), 1e300])
+def test_phase_shift_takes_any_finite_real_phase(phi):
+    n = np.array([0, 1, 0, 1])  # n_1 of FockSpace(2), index by index
+    assert np.array_equal(phase_shift_unitary(FockSpace(2), 1, phi).matrix,
+                          np.diag(np.exp(1j * phi * n)))
+
+
 FREDKIN_ROWS = {
     (0, 0, 0): (0, 0, 0),
     (1, 0, 0): (1, 0, 0),

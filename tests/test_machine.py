@@ -623,6 +623,48 @@ def test_config_rejects_bad_values():
         run_many([cfg(1), None])  # raised eagerly, before any stack is folded
 
 
+@pytest.mark.parametrize("k1", [2, -1, "1", "0", True, 1.0, None, 10**5000],
+                         ids=["2", "-1", "str-1", "str-0", "True", "1.0", "None", "huge-int"])
+def test_gate_modes_rejects_a_bad_switch(k1):
+    with pytest.raises(FockError, match="k1"):
+        gate_modes(k1)
+
+
+@pytest.mark.parametrize("config", ["x", None, 1, NoiseParams()],
+                         ids=["str", "None", "int", "noise-params"])
+def test_stages_rejects_what_is_not_a_config(config):
+    with pytest.raises(FockError, match="MachineConfig"):
+        stages(config)
+
+
+def test_the_fold_and_the_figures_read_the_gate_modes_of_the_checked_k1(monkeypatch):
+    # a config's k1 is checked when it is built, so the fold and the scores look its
+    # modes up without going through the checking gate_modes
+    assert [gate_modes(k1) for k1 in (0, 1)] == [(0, 1, 4), (0, 1, 2)]
+    want = [(run(config), config) for config in CONFIGS]
+    monkeypatch.setattr(machine, "gate_modes", None)
+    for result, config in want:
+        got = run(config)
+        assert np.array_equal(got.output_state.matrix, result.output_state.matrix)
+        assert readout_error(got) == readout_error(result)
+
+
+def test_conditional_sums_fold_left_to_right(monkeypatch):
+    # Python 3.12's sum() of floats is compensated; math.fsum stands in for it here, and
+    # the acceptance must still be the left-to-right fold that fixes the printed digits
+    monkeypatch.setattr(machine, "sum", math.fsum, raising=False)
+    mass = [9.893121214389579e-08, 0.9987420645647754, 9.782282202823861e-15,
+            9.893121216560644e-08]
+    folded = 0.0
+    for p in mass:
+        folded += p
+    assert folded == 0.9987422624272094 != math.fsum(mass)
+    legal = correction.legal_mask(machine.RAILS)
+    probs = np.zeros(machine.RAILS.dim)
+    probs[legal] = mass
+    assert machine._conditional(probs, legal, legal)[1] == folded
+
+
 @pytest.mark.parametrize("model, strengths", [
     ("none", {"gamma": 0.3}), ("none", {"lam": 0.3}),
     ("loss", {"lam": 0.1}), ("balanced-loss", {"lam": math.inf}),
