@@ -53,7 +53,7 @@ from .fock import (
     occupation_label,
 )
 from .gates import fredkin_unitary
-from .machine import MachineConfig, readout_error, run_many, which_path_error
+from .machine import MachineConfig, readout_errors, run_grid, which_path_errors
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -210,18 +210,20 @@ def cmd_lossy_gate(args) -> list[str]:
 
 def cmd_sweep_loss(args) -> list[str]:
     grid = _grid(args)
-    runs = [run_many(MachineConfig(k1=1, noise=NoiseParams(gamma=g), noise_model=model)
-                     for g in grid) for model in ("loss", "balanced-loss")]
+    plain, balanced = (run_grid(MachineConfig(k1=1, noise=NoiseParams(gamma=g), noise_model=model)
+                                for g in grid)[0] for model in ("loss", "balanced-loss"))
+    figures = (readout_errors(plain, 1), readout_errors(plain, 1, postselect=True),
+               readout_errors(balanced, 1, postselect=True))
     records, ok = [], True
-    for g, plain, balanced in zip(grid, *runs):
+    for g, noec, ec, balanced_ec in zip(grid, *(errors.tolist() for errors, _ in figures)):
         row = {
             "gamma": g,
             "loss_db": decibels(g),
-            "p_noec_sim": readout_error(plain)[0],
+            "p_noec_sim": noec,
             "p_noec_closed": p_noec_closed(g),
-            "p_ec_sim": readout_error(plain, postselect=True)[0],
+            "p_ec_sim": ec,
             "p_ec_closed": p_ec_closed(g),
-            "p_balanced_ec": readout_error(balanced, postselect=True)[0],
+            "p_balanced_ec": balanced_ec,
         }
         ok = ok and abs(row["p_noec_sim"] - row["p_noec_closed"]) <= 1e-10
         ok = ok and abs(row["p_ec_sim"] - row["p_ec_closed"]) <= 1e-10
@@ -233,19 +235,22 @@ def cmd_sweep_loss(args) -> list[str]:
 
 def cmd_sweep_dephasing(args) -> list[str]:
     grid = _grid(args)
-    plain_runs = run_many(MachineConfig(k1=1, noise=NoiseParams(lam=lam), noise_model="dephasing")
-                          for lam in grid)
-    proj_runs = run_many(MachineConfig(k1=0, noise=NoiseParams(lam=lam), noise_model="dephasing",
-                                       projective_ec=True) for lam in grid)
+    plain = run_grid(MachineConfig(k1=1, noise=NoiseParams(lam=lam), noise_model="dephasing")
+                     for lam in grid)[0]
+    proj, accepted = run_grid(MachineConfig(k1=0, noise=NoiseParams(lam=lam),
+                                            noise_model="dephasing", projective_ec=True)
+                              for lam in grid)
     records, ok = [], True
     fit_points = {}  # lambda -> p_projective, so each lambda is fitted once
-    for lam, plain, proj in zip(grid, plain_runs, proj_runs):
+    for lam, p_plain, p_proj, p_accept in zip(grid, readout_errors(plain, 1)[0].tolist(),
+                                              which_path_errors(proj).tolist(),
+                                              accepted.tolist()):
         row = {
             "lambda": lam,
             "damping_db": decibels(lam),
-            "p_plain": readout_error(plain)[0],
-            "p_projective": which_path_error(proj),
-            "p_accept_projective": proj.p_accept,
+            "p_plain": p_plain,
+            "p_projective": p_proj,
+            "p_accept_projective": p_accept,
         }
         ok = ok and abs(row["p_plain"] - p_plain_closed(lam)) <= 1e-10
         ok = ok and abs(row["p_projective"] - p_projective_closed(lam)) <= 1e-10

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, wraps
 from numbers import Real
 
 import numpy as np
@@ -27,7 +27,23 @@ from .fock import (
 )
 
 
-@lru_cache(maxsize=None, typed=True)
+def _modes_checked(gate):
+    """``gate`` memoized, with its modes checked before the cache sees them.
+
+    ``cache_info`` and ``cache_clear`` are the cache's own.
+    """
+    cached = lru_cache(maxsize=None, typed=True)(gate)
+
+    @wraps(gate)
+    def checked(space: FockSpace, *modes: int) -> LinearOperator:
+        check_modes(space, *modes)
+        return cached(space, *modes)
+
+    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    return checked
+
+
+@_modes_checked
 def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     """50/50 beamsplitter B = exp[theta (a_i^dag a_j - a_j^dag a_i)] at theta = pi/4.
 
@@ -36,7 +52,6 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOp
     one photon per mode the bunched states |20> and |02> lie outside the
     space, so the truncated B leaves |11> unchanged.
     """
-    check_modes(space, mode_i, mode_j)
     ai = annihilation_operator(space, mode_i)
     aj = annihilation_operator(space, mode_j)
     gen = math.pi / 4 * (ai.conj().T @ aj - aj.conj().T @ ai)
@@ -45,10 +60,9 @@ def beamsplitter_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOp
     return LinearOperator(space, (v * np.exp(-1j * w)) @ v.conj().T)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_modes_checked
 def kerr_unitary(space: FockSpace, mode_i: int, mode_j: int) -> LinearOperator:
     """Cross-phase modulation K = exp[i pi n_i n_j], the sign flip on |11>."""
-    check_modes(space, mode_i, mode_j)
     n = occupation_table(space)
     return LinearOperator(space, np.diag(np.exp(1j * math.pi * n[:, mode_i] * n[:, mode_j])))
 
@@ -57,16 +71,16 @@ def phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperat
     """Single-mode phase shift exp[i phi n_mode], for a finite real phi that is not a bool."""
     if isinstance(phi, bool) or not isinstance(phi, Real) or not abs(phi) <= sys.float_info.max:
         raise FockError(f"phase must be a finite real number, got {_shown(phi)}")
+    check_modes(space, mode)
     return _phase_shift_unitary(space, mode, phi)
 
 
 @lru_cache(maxsize=128, typed=True)  # phi is continuous, so the cache is bounded
 def _phase_shift_unitary(space: FockSpace, mode: int, phi: float) -> LinearOperator:
-    check_modes(space, mode)
     return LinearOperator(space, np.diag(np.exp(1j * phi * occupation_table(space)[:, mode])))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_modes_checked
 def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOperator:
     """Optical Fredkin gate F = B^dag K B.
 
@@ -74,7 +88,6 @@ def fredkin_unitary(space: FockSpace, m_a: int, m_b: int, m_c: int) -> LinearOpe
     On single-photon occupations this swaps modes m_a and m_b conditioned on a
     photon in m_c.  F is Hermitian, so F is its own inverse.
     """
-    check_modes(space, m_a, m_b, m_c)
     b = beamsplitter_unitary(space, m_a, m_b).matrix
     return LinearOperator(space, b.conj().T @ kerr_unitary(space, m_b, m_c).matrix @ b)
 

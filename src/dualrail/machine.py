@@ -17,7 +17,8 @@ each output into SPACE as it is yielded.
 It checks the output of each noisy gate and of the projection: a checked
 unitary keeps a state a state.  ``run`` is its one-config case.  A run
 yields its output state and its a-d outcomes, which the fold reads off the
-stack's diagonal once; both error figures read those outcomes.
+stack's diagonal once.  ``run_grid`` keeps only the stacks' outcomes and
+acceptances, and the array scorers read every figure from outcome rows.
 ``readout_error`` scores the mode-d readout against the correct class;
 without post-selection it additionally charges half of the probability of
 lone-photon outcomes left on the noisy gate's Kerr-cell rails, since a run
@@ -33,8 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,6 +56,7 @@ from .fock import (
     FockError,
     FockSpace,
     LinearOperator,
+    _readonly,
     annihilation_operator,
     basis_pure,
     check_densities,
@@ -160,24 +161,34 @@ class RunResult:
             object.__setattr__(self, "outcomes", outcomes)
 
 
-def _conditional(probs: np.ndarray, legal: np.ndarray | None,
-                 event: np.ndarray) -> tuple[float, float]:
-    """(P(event), acceptance) from a-d outcome masks, conditioned on ``legal`` unless None.
+def _masked_sums(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``probs`` where ``mask``, bit for bit a Python left fold from 0.0.
 
-    An outcome counts when its share of the acceptance exceeds
-    PROB_OMIT_THRESHOLD, so a tiny legal mass is still scored.  The sums fold left
-    to right (3.12's ``sum`` compensates), which fixes the last digits the CLI prints.
+    A cumulative sum from a leading 0.0 column, masked-out terms +0.0, makes the
+    fold's additions, signed zeros included; ``np.sum`` would add in pairs.
     """
-    accepted = 1.0
+    terms = np.zeros((len(probs), 1 + probs.shape[1]))
+    np.copyto(terms[:, 1:], probs, where=mask)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _conditional(probs: np.ndarray, legal: np.ndarray | None,
+                 event: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(event), acceptance) per row of (G, 16) a-d outcomes, conditioned on ``legal`` unless None.
+
+    An outcome counts when its share of its row's acceptance exceeds
+    PROB_OMIT_THRESHOLD, so a tiny legal mass is still scored.  Any row whose
+    legal mass is not positive raises ZeroAcceptanceError.
+    """
+    accepted = np.ones(len(probs))
     if legal is not None:
         event = event & legal
-        accepted = reduce(add, probs[legal].tolist(), 0.0)
-        if accepted <= 0.0:
+        accepted = _masked_sums(probs, legal)
+        if (accepted <= 0.0).any():
             raise correction.ZeroAcceptanceError("dual-rail post-selection accepted zero mass")
     with np.errstate(over="ignore"):  # a share of a subnormal acceptance may overflow to inf
-        share = probs / accepted
-    hit = reduce(add, probs[event & (share > PROB_OMIT_THRESHOLD)].tolist(), 0.0)
-    return hit / accepted, accepted
+        share = probs / accepted[:, None]
+    return _masked_sums(probs, event & (share > PROB_OMIT_THRESHOLD)) / accepted, accepted
 
 
 def _gate_stack(configs: Sequence[MachineConfig], slot: int, mc_samples: int | None,
@@ -229,12 +240,12 @@ def _reachable_frame(k1: int) -> tuple:
 
 
 def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
-          mc_seed: int) -> Iterator[RunResult]:
+          mc_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold one stack over ``stages`` on the reachable basis, checking only non-unitary stages.
 
-    The stack's a-d outcomes are read off its diagonal in one step, the same
-    additions ``marginal_distribution`` makes; each point is embedded into
-    SPACE as it is yielded.
+    Returns the stack's output on the reachable basis, its read-only a-d
+    outcomes and its acceptances.  The outcomes are read off the stack's
+    diagonal in one step, the same additions ``marginal_distribution`` makes.
     """
     height, keep = len(configs), _REACHABLE
     rho = np.broadcast_to(_reachable_block(_INPUT_DENSITY), (height, len(keep), len(keep)))
@@ -253,13 +264,33 @@ def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
     probs = np.zeros((height, SPACE.dim))  # the diagonal in SPACE; RAIL_MODES are all but e
     probs[:, keep] = rho.diagonal(axis1=1, axis2=2).real
     outcomes = probs.reshape(height, *(2,) * SPACE.n_modes).sum(axis=1 + MODE_E)
-    outcomes = outcomes.reshape(height, RAILS.dim)
-    outcomes.flags.writeable = False
-    for config, block, point, accepted in zip(configs, rho, outcomes, p_accept.tolist()):
-        out = np.zeros((1, SPACE.dim, SPACE.dim), dtype=complex)
-        out[0, keep[:, None], keep] = block
-        [state] = checked_densities(SPACE, out)
-        yield RunResult(config, state, accepted, point)
+    return rho, _readonly(outcomes.reshape(height, RAILS.dim)), p_accept
+
+
+def _stacks(configs: Iterable[MachineConfig], mc_samples: int | None,
+            mc_seed: int) -> tuple[list[MachineConfig], Iterator[tuple]]:
+    """The checked configurations, and their folds of STACK_HEIGHT, each made when asked for."""
+    configs = list(configs)
+    if not all(isinstance(c, MachineConfig) for c in configs):
+        raise FockError("run_many needs MachineConfig values")
+    if len({(c.k1, c.noise_model, c.projective_ec) for c in configs}) > 1:
+        raise FockError("run_many needs configurations that share k1, noise model "
+                        "and projection")
+    mc_seed = check_integer(mc_seed, "mc_seed", 0)
+    if mc_samples is not None:
+        mc_samples = check_integer(mc_samples, "mc_samples", 1)
+        if any(_read_strength(c.noise_model) != "lam" for c in configs):
+            raise FockError("mc_samples requires the dephasing noise model")
+    return configs, (_fold(configs[start:start + STACK_HEIGHT], mc_samples, mc_seed)
+                     for start in range(0, len(configs), STACK_HEIGHT))
+
+
+def _embedded(block: np.ndarray) -> DensityOperator:
+    """A checked reachable-basis output as the state in SPACE that it is the block of."""
+    out = np.zeros((1, SPACE.dim, SPACE.dim), dtype=complex)
+    out[0, _REACHABLE[:, None], _REACHABLE] = block
+    [state] = checked_densities(SPACE, out)
+    return state
 
 
 def run_many(configs: Iterable[MachineConfig], mc_samples: int | None = None,
@@ -272,19 +303,21 @@ def run_many(configs: Iterable[MachineConfig], mc_samples: int | None = None,
     as they come holds one stack at a time.  ``mc_samples`` and ``mc_seed``
     are those of ``run``, applied to every configuration.
     """
-    configs = list(configs)
-    if not all(isinstance(c, MachineConfig) for c in configs):
-        raise FockError("run_many needs MachineConfig values")
-    if len({(c.k1, c.noise_model, c.projective_ec) for c in configs}) > 1:
-        raise FockError("run_many needs configurations that share k1, noise model "
-                        "and projection")
-    mc_seed = check_integer(mc_seed, "mc_seed", 0)
-    if mc_samples is not None:
-        mc_samples = check_integer(mc_samples, "mc_samples", 1)
-        if any(_read_strength(c.noise_model) != "lam" for c in configs):
-            raise FockError("mc_samples requires the dephasing noise model")
-    return (result for start in range(0, len(configs), STACK_HEIGHT)
-            for result in _fold(configs[start:start + STACK_HEIGHT], mc_samples, mc_seed))
+    configs, folds = _stacks(configs, mc_samples, mc_seed)
+    points = (point for rho, outcomes, p_accept in folds
+              for point in zip(rho, outcomes, p_accept.tolist()))
+    return (RunResult(config, _embedded(block), accepted, row)
+            for config, (block, row, accepted) in zip(configs, points))
+
+
+def run_grid(configs: Iterable[MachineConfig], mc_samples: int | None = None,
+             mc_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``run_many``'s (G, 16) a-d outcomes and (G,) acceptances, with no state embedded."""
+    configs, folds = _stacks(configs, mc_samples, mc_seed)
+    if not configs:
+        raise FockError("run_grid needs at least one configuration")
+    outcomes, p_accept = zip(*(fold[1:] for fold in folds))
+    return _readonly(np.concatenate(outcomes)), _readonly(np.concatenate(p_accept))
 
 
 def run(config: MachineConfig, mc_samples: int | None = None,
@@ -298,32 +331,42 @@ def run(config: MachineConfig, mc_samples: int | None = None,
     return next(run_many([config], mc_samples, mc_seed))
 
 
-def readout_error(result: RunResult, postselect: bool = False) -> tuple[float, float]:
-    """(Error probability, dual-rail acceptance) of the mode-d class readout of a run.
+def readout_errors(outcomes: np.ndarray, k1: int,
+                   postselect: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(Errors, acceptances) of the mode-d class readout of each row of switch k1's outcomes.
 
     With ``postselect`` the error is conditioned on one photon per rail pair
     and the acceptance is the legal mass; raises ZeroAcceptanceError
-    when none remains.  Without it the acceptance is 1.
+    when a row has none.  Without it the acceptance is 1.
     """
-    probs = result.outcomes
     table, legal = occupation_table(RAILS), correction.legal_mask(RAILS)
-    k1 = result.config.k1
     # correct readout: mode d clicks for k1 = 0, stays dark for k1 = 1
     wrong = legal & (table[:, MODE_D] == k1)
     if postselect:
-        return _conditional(probs, legal, wrong)
+        return _conditional(outcomes, legal, wrong)
     arms = [m for m in _GATE_MODES[k1][1:] if m in RAIL_MODES]  # the Kerr-cell rails
     lone = (table.sum(axis=1) == 1) & (table[:, arms] == 1).any(axis=1)
-    return _conditional(probs, None, wrong)[0] + 0.5 * _conditional(probs, None, lone)[0], 1.0
+    return (_conditional(outcomes, None, wrong)[0]
+            + 0.5 * _conditional(outcomes, None, lone)[0], np.ones(len(outcomes)))
 
 
-def which_path_error(result: RunResult) -> float:
-    """Probability that the a/b interferometer released its photon in mode a, unconditioned.
+def which_path_errors(outcomes: np.ndarray) -> np.ndarray:
+    """Probability that the a/b interferometer released its photon in mode a, for each row.
 
     This is the phase-noise figure of merit: for k1 = 0 the mode-d readout
     never errs, and what decoherence damages is the which-path purity of the
     a/b pair; the projective correction improves exactly this quantity, from
     the uncorrected (1 - e^-2lam)/2 to (1 - q)(6 + 5q)/(6(2 + q)), q = e^-lam.
     """
-    return _conditional(result.outcomes, None, occupation_table(RAILS)[:, MODE_A] == 1)[0]
+    return _conditional(outcomes, None, occupation_table(RAILS)[:, MODE_A] == 1)[0]
 
+
+def readout_error(result: RunResult, postselect: bool = False) -> tuple[float, float]:
+    """``readout_errors`` of one run, scored as one row."""
+    error, accepted = readout_errors(result.outcomes[None], result.config.k1, postselect)
+    return error.item(), accepted.item()
+
+
+def which_path_error(result: RunResult) -> float:
+    """``which_path_errors`` of one run, scored as one row."""
+    return which_path_errors(result.outcomes[None]).item()

@@ -8,10 +8,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualrail import cli
+from dualrail import LinearOperator, cli, index_of, machine
 from dualrail.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 
 SMALL_GRID = ["--grid-start", "0.01", "--grid-stop", "0.5", "--grid-count", "5"]
@@ -99,6 +100,70 @@ def test_sweep_dephasing_checks_the_projective_columns(monkeypatch, capsys, clos
     code, out, err = run_cli(["sweep-dephasing", *SMALL_GRID], capsys)
     assert code == EXIT_VALIDATION
     assert "validation failed" in err
+
+
+@pytest.mark.parametrize("closed_form", ["p_noec_closed", "p_ec_closed"])
+@pytest.mark.parametrize("offset, code", [(2e-10, EXIT_VALIDATION), (5e-11, EXIT_OK)],
+                         ids=["past", "inside"])
+def test_sweep_loss_checks_each_loss_column_to_1e_10(monkeypatch, capsys, closed_form, offset,
+                                                      code):
+    exact = getattr(cli, closed_form)
+    monkeypatch.setattr(cli, closed_form, lambda gamma: exact(gamma) + offset)
+    got = run_cli(["sweep-loss", *SMALL_GRID], capsys)
+    assert (got[0], got[2]) == (code, "sweep-loss: simulated errors deviate from the closed "
+                                      "forms\n" if code else "")
+
+
+def turn_final_state(monkeypatch, model, projective_ec, source, target, share):
+    """Make every run of ``model`` end by turning ``share`` of |source> into |target>.
+
+    A rotation after the last stage, on two a-d occupations with mode e empty,
+    moves exactly that probability from one outcome to the other.
+    """
+    i, j = (index_of(machine.SPACE, occ + (0,)) for occ in (source, target))
+    c, s = math.sqrt(1.0 - share), math.sqrt(share)
+    u = np.eye(machine.SPACE.dim, dtype=complex)
+    u[i, i], u[j, i], u[i, j], u[j, j] = c, s, -s, c
+    rotation, stages = LinearOperator(machine.SPACE, u), machine.stages
+    monkeypatch.setattr(machine, "stages", lambda config: [*stages(config), rotation] if (
+        config.noise_model, config.projective_ec) == (model, projective_ec) else stages(config))
+
+
+@pytest.mark.parametrize("share, code", [(2e-12, EXIT_VALIDATION), (5e-13, EXIT_OK)],
+                         ids=["past", "inside"])
+def test_sweep_loss_checks_the_balanced_column_to_1e_12(monkeypatch, capsys, share, code):
+    # the balanced machine for k1 = 1 ends in |0110>; turning a share of it into the
+    # legal, wrong-class |0101> gives a post-selected error of that share, to rounding
+    turn_final_state(monkeypatch, "balanced-loss", False, (0, 1, 1, 0), (0, 1, 0, 1), share)
+    got = run_cli(["sweep-loss", *SMALL_GRID], capsys)
+    balanced = [float(line.split(",")[-1]) for line in got[1].splitlines()[1:]]
+    assert (got[0], got[2]) == (code, "sweep-loss: simulated errors deviate from the closed "
+                                      "forms\n" if code else "")
+    assert balanced == pytest.approx([share] * 5, rel=1e-3)
+
+
+@pytest.mark.parametrize("lam, share, code", [
+    ("0", 2e-12, EXIT_VALIDATION),   # p_plain = 0: p_projective just past 1e-12 fails
+    ("0", 5e-13, EXIT_OK),           # and inside it passes
+    ("9e-13", 6e-13, EXIT_VALIDATION),  # p_plain 9e-13, at the floor: p_projective 1.15e-12 fails
+    ("2e-12", 0.0, EXIT_OK),         # p_plain 2e-12, past the floor: p_projective 1.22e-12
+], ids=["zero-past", "zero-inside", "floor-past", "above-floor"])
+def test_sweep_dephasing_noise_floor_rule(monkeypatch, capsys, lam, share, code):
+    # p_plain <= 1e-12 requires p_projective <= 1e-12; above the floor p_projective need
+    # only be below p_plain.  The corrected k1 = 0 machine ends in |0101>, and turning a
+    # share of it into |1001> adds that share to the which-path error
+    turn_final_state(monkeypatch, "dephasing", True, (0, 1, 0, 1), (1, 0, 0, 1), share)
+    got = run_cli(["sweep-dephasing", "--grid-start", lam, "--grid-count", "1",
+                   "--linear"], capsys)
+    assert (got[0], got[2]) == (code, "sweep-dephasing: validation failed\n" if code else "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zero_acceptance_inside_a_grid_exits_1_with_no_output(capsys, fmt):
+    # gamma = 190, the grid's last point, leaves no legal mass: nothing is written
+    got = run_cli(["sweep-loss", "--grid-start", "1", "--grid-stop", "190", "--grid-count", "5",
+                   "--format", fmt], capsys)
+    assert got == (EXIT_VALIDATION, "", "dualrail: dual-rail post-selection accepted zero mass\n")
 
 
 def test_sweep_dephasing_fits_distinct_lambdas_only(capsys):

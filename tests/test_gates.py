@@ -70,6 +70,28 @@ def test_number_diagonal_rejects_out_of_range_modes():
             beamsplitter_unitary(space, 0, mode)
 
 
+@pytest.mark.parametrize("build, args", [
+    (beamsplitter_unitary, ([0], 1)), (kerr_unitary, (0, [1])),
+    (fredkin_unitary, ([0], 1, 2)), (phase_shift_unitary, ([0], 0.1)),
+], ids=["beamsplitter", "kerr", "fredkin", "phase-shift"])
+def test_a_mode_the_cache_cannot_hash_is_rejected_as_a_bad_mode(build, args):
+    # the modes are checked before the memo sees them, so a list is a bad mode, not a TypeError
+    with pytest.raises(FockError, match="mode must be an integer"):
+        build(FockSpace(3), *args)
+
+
+def test_the_beamsplitter_reports_its_own_cache():
+    # cache_clear and cache_info act on the memo behind the mode check
+    beamsplitter_unitary.cache_clear()
+    assert beamsplitter_unitary.cache_info().currsize == 0
+    first = beamsplitter_unitary(FockSpace(2), 0, 1)
+    with pytest.raises(FockError):
+        beamsplitter_unitary(FockSpace(2), [0], 1)  # rejected before the cache: no miss
+    assert beamsplitter_unitary(FockSpace(2), 0, 1) is first
+    info = beamsplitter_unitary.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
 def test_fixed_gates_are_built_once():
     space = FockSpace(5)
     for build, args in ((beamsplitter_unitary, (2, 3)), (kerr_unitary, (1, 2)),

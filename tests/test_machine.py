@@ -1,7 +1,10 @@
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualrail import (
     FockError,
@@ -33,7 +36,8 @@ from dualrail.channels import (
     phase_average_stack,
     sampled_phi,
 )
-from dualrail.fock import occupation_table, photon_basis
+from dualrail.correction import ZeroAcceptanceError
+from dualrail.fock import PROB_OMIT_THRESHOLD, occupation_table, photon_basis
 from dualrail.machine import (
     INPUT,
     NOISE_MODELS,
@@ -41,8 +45,12 @@ from dualrail.machine import (
     PHOTONS,
     PROJECTION,
     RAIL_MODES,
+    RAILS,
     SPACE,
     STACK_HEIGHT,
+    readout_errors,
+    run_grid,
+    which_path_errors,
 )
 from dualrail.cli import main
 from conftest import assert_bit_equal, outcome_distribution
@@ -649,10 +657,10 @@ def test_the_fold_and_the_figures_read_the_gate_modes_of_the_checked_k1(monkeypa
         assert readout_error(got) == readout_error(result)
 
 
-def test_conditional_sums_fold_left_to_right(monkeypatch):
-    # Python 3.12's sum() of floats is compensated; math.fsum stands in for it here, and
-    # the acceptance must still be the left-to-right fold that fixes the printed digits
-    monkeypatch.setattr(machine, "sum", math.fsum, raising=False)
+def test_conditional_sums_fold_left_to_right():
+    # Python 3.12's sum() of floats is compensated and np.sum adds in pairs; math.fsum
+    # stands in for both here, and the acceptance must still be the left-to-right fold
+    # that fixes the printed digits
     mass = [9.893121214389579e-08, 0.9987420645647754, 9.782282202823861e-15,
             9.893121216560644e-08]
     folded = 0.0
@@ -660,9 +668,23 @@ def test_conditional_sums_fold_left_to_right(monkeypatch):
         folded += p
     assert folded == 0.9987422624272094 != math.fsum(mass)
     legal = correction.legal_mask(machine.RAILS)
-    probs = np.zeros(machine.RAILS.dim)
-    probs[legal] = mass
-    assert machine._conditional(probs, legal, legal)[1] == folded
+    probs = np.zeros((2, machine.RAILS.dim))
+    probs[:, legal] = mass
+    assert machine._conditional(probs, legal, legal)[1].tolist() == [folded, folded]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-17, 0.1, 1 / 3,
+                                           0.7, 1e-14, 2.5e-14]), st.booleans()),
+                min_size=16, max_size=16).map(lambda row: list(zip(*row))))
+@example([(-0.0,) * 16, (True,) * 16])  # the fold's leading 0.0 turns an all -0.0 sum into +0.0
+def test_masked_sums_are_the_left_fold_bit_for_bit(row):
+    # a cumulative sum from a leading 0.0 adds exactly what reduce(add, ..., 0.0) adds,
+    # a -0.0 term and an all-masked-out row included
+    values, mask = np.array(row[0]), np.array(row[1])
+    want = reduce(operator.add, values[mask].tolist(), 0.0)
+    [got] = machine._masked_sums(values[None], mask).tolist()
+    assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("model, strengths", [
@@ -749,6 +771,129 @@ def test_run_outcomes_are_the_marginal_of_the_output_state(model, k1, projective
             assert_bit_equal(figures(hand_built), figures(result))
 
 
+# ---------------------------------------------------------------- grid scoring
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+def one_row_figures(results):
+    """Each run's readout errors and acceptances (plain, post-selected) and which-path error."""
+    rows = []
+    for result in results:
+        try:
+            ec = readout_error(result, postselect=True)
+        except ZeroAcceptanceError:
+            ec = None
+        rows.append((readout_error(result), ec, which_path_error(result)))
+    return rows
+
+
+def assert_grid_scores_as_its_rows(configs, mc_samples=None, mc_seed=0):
+    # run_grid keeps run_many's outcomes and acceptances bit for bit, and every grid
+    # figure is the figure of its run scored on its own
+    results = list(run_many(configs, mc_samples, mc_seed))
+    outcomes, p_accept = run_grid(configs, mc_samples, mc_seed)
+    assert_bit_equal(outcomes, np.array([r.outcomes for r in results]))
+    assert hexes(p_accept.tolist()) == hexes(r.p_accept for r in results)
+    assert not outcomes.flags.writeable and not p_accept.flags.writeable
+    rows, k1 = one_row_figures(results), configs[0].k1
+    errors, accepted = readout_errors(outcomes, k1)
+    assert hexes(errors.tolist()) == hexes(row[0][0] for row in rows)
+    assert accepted.tolist() == [row[0][1] for row in rows] == [1.0] * len(rows)
+    assert hexes(which_path_errors(outcomes).tolist()) == hexes(row[2] for row in rows)
+    if any(row[1] is None for row in rows):
+        with pytest.raises(ZeroAcceptanceError, match="dual-rail post-selection accepted zero"):
+            readout_errors(outcomes, k1, postselect=True)
+    else:
+        errors, accepted = readout_errors(outcomes, k1, postselect=True)
+        assert hexes(errors.tolist()) == hexes(row[1][0] for row in rows)
+        assert hexes(accepted.tolist()) == hexes(row[1][1] for row in rows)
+
+
+@pytest.mark.parametrize("model, k1, projective_ec, mc_samples", OUTCOME_CASES,
+                         ids=[f"{m}-k1={k}-ec={e}-mc={n}" for m, k, e, n in OUTCOME_CASES])
+def test_grid_figures_are_the_one_row_figures(model, k1, projective_ec, mc_samples):
+    rng = np.random.default_rng(36)
+    grids = [np.logspace(-3, 0, 61), np.logspace(-4, 1, 200), rng.uniform(0, 50, 17),
+             [0.0, 1e-300, 5e-324, 1e-12], [60.0]]  # the loss models read gamma = 3 x
+    for strengths in grids[:2] + grids[4:] if mc_samples else grids:
+        configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
+                   for x in strengths]
+        assert_grid_scores_as_its_rows(configs, mc_samples, mc_seed=9)
+
+
+@pytest.mark.parametrize("model", ["loss", "balanced-loss"])
+def test_grid_figures_keep_a_subnormal_acceptance(model):
+    # at gamma = 180 the balanced legal mass is subnormal and its shares overflow to inf
+    assert_grid_scores_as_its_rows([cfg(1, model, gamma=g) for g in (0.5, 180.0, 1.0)])
+
+
+def test_a_grid_whose_last_point_accepts_nothing_raises():
+    # gamma = 190 leaves the balanced machine no legal mass; the grid's scores are all or none
+    outcomes, _ = run_grid([cfg(1, "balanced-loss", gamma=g) for g in (1.0, 2.0, 190.0)])
+    legal = correction.legal_mask(RAILS)
+    assert outcomes[:2, legal].sum(axis=1).min() > 0 and outcomes[2, legal].sum() <= 0.0
+    with pytest.raises(ZeroAcceptanceError, match="^dual-rail post-selection accepted zero mass$"):
+        readout_errors(outcomes, 1, postselect=True)
+    assert readout_errors(outcomes, 1)[1].tolist() == [1.0] * 3  # no post-selection, no raise
+
+
+def test_run_grid_checks_its_configurations_like_run_many():
+    with pytest.raises(FockError, match="at least one"):
+        run_grid([])
+    with pytest.raises(FockError, match="share k1, noise model and projection"):
+        run_grid([cfg(1, "loss", gamma=0.1), cfg(0, "loss", gamma=0.1)])
+    with pytest.raises(FockError, match="mc_samples"):
+        run_grid([cfg(1, "loss", gamma=0.1)], mc_samples=10)
+    with pytest.raises(FockError, match="MachineConfig"):
+        run_grid([cfg(1), None])
+
+
+def test_the_one_row_figures_call_the_array_scorer(monkeypatch):
+    shapes = []
+    conditional = machine._conditional
+    monkeypatch.setattr(machine, "_conditional", lambda probs, legal, event:
+                        shapes.append(probs.shape) or conditional(probs, legal, event))
+    result = run(cfg(1, "loss", gamma=0.3))
+    readout_error(result)
+    readout_error(result, postselect=True)
+    which_path_error(result)
+    assert shapes == [(1, RAILS.dim)] * 4
+
+
+def rail_index(occ4):
+    return index_of(RAILS, occ4)
+
+
+# the next float up from the threshold: its share is counted, the threshold's own is not
+ABOVE_THRESHOLD = float(np.nextafter(PROB_OMIT_THRESHOLD, 1.0))
+
+
+@pytest.mark.parametrize("postselect", [False, True])
+def test_an_outcome_whose_share_is_the_omit_threshold_is_dropped(postselect):
+    # k1 = 1 reads a click on d as the wrong class; the correct |0110> holds the rest, so the
+    # legal mass folds to exactly 1.0 and each outcome's share is its probability
+    rows = np.zeros((2, RAILS.dim))
+    for row, p in zip(rows, (PROB_OMIT_THRESHOLD, ABOVE_THRESHOLD)):
+        row[rail_index((0, 1, 0, 1))], row[rail_index((0, 1, 1, 0))] = p, 1.0 - p
+    errors, accepted = readout_errors(rows, 1, postselect)
+    assert accepted.tolist() == [1.0, 1.0]
+    assert errors.tolist() == [0.0, ABOVE_THRESHOLD]
+    for row, want in zip(rows, errors.tolist()):
+        result = RunResult(cfg(1), INPUT.density(), 1.0, row)
+        assert readout_error(result, postselect) == (want, 1.0)
+
+
+def test_a_which_path_outcome_at_the_omit_threshold_is_dropped():
+    rows = np.zeros((2, RAILS.dim))
+    for row, p in zip(rows, (PROB_OMIT_THRESHOLD, ABOVE_THRESHOLD)):
+        row[rail_index((1, 0, 0, 1))], row[rail_index((0, 1, 0, 1))] = p, 1.0 - p
+    assert which_path_errors(rows).tolist() == [0.0, ABOVE_THRESHOLD]
+    assert [which_path_error(RunResult(cfg(0), INPUT.density(), 1.0, row))
+            for row in rows] == [0.0, ABOVE_THRESHOLD]
+
+
 # ---------------------------------------------------------------- sweeps
 
 def sweep_loss_rows(capsys, *grid_args):
@@ -779,13 +924,31 @@ def test_sweep_without_noise_is_error_free(capsys):
 
 def test_sweep_loss_runs_each_lossy_machine_once(monkeypatch, capsys):
     # both loss columns are scored from one plain-loss run per grid point:
-    # one run_many per model, holding the whole grid
+    # one run_grid per model, holding the whole grid
     calls = []
-    monkeypatch.setattr(cli, "run_many", lambda configs: calls.append(list(configs))
-                        or run_many(calls[-1]))
+    monkeypatch.setattr(cli, "run_grid", lambda configs: calls.append(list(configs))
+                        or run_grid(calls[-1]))
     rows = sweep_loss_rows(capsys, "--grid-count", "5")
     assert [[c.noise_model for c in configs] for configs in calls] == [
         ["loss"] * 5, ["balanced-loss"] * 5]
     for configs in calls:
         assert [c.noise.gamma for c in configs] == pytest.approx([r["gamma"] for r in rows],
                                                                 rel=1e-11)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_sweeps_build_no_per_point_states(monkeypatch, capsys, fmt):
+    # the sweeps score their grids from outcome arrays: no state is embedded into the
+    # 32-state space and no RunResult is built, and the bytes are those of a free run
+    want = []
+    for command in ("sweep-loss", "sweep-dephasing"):
+        want.append((main([command, "--format", fmt]), capsys.readouterr()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep built a per-point state")
+
+    monkeypatch.setattr(machine, "checked_densities", refuse)
+    monkeypatch.setattr(machine, "RunResult", refuse)
+    for command, (code, captured) in zip(("sweep-loss", "sweep-dephasing"), want):
+        assert code == 0
+        assert (main([command, "--format", fmt]), capsys.readouterr()) == (code, captured)
