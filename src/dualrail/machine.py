@@ -4,7 +4,9 @@ Five optical modes a, b, c, d, e (indices 0..4), SPACE; input INPUT = |01010>.
 ``stages`` is the one statement of the pipeline order: B_cd, gate 0,
 [projective correction], S_a(pi), gate 1, B_cd^dag.  Both gates are
 Fredkin gates acting on (a, b, e) for switch k1 = 0 and on (a, b, c) for
-k1 = 1; only a gate that NOISE_PLACEMENT makes noisy is built per stack.
+k1 = 1.  NOISE_MODELS holds each noise model as one row: the gate slots it
+makes noisy, the strengths it reads and the Kerr-cell noise it builds; only
+a noisy slot's gate is built per stack.
 Noise-free, the machine ends in |0101> for k1 = 0 and |0110> for k1 = 1,
 and the function class is read from the mode-d detector: a click answers
 for k1 = 0, no click for k1 = 1.
@@ -59,6 +61,7 @@ from .fock import (
     _readonly,
     annihilation_operator,
     basis_pure,
+    check_array,
     check_densities,
     check_integer,
     checked_densities,
@@ -95,25 +98,21 @@ def gate_modes(k1: int) -> tuple[int, int, int]:
     return _GATE_MODES[check_integer(k1, "k1", 0, 1)]
 
 
-# Noise placement, the one statement of it: noise model -> (noisy gate slots,
-# 0 = first and 1 = second, and for the loss models the modes each noisy gate
-# damps, as a function of k1).  Plain loss hits the Kerr cell of the second
-# gate only; the balanced design damps the four rails a-d equally in both
-# gates, the bystander the gate does not touch included, which is what makes
-# the post-selected outcomes error-free; dephasing hits both Kerr cells.
-NOISE_PLACEMENT = {
-    "none": ((), None),
-    "loss": ((1,), lambda k1: _GATE_MODES[k1][1:]),
-    "balanced-loss": ((0, 1), lambda k1: RAIL_MODES),
-    "dephasing": ((0, 1), None),
+# Each noise model as one row: name -> (its noisy gate slots, 0 = first and 1 = second; the
+# NoiseParams fields it reads; its Kerr-cell-frame noise on a reachable-basis stack, from k1,
+# the phase law phis(lam) -> (G, 3) and each read field's point strengths).  Plain loss damps
+# the second gate's Kerr cell only; balanced loss damps the four rails a-d equally in both
+# gates, the bystander the gate does not touch included, which is what makes the post-selected
+# outcomes error-free; dephasing hits both Kerr cells.
+NOISE_MODELS = {
+    "none": ((), (), lambda k1, phis: lambda mid: mid),
+    "loss": ((1,), ("gamma",), lambda k1, phis, gamma: _damping(
+        [_LOWERINGS[m] for m in _GATE_MODES[k1][1:]], gamma)),
+    "balanced-loss": ((0, 1), ("gamma",), lambda k1, phis, gamma: _damping(
+        [_LOWERINGS[m] for m in RAIL_MODES], gamma)),
+    "dephasing": ((0, 1), ("lam",), lambda k1, phis, lam: _phase_mask(
+        _reachable_frame(k1)[2], np.array(phis(lam), dtype=complex))),
 }
-NOISE_MODELS = tuple(NOISE_PLACEMENT)
-
-
-def _read_strength(noise_model: str) -> str | None:
-    """The NoiseParams field a model reads: gamma if it damps, lam if it dephases, else None."""
-    slots, damped = NOISE_PLACEMENT[noise_model]
-    return "gamma" if damped is not None else "lam" if slots else None
 
 
 @dataclass(frozen=True)
@@ -129,13 +128,13 @@ class MachineConfig:
         check_integer(self.k1, "k1", 0, 1)
         if not (isinstance(self.noise, NoiseParams) and isinstance(self.projective_ec, bool)):
             raise FockError("noise must be a NoiseParams and projective_ec a bool")
-        if self.noise_model not in NOISE_MODELS:
-            raise FockError(f"noise_model must be one of {NOISE_MODELS}")
-        read = _read_strength(self.noise_model)
-        if self.projective_ec and read == "gamma":
+        if not isinstance(self.noise_model, str) or self.noise_model not in NOISE_MODELS:
+            raise FockError(f"noise_model must be one of {tuple(NOISE_MODELS)}")
+        reads = NOISE_MODELS[self.noise_model][1]
+        if self.projective_ec and "gamma" in reads:
             raise FockError("projective correction requires a photon-number-preserving run")
         for name in ("gamma", "lam"):
-            if name != read and getattr(self.noise, name) != 0:
+            if name not in reads and getattr(self.noise, name) != 0:
                 raise FockError(f"noise model {self.noise_model!r} does not read {name}")
 
 
@@ -195,32 +194,25 @@ def _gate_stack(configs: Sequence[MachineConfig], slot: int, mc_samples: int | N
                 mc_seed: int) -> StackMap:
     """Noisy gate slot 0 or 1 on a reachable-basis stack of runs that share k1 and noise model.
 
-    Lossy slots damp their modes in the Kerr-cell frame; dephased slots apply
-    the phase average there, with the Gaussian phi analytically and the
-    sampled phi under ``mc_samples``.  Point g reads the strength of configs[g].
+    The model's row builds the Kerr-cell-frame noise from each point's strengths,
+    with the Gaussian phi analytically and the sampled phi under ``mc_samples``.
     """
-    config = configs[0]
-    b, kb, n = _reachable_frame(config.k1)
-    damped = NOISE_PLACEMENT[config.noise_model][1]
-    if damped is not None:
-        noise = _damping([_LOWERINGS[m] for m in damped(config.k1)],
-                         [c.noise.gamma for c in configs])
-    else:
-        lam = [c.noise.lam for c in configs]
-        noise = _phase_mask(n, np.array(_gaussian_phis(lam) if mc_samples is None else [
-            sampled_phi(x, mc_samples, [mc_seed, slot]) for x in lam], dtype=complex))
-    return _cell_gate(b, kb, noise)
+    k1, (_, reads, noise) = configs[0].k1, NOISE_MODELS[configs[0].noise_model]
+    phis = _gaussian_phis if mc_samples is None else lambda lam: [
+        sampled_phi(x, mc_samples, [mc_seed, slot]) for x in lam]
+    strengths = [[getattr(c.noise, name) for c in configs] for name in reads]
+    return _cell_gate(*_reachable_frame(k1)[:2], noise(k1, phis, *strengths))
 
 
 def stages(config: MachineConfig) -> list[LinearOperator | int | str]:
     """The pipeline in order: unitaries, the gates in slots 0 and 1, and PROJECTION if corrected.
 
-    A gate slot NOISE_PLACEMENT leaves noise-free holds the Fredkin unitary;
-    a noisy one holds its int, 0 or 1, and ``_gate_stack`` builds its map.
+    A gate slot the model's NOISE_MODELS row leaves noise-free holds the Fredkin
+    unitary; a noisy one holds its int, 0 or 1, and ``_gate_stack`` builds its map.
     """
     if not isinstance(config, MachineConfig):
         raise FockError(f"stages needs a MachineConfig, got {type(config).__name__}")
-    bcd, noisy = beamsplitter_unitary(SPACE, MODE_C, MODE_D), NOISE_PLACEMENT[config.noise_model][0]
+    bcd, noisy = beamsplitter_unitary(SPACE, MODE_C, MODE_D), NOISE_MODELS[config.noise_model][0]
     g0, g1 = [s if s in noisy else fredkin_unitary(SPACE, *_GATE_MODES[config.k1]) for s in (0, 1)]
     projection = [PROJECTION] if config.projective_ec else []
     return [bcd, g0, *projection, phase_shift_unitary(SPACE, MODE_A, math.pi), g1, bcd.dagger]
@@ -274,12 +266,11 @@ def _stacks(configs: Iterable[MachineConfig], mc_samples: int | None,
     if not all(isinstance(c, MachineConfig) for c in configs):
         raise FockError("run_many needs MachineConfig values")
     if len({(c.k1, c.noise_model, c.projective_ec) for c in configs}) > 1:
-        raise FockError("run_many needs configurations that share k1, noise model "
-                        "and projection")
+        raise FockError("run_many needs configurations that share k1, noise model and projection")
     mc_seed = check_integer(mc_seed, "mc_seed", 0)
     if mc_samples is not None:
         mc_samples = check_integer(mc_samples, "mc_samples", 1)
-        if any(_read_strength(c.noise_model) != "lam" for c in configs):
+        if configs and "lam" not in NOISE_MODELS[configs[0].noise_model][1]:
             raise FockError("mc_samples requires the dephasing noise model")
     return configs, (_fold(configs[start:start + STACK_HEIGHT], mc_samples, mc_seed)
                      for start in range(0, len(configs), STACK_HEIGHT))
@@ -289,8 +280,7 @@ def _embedded(block: np.ndarray) -> DensityOperator:
     """A checked reachable-basis output as the state in SPACE that it is the block of."""
     out = np.zeros((1, SPACE.dim, SPACE.dim), dtype=complex)
     out[0, _REACHABLE[:, None], _REACHABLE] = block
-    [state] = checked_densities(SPACE, out)
-    return state
+    return checked_densities(SPACE, out)[0]
 
 
 def run_many(configs: Iterable[MachineConfig], mc_samples: int | None = None,
@@ -331,6 +321,14 @@ def run(config: MachineConfig, mc_samples: int | None = None,
     return next(run_many([config], mc_samples, mc_seed))
 
 
+def _outcome_rows(outcomes) -> np.ndarray:
+    """``outcomes`` checked as a finite real (G, 16) array of a-d outcome rows, read-only."""
+    rows = check_array(outcomes, (None, RAILS.dim), "outcomes")
+    if rows.imag.any():
+        raise FockError("outcomes must be real")
+    return rows.real
+
+
 def readout_errors(outcomes: np.ndarray, k1: int,
                    postselect: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(Errors, acceptances) of the mode-d class readout of each row of switch k1's outcomes.
@@ -339,6 +337,7 @@ def readout_errors(outcomes: np.ndarray, k1: int,
     and the acceptance is the legal mass; raises ZeroAcceptanceError
     when a row has none.  Without it the acceptance is 1.
     """
+    outcomes, k1 = _outcome_rows(outcomes), check_integer(k1, "k1", 0, 1)
     table, legal = occupation_table(RAILS), correction.legal_mask(RAILS)
     # correct readout: mode d clicks for k1 = 0, stays dark for k1 = 1
     wrong = legal & (table[:, MODE_D] == k1)
@@ -358,7 +357,7 @@ def which_path_errors(outcomes: np.ndarray) -> np.ndarray:
     a/b pair; the projective correction improves exactly this quantity, from
     the uncorrected (1 - e^-2lam)/2 to (1 - q)(6 + 5q)/(6(2 + q)), q = e^-lam.
     """
-    return _conditional(outcomes, None, occupation_table(RAILS)[:, MODE_A] == 1)[0]
+    return _conditional(_outcome_rows(outcomes), None, occupation_table(RAILS)[:, MODE_A] == 1)[0]
 
 
 def readout_error(result: RunResult, postselect: bool = False) -> tuple[float, float]:

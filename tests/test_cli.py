@@ -102,6 +102,18 @@ def test_sweep_dephasing_checks_the_projective_columns(monkeypatch, capsys, clos
     assert "validation failed" in err
 
 
+@pytest.mark.parametrize("closed_form", ["p_plain_closed", "p_projective_closed",
+                                         "p_accept_projective_closed"])
+@pytest.mark.parametrize("offset, code", [(2e-10, EXIT_VALIDATION), (5e-11, EXIT_OK)],
+                         ids=["past", "inside"])
+def test_sweep_dephasing_checks_each_column_to_1e_10(monkeypatch, capsys, closed_form, offset,
+                                                     code):
+    exact = getattr(cli, closed_form)
+    monkeypatch.setattr(cli, closed_form, lambda lam: exact(lam) + offset)
+    got = run_cli(["sweep-dephasing", *SMALL_GRID], capsys)
+    assert (got[0], got[2]) == (code, "sweep-dephasing: validation failed\n" if code else "")
+
+
 @pytest.mark.parametrize("closed_form", ["p_noec_closed", "p_ec_closed"])
 @pytest.mark.parametrize("offset, code", [(2e-10, EXIT_VALIDATION), (5e-11, EXIT_OK)],
                          ids=["past", "inside"])
@@ -112,6 +124,70 @@ def test_sweep_loss_checks_each_loss_column_to_1e_10(monkeypatch, capsys, closed
     got = run_cli(["sweep-loss", *SMALL_GRID], capsys)
     assert (got[0], got[2]) == (code, "sweep-loss: simulated errors deviate from the closed "
                                       "forms\n" if code else "")
+
+
+BOUND_CASES = [(2e-12, EXIT_VALIDATION), (-2e-12, EXIT_VALIDATION), (5e-13, EXIT_OK),
+               (-5e-13, EXIT_OK)]
+BOUND_IDS = ["past", "past-below", "inside", "inside-below"]
+
+
+@pytest.mark.parametrize("offset, code", BOUND_CASES, ids=BOUND_IDS)
+def test_lossy_gate_checks_its_outputs_to_1e_12(monkeypatch, capsys, offset, code):
+    # every entry of the closed-form reference moved by offset: max_abs_dev reads |offset|
+    exact = cli.lossy_gate_output_101
+    monkeypatch.setattr(cli, "lossy_gate_output_101", lambda gamma: exact(gamma) + offset)
+    got = run_cli(["lossy-gate", "--gamma", "0.3"], capsys)
+    assert (got[0], got[2]) == (code, "lossy-gate: output deviates from the closed-form "
+                                      "decomposition\n" if code else "")
+
+
+@pytest.mark.parametrize("offset, code", BOUND_CASES, ids=BOUND_IDS)
+def test_lossy_gate_checks_each_output_trace_to_1e_12(monkeypatch, capsys, offset, code):
+    # each channel output's 8 diagonal entries moved by offset / 8: its trace moves by offset,
+    # while max_abs_dev reads |offset| / 8, inside its own bound
+    lossy = cli.lossy_fredkin_channel
+
+    def shifted(*args):
+        apply = lossy(*args).apply
+        return argparse.Namespace(apply=lambda rho: argparse.Namespace(
+            matrix=apply(rho).matrix + offset / 8 * np.eye(8)))
+
+    monkeypatch.setattr(cli, "lossy_fredkin_channel", shifted)
+    got = run_cli(["lossy-gate", "--gamma", "0.3"], capsys)
+    assert (got[0], got[2]) == (code, "lossy-gate: output deviates from the closed-form "
+                                      "decomposition\n" if code else "")
+
+
+def spoil_truth_table(monkeypatch, column, entry, change):
+    """Make ``truthtable`` read the 3-mode Fredkin matrix with entry (entry, column) changed."""
+    space, fredkin = cli._TRUTH_TABLE_SPACE, cli.fredkin_unitary
+    i, j = index_of(space, entry), index_of(space, column)
+    matrix = fredkin(space, 0, 1, 2).matrix.copy()
+    matrix[i, j] = change(matrix[i, j])
+    monkeypatch.setattr(cli, "fredkin_unitary", lambda *modes: argparse.Namespace(matrix=matrix))
+
+
+# (column, entry changed, change by offset, failure): |001> maps to itself and is not a known
+# row, so each of its changes meets one bound; |101> is a known row, to |011> with amplitude 1
+TRUTH_TABLE_BOUNDS = {
+    "off-support": ((0, 0, 1), (1, 1, 1), lambda amp, offset: amp + offset,
+                    "column 001 is not a pure relabeling"),
+    "unit-modulus": ((0, 0, 1), (0, 0, 1), lambda amp, offset: amp * (1.0 + offset),
+                     "column 001 is not a pure relabeling"),
+    "known-amplitude": ((1, 0, 1), (0, 1, 1), lambda amp, offset: amp * np.exp(1j * offset),
+                        "row 101 -> 011 (amp 1"),
+}
+
+
+@pytest.mark.parametrize("offset, code", BOUND_CASES, ids=BOUND_IDS)
+@pytest.mark.parametrize("bound", TRUTH_TABLE_BOUNDS)
+def test_truthtable_checks_each_column_to_1e_12(monkeypatch, capsys, bound, offset, code):
+    column, entry, change, failure = TRUTH_TABLE_BOUNDS[bound]
+    spoil_truth_table(monkeypatch, column, entry, lambda amp: change(amp, offset))
+    code_got, _, err = run_cli(["truthtable"], capsys)
+    assert code_got == code
+    assert err.startswith(f"truthtable: {failure}") if code else err == ""
+    assert err.count("\n") == (1 if code else 0)  # that check, and no other, fails
 
 
 def turn_final_state(monkeypatch, model, projective_ec, source, target, share):

@@ -237,6 +237,24 @@ def test_density_checks_are_batched_and_report_the_worst_point():
             DensityOperator(space, bad)
 
 
+@pytest.mark.parametrize("what, past, inside", [
+    ("Hermiticity", 2e-12, 5e-13),  # HERMITICITY_TOL = 1e-12 on the largest |rho - rho^dag|
+    ("trace", 2e-10, 5e-11),  # TRACE_TOL = 1e-10 on |tr rho - 1|
+    ("negative eigenvalue", -2e-10, -5e-11),  # EIGENVALUE_FLOOR = -1e-10
+])
+def test_each_density_bound_fires_just_past_it_and_passes_just_inside(what, past, inside):
+    def state(shift):
+        if what == "Hermiticity":
+            return np.array([[0.5, shift], [0.0, 0.5]])  # |rho - rho^dag| = shift off the diagonal
+        if what == "trace":
+            return np.diag([0.5, 0.5 + shift])
+        return np.diag([1.0 - shift, shift])  # unit trace, lowest eigenvalue shift
+
+    check_densities(np.stack([state(inside)]))
+    with pytest.raises(FockError, match=what):
+        check_densities(np.stack([state(past)]))
+
+
 def test_pure_state_validation():
     space = FockSpace(1)
     with pytest.raises(FockError):

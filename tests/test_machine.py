@@ -41,7 +41,6 @@ from dualrail.fock import PROB_OMIT_THRESHOLD, occupation_table, photon_basis
 from dualrail.machine import (
     INPUT,
     NOISE_MODELS,
-    NOISE_PLACEMENT,
     PHOTONS,
     PROJECTION,
     RAIL_MODES,
@@ -54,7 +53,7 @@ from dualrail.machine import (
 )
 from dualrail.cli import main
 from conftest import assert_bit_equal, outcome_distribution
-from oracles import apply_stack, fold_stages, product_form_output, sampled_phi_exponential
+from oracles import MODELS, apply_stack, fold_stages, product_form_output, sampled_phi_exponential
 
 SQ2 = math.sqrt(2)
 
@@ -74,10 +73,10 @@ def full_space_gate(config, height=1, mc_samples=None, seed=None):
     With ``mc_samples`` a dephased gate reads the phi sampled under ``seed``.
     """
     modes = gate_modes(config.k1)
-    damped = NOISE_PLACEMENT[config.noise_model][1]
+    damped = MODELS[config.noise_model][1]
     lam = config.noise.lam
     if damped is not None:
-        return lossy_gate_stack(SPACE, *modes, damped(config.k1), [config.noise.gamma] * height)
+        return lossy_gate_stack(SPACE, *modes, damped[config.k1], [config.noise.gamma] * height)
     phi = gaussian_phi(lam) if mc_samples is None else sampled_phi(lam, mc_samples, seed)
     return phase_average_stack(SPACE, *modes, np.tile(phi, (height, 1)))
 
@@ -104,7 +103,7 @@ def test_stages_list_the_pipeline_that_run_folds(model, k1, projective_ec):
     kinds = ["unitary" if isinstance(s, LinearOperator) else s for s in steps]
     projection = [PROJECTION] if projective_ec else []
     # a noise-free gate slot holds the Fredkin unitary, a noisy one its int
-    gates = [slot if slot in NOISE_PLACEMENT[model][0] else "unitary" for slot in (0, 1)]
+    gates = [slot if slot in MODELS[model][0] else "unitary" for slot in (0, 1)]
     assert kinds == ["unitary", gates[0], *projection, "unitary", gates[1], "unitary"]
     assert np.array_equal(steps[-1].matrix, steps[0].matrix.conj().T)
     fredkin = fredkin_unitary(SPACE, *gate_modes(k1)).matrix
@@ -608,18 +607,20 @@ def test_run_many_output_is_the_full_space_fold_on_the_reachable_basis(model, k1
 # ---------------------------------------------------------------- config validation
 
 def test_config_rejects_projective_ec_with_loss():
-    with pytest.raises(FockError):
-        cfg(1, "loss", gamma=0.1, projective_ec=True)
-    with pytest.raises(FockError):
-        cfg(1, "balanced-loss", gamma=0.1, projective_ec=True)
+    for model in ("loss", "balanced-loss"):
+        with pytest.raises(FockError, match="^projective correction requires a "
+                                            "photon-number-preserving run$"):
+            cfg(1, model, gamma=0.1, projective_ec=True)
 
 
 def test_config_rejects_bad_values():
     for k1 in (2, True, 1.0, 10**5000):
         with pytest.raises(FockError):
             MachineConfig(k1=k1)
-    with pytest.raises(FockError):
-        cfg(1, "thermal")
+    for model in ("thermal", ["loss"], {}):  # an unhashable model is no key of the table either
+        with pytest.raises(FockError, match=r"^noise_model must be one of \('none', 'loss', "
+                                            r"'balanced-loss', 'dephasing'\)$"):
+            cfg(1, model)
     for noise in (None, 0.1):
         with pytest.raises(FockError):
             MachineConfig(k1=1, noise=noise)
@@ -693,25 +694,34 @@ def test_masked_sums_are_the_left_fold_bit_for_bit(row):
     ("dephasing", {"gamma": 0.2}),
 ])
 def test_config_rejects_strengths_its_model_does_not_read(model, strengths):
-    with pytest.raises(FockError, match="does not read"):
+    [name] = strengths
+    with pytest.raises(FockError, match=f"^noise model '{model}' does not read {name}$"):
         MachineConfig(k1=1, noise=NoiseParams(**strengths), noise_model=model)
 
 
 @pytest.mark.parametrize("config", [cfg(1, "loss", gamma=0.1), cfg(0)], ids=["loss", "none"])
 def test_mc_samples_require_the_dephasing_model(config):
-    with pytest.raises(FockError, match="mc_samples"):
+    with pytest.raises(FockError, match="^mc_samples requires the dephasing noise model$"):
         run(config, mc_samples=100)
 
 
-def test_default_noisy_gates_resolution():
-    # noise model -> (noisy gate slots, damped modes for k1): loss damps the
-    # second gate's Kerr cell, (b, c) for k1 = 1 and (b, e) for k1 = 0
-    slots = {model: placement[0] for model, placement in NOISE_PLACEMENT.items()}
-    assert slots == {"none": (), "loss": (1,), "balanced-loss": (0, 1), "dephasing": (0, 1)}
-    damped = {model: placement[1] for model, placement in NOISE_PLACEMENT.items()}
-    assert damped["none"] is None and damped["dephasing"] is None
-    assert [damped["loss"](k1) for k1 in (0, 1)] == [(1, 4), (1, 2)]
-    assert [damped["balanced-loss"](k1) for k1 in (0, 1)] == [RAIL_MODES, RAIL_MODES]
+def test_default_noisy_gates_resolution(monkeypatch):
+    # each row of machine.NOISE_MODELS against the tests' own table: its noisy slots, the
+    # fields it reads and the modes its noise damps, in order; loss damps the second
+    # gate's Kerr cell, (b, e) for k1 = 0 and (b, c) for k1 = 1, and none leaves it alone
+    assert list(NOISE_MODELS) == ["none", "loss", "balanced-loss", "dephasing"] == list(MODELS)
+    reads = {"none": (), "loss": ("gamma",), "balanced-loss": ("gamma",), "dephasing": ("lam",)}
+    mode_of = {id(lowering): m for m, lowering in enumerate(machine._LOWERINGS)}
+    damped, stack = [], np.ones((1, len(REACHABLE), len(REACHABLE)), dtype=complex)
+    monkeypatch.setattr(machine, "_damping", lambda lowerings, gamma: damped.extend(
+        mode_of[id(lowering)] for lowering in lowerings))
+    for model, (slots, fields, noise) in NOISE_MODELS.items():
+        assert (slots, fields) == (MODELS[model][0], reads[model])
+        for k1 in (0, 1):
+            built = noise(k1, machine._gaussian_phis, *[[0.1]] * len(fields))
+            assert damped == list(MODELS[model][1][k1] if MODELS[model][1] else ())
+            assert model != "none" or built(stack) is stack
+            damped.clear()
 
 
 def test_only_projective_runs_read_the_legal_span(monkeypatch):
@@ -848,6 +858,27 @@ def test_run_grid_checks_its_configurations_like_run_many():
         run_grid([cfg(1, "loss", gamma=0.1)], mc_samples=10)
     with pytest.raises(FockError, match="MachineConfig"):
         run_grid([cfg(1), None])
+
+
+SCORER_REJECTIONS = {
+    "postselected-k1=2": (lambda rows: readout_errors(rows, 2, postselect=True), "k1 must be"),
+    "k1=True": (lambda rows: readout_errors(rows, True), "k1 must be an integer"),
+    "k1=2": (lambda rows: readout_errors(rows, 2), "k1 must be in"),
+    "readout-1-D-row": (lambda rows: readout_errors(rows[0], 1), "outcomes has shape"),
+    "which-path-1-D-row": (lambda rows: which_path_errors(rows[0]), "outcomes has shape"),
+    "8-columns": (lambda rows: readout_errors(rows[:, :8], 1), "outcomes has shape"),
+    "nan": (lambda rows: which_path_errors(np.where(rows > 0, rows, math.nan)), "non-finite"),
+    "complex": (lambda rows: readout_errors(rows + 1e-3j, 1, True), "outcomes must be real"),
+    "strings": (lambda rows: which_path_errors([["x"] * RAILS.dim]), "not an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("score, message", SCORER_REJECTIONS.values(),
+                         ids=SCORER_REJECTIONS.keys())
+def test_array_scorers_reject_bad_input(score, message):
+    rows = run_grid([cfg(1, "loss", gamma=g) for g in (0.1, 0.2)])[0]
+    with pytest.raises(FockError, match=message):
+        score(rows)
 
 
 def test_the_one_row_figures_call_the_array_scorer(monkeypatch):
