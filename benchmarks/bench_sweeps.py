@@ -4,10 +4,10 @@ The sweeps run on the default 61-point log grid.  The Monte-Carlo case is
 the ``mc-oracle`` operation: one seeded ``machine.run`` for k1 = 1 and one
 for k1 = 0 with projective correction, sharing lambda, sample count and seed.
 The state-check case times ``fock.check_densities`` on a
-(STACK_HEIGHT, 16, 16) stack of plain-loss machine outputs cut to the
-reachable basis ``photon_basis(SPACE, PHOTONS)``: the check ``run_many``
-makes on one full stack after each noisy gate and the projection, since it
-folds STACK_HEIGHT points at a time on that basis.
+(STACK_HEIGHT, 16, 16) stack of plain-loss machine outputs, one ``run`` per
+config, cut to the reachable basis ``photon_basis(SPACE, PHOTONS)``: the
+check ``run_grid`` makes on one full stack after each noisy gate and the
+projection, since it folds STACK_HEIGHT points at a time on that basis.
 
 The file name does not match ``test_*.py``, so the test suite does not collect
 it.  Run it on a source tree with pytest-benchmark:
@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dualrail import MachineConfig, NoiseParams, cli, run, run_many
+from dualrail import MachineConfig, NoiseParams, cli, run
 from dualrail.fock import check_densities, photon_basis
 from dualrail.machine import PHOTONS, SPACE, STACK_HEIGHT
 
@@ -59,6 +59,6 @@ def test_state_check(benchmark):
     configs = [MachineConfig(k1=1, noise=NoiseParams(gamma=g), noise_model="loss")
                for g in np.geomspace(0.01, 1.0, STACK_HEIGHT)]
     keep = photon_basis(SPACE, PHOTONS)
-    stack = np.stack([r.output_state.matrix[np.ix_(keep, keep)] for r in run_many(configs)])
+    stack = np.stack([run(config).output_state.matrix[np.ix_(keep, keep)] for config in configs])
     assert stack.shape == (STACK_HEIGHT, 16, 16)
     assert benchmark.pedantic(check_densities, (stack,), rounds=200, warmup_rounds=5) is None

@@ -55,7 +55,7 @@ from .machine import (
     gate_modes,
     readout_error,
     run,
-    run_many,
+    run_grid,
     stages,
     which_path_error,
 )

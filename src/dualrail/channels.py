@@ -163,7 +163,7 @@ def _cell_frame(space: FockSpace, m_a: int, m_b: int, m_c: int) -> tuple:
 def _cell_gate(b: np.ndarray, kb: np.ndarray, noise: StackMap) -> StackMap:
     """The noisy Fredkin gate B^dag noise(K B rho B^dag K^dag) B, with B and K B on a stack's basis.
 
-    It does not validate what it returns: ``machine.run_many`` checks each noisy gate's output.
+    It does not validate what it returns: the machine's fold checks each noisy gate's output.
     """
     return lambda stack: b.conj().T @ noise(kb @ stack @ kb.conj().T) @ b
 
@@ -194,7 +194,10 @@ def _damping(lowerings: Sequence[tuple], gamma: Sequence[float]) -> StackMap:
 
 def lossy_gate_stack(space: FockSpace, m_a: int, m_b: int, m_c: int,
                      damped: Sequence[int], gamma: Sequence[float]) -> StackMap:
-    """The Fredkin gate on a stack with loss gamma[g] on point g, on each mode in ``damped``."""
+    """The Fredkin gate on a stack with loss gamma[g] on point g, on each mode in ``damped``.
+
+    Public as the full-space lossy gate the tests check the fold with (test_machine, test_channels).
+    """
     check_modes(space, m_a, m_b, m_c)
     check_modes(space, *damped)
     if not isinstance(gamma, (list, tuple)) and np.ndim(gamma) != 1:  # or a 1-D array
@@ -219,9 +222,8 @@ def _gaussian_phis(lam: Sequence[float]) -> np.ndarray:
     return np.hstack((np.ones((len(tail), 1)), tail))
 
 
-# The memo serves the single-point k1 = 1 / k1 = 0 pair: ``run`` draws one phi per dephased slot,
-# so both runs of one lambda and seed share both draws.  A Monte-Carlo grid pair of more than 8
-# points misses every draw (a stack holds 16); no caller runs one.  A draw is three numbers.
+# The memo's one consumer is the k1 = 1 / k1 = 0 pair of ``machine.run``s of one lambda and seed:
+# each draws one phi per dephased slot, so the pair shares both draws.  A draw is three numbers.
 MC_DRAWS_KEPT = 16
 
 

@@ -105,6 +105,7 @@ def projective_ec_step(rho: DensityOperator) -> tuple[DensityOperator, float]:
     """Project the mid-computation state onto the legal span and renormalize.
 
     Only meaningful in a photon-number-preserving (no-loss) context.
+    Public as the projection the tests check the fold with (oracles.fold_stages, test_correction).
     """
     return project_onto(rho, legal_projector(rho.space))
 

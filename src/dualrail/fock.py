@@ -247,21 +247,6 @@ class LinearOperator:
         return LinearOperator(self.space, self.matrix.conj().T)
 
 
-def checked_densities(space: FockSpace, matrices: np.ndarray) -> list[DensityOperator]:
-    """The matrices of a (G, dim, dim) stack of density operators, as states, unchecked.
-
-    The caller vouches for the stack: it passed ``check_densities``, or came
-    from checked states through checked unitaries only.
-    """
-    states = []
-    for m in matrices:
-        state = object.__new__(DensityOperator)
-        object.__setattr__(state, "space", space)
-        object.__setattr__(state, "matrix", _readonly(m))
-        states.append(state)
-    return states
-
-
 def basis_pure(space: FockSpace, occ: Sequence[int]) -> PureState:
     """Basis ket |occ> as a pure state."""
     amps = np.zeros(space.dim, dtype=complex)
@@ -286,6 +271,7 @@ def marginal_distribution(rho: DensityOperator, modes: Sequence[int]) -> np.ndar
 
     Entry i is the probability of occupation i of the kept modes, taken in
     ascending mode order as a space of their own.
+    Public as the tests' reference marginal (conftest, test_machine, test_correction).
     """
     space = rho.space
     check_modes(space, *modes)

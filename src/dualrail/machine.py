@@ -11,16 +11,14 @@ Noise-free, the machine ends in |0101> for k1 = 0 and |0110> for k1 = 1,
 and the function class is read from the mode-d detector: a click answers
 for k1 = 0, no click for k1 = 1.
 
-``run_many`` folds ``stages`` over a stack of runs that share one stage
-list, up to STACK_HEIGHT grid points at once, on the reachable basis: no
-stage raises INPUT's PHOTONS = 2 photons, so only the 16 basis states with
-at most two hold weight.  This module alone cuts to them, and it embeds
-each output into SPACE as it is yielded.
-It checks the output of each noisy gate and of the projection: a checked
-unitary keeps a state a state.  ``run`` is its one-config case.  A run
-yields its output state and its a-d outcomes, which the fold reads off the
-stack's diagonal once.  ``run_grid`` keeps only the stacks' outcomes and
-acceptances, and the array scorers read every figure from outcome rows.
+The machine answers one point or one grid.  Both fold ``stages`` over a
+stack of runs on the reachable basis: no stage raises INPUT's PHOTONS = 2
+photons, so only the 16 basis states with at most two hold weight, and this
+module alone cuts to them.  The fold checks each noisy gate's and the
+projection's output (a checked unitary keeps a state a state) and reads the
+a-d outcomes off the stack's diagonal.  ``run`` embeds its one output state
+into SPACE; ``run_grid`` keeps only outcomes and acceptances, from which the
+array scorers read every figure.
 ``readout_error`` scores the mode-d readout against the correct class;
 without post-selection it additionally charges half of the probability of
 lone-photon outcomes left on the noisy gate's Kerr-cell rails, since a run
@@ -37,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,7 +51,9 @@ from .channels import (
     sampled_phi,
 )
 from .fock import (
+    EIGENVALUE_FLOOR,
     PROB_OMIT_THRESHOLD,
+    TRACE_TOL,
     DensityOperator,
     FockError,
     FockSpace,
@@ -64,8 +64,6 @@ from .fock import (
     check_array,
     check_densities,
     check_integer,
-    checked_densities,
-    marginal_distribution,
     occupation_table,
     photon_basis,
 )
@@ -84,11 +82,8 @@ _LOWERINGS = [(occupation_table(SPACE)[_REACHABLE, m],
 RAIL_MODES = (MODE_A, MODE_B, MODE_C, MODE_D)
 RAILS = FockSpace(len(RAIL_MODES))  # the space of the a-d outcomes every figure is read from
 PROJECTION = "projective-ec"  # the stage of ``stages`` that projects onto the legal span
-# Grid points folded through the pipeline at once.  A taller stack saves
-# per-stack overhead but holds more intermediates.  On a 2-core host, the best
-# of 40 61-point sweep-loss runs took 16.7-17.5 ms at height 4, 11.2-11.4 ms
-# at 16 and 11.3-11.6 ms at 64; the benchmark's loss-sweep peak RSS read
-# 40.7-40.8 MB at 4, 40.8-41.0 MB at 16 and 42.0-42.1 MB at 64.
+# Grid points ``run_grid`` folds at once.  A taller stack saves per-stack overhead but holds
+# more intermediates; README's Performance section has the times and peak RSS at 4, 16 and 64.
 STACK_HEIGHT = 16
 _GATE_MODES = {0: (MODE_A, MODE_B, MODE_E), 1: (MODE_A, MODE_B, MODE_C)}  # checked k1 -> modes
 
@@ -143,21 +138,14 @@ class RunResult:
     """Final state of one machine run; ``readout_error`` and ``which_path_error`` score it.
 
     ``p_accept`` is the acceptance of the projective correction, 1 for a run
-    without it.  ``outcomes`` is the read-only a-d distribution of the output
-    state over RAILS, the marginal the figures read: the fold supplies it from
-    its stack, and a result built without it derives it from ``output_state``.
+    without it.  ``outcomes`` is the a-d distribution of the output state over
+    RAILS, the marginal the figures read.
     """
 
     config: MachineConfig
     output_state: DensityOperator
     p_accept: float
-    outcomes: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.outcomes is None:
-            outcomes = marginal_distribution(self.output_state, RAIL_MODES)
-            outcomes.flags.writeable = False
-            object.__setattr__(self, "outcomes", outcomes)
+    outcomes: np.ndarray
 
 
 def _masked_sums(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -259,74 +247,57 @@ def _fold(configs: Sequence[MachineConfig], mc_samples: int | None,
     return rho, _readonly(outcomes.reshape(height, RAILS.dim)), p_accept
 
 
-def _stacks(configs: Iterable[MachineConfig], mc_samples: int | None,
-            mc_seed: int) -> tuple[list[MachineConfig], Iterator[tuple]]:
-    """The checked configurations, and their folds of STACK_HEIGHT, each made when asked for."""
+def _checked(configs: Iterable[MachineConfig]) -> list[MachineConfig]:
+    """The configurations as a non-empty list of MachineConfigs that share one stage list."""
     configs = list(configs)
-    if not all(isinstance(c, MachineConfig) for c in configs):
-        raise FockError("run_many needs MachineConfig values")
+    if not configs or not all(isinstance(c, MachineConfig) for c in configs):
+        raise FockError("the machine runs at least one configuration, each a MachineConfig")
     if len({(c.k1, c.noise_model, c.projective_ec) for c in configs}) > 1:
-        raise FockError("run_many needs configurations that share k1, noise model and projection")
-    mc_seed = check_integer(mc_seed, "mc_seed", 0)
-    if mc_samples is not None:
-        mc_samples = check_integer(mc_samples, "mc_samples", 1)
-        if configs and "lam" not in NOISE_MODELS[configs[0].noise_model][1]:
-            raise FockError("mc_samples requires the dephasing noise model")
-    return configs, (_fold(configs[start:start + STACK_HEIGHT], mc_samples, mc_seed)
-                     for start in range(0, len(configs), STACK_HEIGHT))
+        raise FockError("a grid needs configurations that share k1, noise model and projection")
+    return configs
 
 
-def _embedded(block: np.ndarray) -> DensityOperator:
-    """A checked reachable-basis output as the state in SPACE that it is the block of."""
-    out = np.zeros((1, SPACE.dim, SPACE.dim), dtype=complex)
-    out[0, _REACHABLE[:, None], _REACHABLE] = block
-    return checked_densities(SPACE, out)[0]
+def run_grid(configs: Iterable[MachineConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """The (G, 16) a-d outcomes and (G,) acceptances of a grid of runs, in order, read-only.
 
-
-def run_many(configs: Iterable[MachineConfig], mc_samples: int | None = None,
-             mc_seed: int = 0) -> Iterator[RunResult]:
-    """Run the machine for each configuration, in order, folding stacks of STACK_HEIGHT.
-
-    The configurations must share k1, noise model and projection, so that
-    one stage list serves them all; they differ only in noise strength.
-    Results are yielded as each stack finishes, so a caller that scores them
-    as they come holds one stack at a time.  ``mc_samples`` and ``mc_seed``
-    are those of ``run``, applied to every configuration.
+    The configurations share k1, noise model and projection, so one stage list
+    serves them all.  Each stack keeps only its outcomes and acceptances.
     """
-    configs, folds = _stacks(configs, mc_samples, mc_seed)
-    points = (point for rho, outcomes, p_accept in folds
-              for point in zip(rho, outcomes, p_accept.tolist()))
-    return (RunResult(config, _embedded(block), accepted, row)
-            for config, (block, row, accepted) in zip(configs, points))
-
-
-def run_grid(configs: Iterable[MachineConfig], mc_samples: int | None = None,
-             mc_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """``run_many``'s (G, 16) a-d outcomes and (G,) acceptances, with no state embedded."""
-    configs, folds = _stacks(configs, mc_samples, mc_seed)
-    if not configs:
-        raise FockError("run_grid needs at least one configuration")
-    outcomes, p_accept = zip(*(fold[1:] for fold in folds))
+    configs = _checked(configs)
+    outcomes, p_accept = zip(*(_fold(configs[start:start + STACK_HEIGHT], None, 0)[1:]
+                               for start in range(0, len(configs), STACK_HEIGHT)))
     return _readonly(np.concatenate(outcomes)), _readonly(np.concatenate(p_accept))
 
 
-def run(config: MachineConfig, mc_samples: int | None = None,
-        mc_seed: int = 0) -> RunResult:
-    """Run the machine pipeline for one configuration: ``run_many`` with one config.
+def run(config: MachineConfig, mc_samples: int | None = None, mc_seed: int = 0) -> RunResult:
+    """Run the machine pipeline for one configuration: a stack of one, embedded into SPACE.
 
     Passing ``mc_samples`` (dephasing model only) replaces the Gaussian phi
     of the dephased gates with the seeded Monte-Carlo oracle's, seeded
     ``[mc_seed, slot]`` per gate.
     """
-    return next(run_many([config], mc_samples, mc_seed))
+    [config] = _checked([config])
+    mc_seed = check_integer(mc_seed, "mc_seed", 0)
+    if mc_samples is not None:
+        mc_samples = check_integer(mc_samples, "mc_samples", 1)
+        if "lam" not in NOISE_MODELS[config.noise_model][1]:
+            raise FockError("mc_samples requires the dephasing noise model")
+    block, outcomes, p_accept = _fold([config], mc_samples, mc_seed)
+    out = np.zeros((SPACE.dim, SPACE.dim), dtype=complex)
+    out[_CUT] = block[0]
+    return RunResult(config, DensityOperator(SPACE, out), p_accept.item(), outcomes[0])
 
 
 def _outcome_rows(outcomes) -> np.ndarray:
-    """``outcomes`` checked as a finite real (G, 16) array of a-d outcome rows, read-only."""
+    """``outcomes`` as read-only real (G, 16) a-d distributions, to EIGENVALUE_FLOOR, TRACE_TOL."""
     rows = check_array(outcomes, (None, RAILS.dim), "outcomes")
     if rows.imag.any():
         raise FockError("outcomes must be real")
-    return rows.real
+    rows, sums = rows.real, rows.real.sum(axis=1)
+    if (rows < EIGENVALUE_FLOOR).any() or (abs(sums - 1.0) > TRACE_TOL).any():
+        raise FockError(f"outcome rows must be distributions: least entry {rows.min():.2e}, "
+                        f"row sum {sums[np.argmax(abs(sums - 1.0))]!r}")
+    return rows
 
 
 def readout_errors(outcomes: np.ndarray, k1: int,

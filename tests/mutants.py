@@ -71,6 +71,10 @@ MUTANTS = [
      "readout_errors reads an unchecked k1"),
     (MACHINE, "if rows.imag.any():", "if False:",
      "complex outcomes scored by their real part"),
+    (MACHINE, "(rows < EIGENVALUE_FLOOR)", "(rows < 10 * EIGENVALUE_FLOOR)",
+     "outcome rows' entry floor loosened x10"),
+    (MACHINE, "> TRACE_TOL).any()", "> 10 * TRACE_TOL).any()",
+     "outcome rows' sum tolerance loosened x10"),
     (MACHINE, "for m in _GATE_MODES[k1][1:]], gamma)", "for m in _GATE_MODES[k1][1:2]], gamma)",
      "the loss row damps b only, not the second Kerr-cell mode"),
     (MACHINE, "for m in RAIL_MODES], gamma)", "for m in RAIL_MODES[:3]], gamma)",

@@ -6,12 +6,12 @@ average by Gauss-Hermite quadrature.  The package's analytic and Monte-Carlo
 gates are checked against both; ``apply_stack`` applies a gate's stack map to
 one density operator.  ``product_form_output`` runs the machine one
 state at a time with every noisy gate as one product Kraus list, the
-reference for the stacked fold of ``machine.run_many``; it places the noise
-by ``MODELS``, the tests' own statement of each model.  ``sampled_phi_outer``
-is the Monte-Carlo phase law as one (3, n) array of phasor powers z^k,
-z = exp(i eps), the bit-for-bit reference for ``sampled_phi``'s two 1-D
-means; ``sampled_phi_exponential`` is the same estimator with rows
-exp(i k eps), which rounds phi(2) differently.
+reference for the stacked fold of ``machine.run`` and ``machine.run_grid``;
+it places the noise by ``MODELS``, the tests' own statement of each model.
+``sampled_phi_outer`` is the Monte-Carlo phase law as one (3, n) array of
+phasor powers z^k, z = exp(i eps), the bit-for-bit reference for
+``sampled_phi``'s two 1-D means; ``sampled_phi_exponential`` is the same
+estimator with rows exp(i k eps), which rounds phi(2) differently.
 """
 
 import math

@@ -18,6 +18,7 @@ from dualrail import (
     legal_basis,
     legal_mask,
     legal_projector,
+    marginal_distribution,
     p_accept_projective_closed,
     p_ec_closed,
     p_noec_closed,
@@ -31,7 +32,7 @@ from dualrail import (
 )
 from dualrail.correction import p_plain_closed
 from dualrail.fock import occupation_table
-from dualrail.machine import SPACE
+from dualrail.machine import RAIL_MODES, SPACE
 from conftest import random_density, random_reachable_state, space_id
 
 SQ2, SQ6 = math.sqrt(2), math.sqrt(6)
@@ -49,7 +50,8 @@ def reachable_vectors():
 
 def postselected(rho, k1=1):
     """(p_error, acceptance) of a run that ended in ``rho``, post-selected on dual-rail legality."""
-    return readout_error(RunResult(MachineConfig(k1=k1), rho, 1.0), postselect=True)
+    outcomes = marginal_distribution(rho, RAIL_MODES)
+    return readout_error(RunResult(MachineConfig(k1=k1), rho, 1.0, outcomes), postselect=True)
 
 
 def test_dualrail_accepts_legal_state():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualrail import (
+    DensityOperator,
     FockError,
     LinearOperator,
     MachineConfig,
@@ -24,7 +25,7 @@ from dualrail import (
     phase_shift_unitary,
     readout_error,
     run,
-    run_many,
+    run_grid,
     stages,
     which_path_error,
 )
@@ -37,7 +38,13 @@ from dualrail.channels import (
     sampled_phi,
 )
 from dualrail.correction import ZeroAcceptanceError
-from dualrail.fock import PROB_OMIT_THRESHOLD, occupation_table, photon_basis
+from dualrail.fock import (
+    EIGENVALUE_FLOOR,
+    PROB_OMIT_THRESHOLD,
+    TRACE_TOL,
+    occupation_table,
+    photon_basis,
+)
 from dualrail.machine import (
     INPUT,
     NOISE_MODELS,
@@ -48,7 +55,6 @@ from dualrail.machine import (
     SPACE,
     STACK_HEIGHT,
     readout_errors,
-    run_grid,
     which_path_errors,
 )
 from dualrail.cli import main
@@ -381,15 +387,13 @@ def test_mc_seed_must_be_a_non_negative_integer(mc_seed):
     with pytest.raises(FockError, match="mc_seed must be"):
         run(config, mc_samples=10, mc_seed=mc_seed)
     with pytest.raises(FockError, match="mc_seed must be"):
-        run_many([config], mc_samples=10, mc_seed=mc_seed)  # before any result is asked for
-    with pytest.raises(FockError, match="mc_seed must be"):
         run(config, mc_seed=mc_seed)
 
 
 @pytest.mark.parametrize("mc_samples", [0, 2.5, True], ids=str)
 def test_mc_samples_must_be_a_positive_integer(mc_samples):
     with pytest.raises(FockError, match="mc_samples must be"):
-        run_many([cfg(1, "dephasing", lam=0.1)], mc_samples=mc_samples)
+        run(cfg(1, "dephasing", lam=0.1), mc_samples=mc_samples)
 
 
 @pytest.mark.parametrize("k1, projective_ec", [(0, False), (0, True), (1, False), (1, True)])
@@ -421,33 +425,43 @@ STACK_CASES = [(model, k1, ec) for model in NOISE_MODELS for k1 in (0, 1) for ec
 @pytest.mark.parametrize("model, k1, projective_ec", STACK_CASES,
                          ids=[f"{m}-k1={k}-ec={e}" for m, k, e in STACK_CASES])
 def test_run_many_matches_the_product_form(model, k1, projective_ec, height):
-    # heights 5 and 61 cross the stack boundary; every point keeps its own strength
+    # each run's state, and each row of the grid, is the product form's; heights 5 and 61
+    # cross the stack boundary of run_grid, and every point keeps its own strength
     strengths = np.linspace(0.0, 2.0, height) if height > 1 else [0.4]
     configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
                for x in strengths]
-    results = list(run_many(configs))
-    assert [r.config for r in results] == configs
-    for result in results:
-        want = product_form_output(result.config)
-        assert np.max(np.abs(result.output_state.matrix - want)) < 1e-12
+    outcomes, _ = run_grid(configs)
+    assert outcomes.shape == (height, RAILS.dim)
+    for config, row in zip(configs, outcomes):
+        want = DensityOperator(SPACE, product_form_output(config))
+        assert np.max(np.abs(run(config).output_state.matrix - want.matrix)) < 1e-12
+        assert np.max(np.abs(row - marginal_distribution(want, RAIL_MODES))) < 1e-12
 
 
-def test_run_many_folds_stacks_of_at_most_sixteen_as_they_are_consumed(monkeypatch):
+def test_run_grid_folds_stacks_of_at_most_sixteen(monkeypatch):
     heights = []
     check = fock.check_densities
     monkeypatch.setattr(machine, "check_densities",
                         lambda stack: heights.append(len(stack)) or check(stack))
     configs = [cfg(1, "loss", gamma=g) for g in np.linspace(0.1, 1.7, 17)]
-    results = run_many(configs)
-    assert heights == []  # nothing runs before the first result is asked for
-    first = next(results)
+    outcomes, p_accept = run_grid(configs)
     n_checked = sum(not isinstance(s, LinearOperator) for s in stages(configs[0]))
-    assert STACK_HEIGHT == 16 and heights == [16] * n_checked  # one stack, its noisy gate checked
-    rest = list(results)
+    assert STACK_HEIGHT == 16 and n_checked == 1  # each stack's one noisy gate is checked
     assert heights == [16] * n_checked + [1] * n_checked
-    assert [r.config for r in [first, *rest]] == configs
-    for result in [first, *rest]:
-        assert np.array_equal(result.output_state.matrix, run(result.config).output_state.matrix)
+    assert outcomes.shape == (17, RAILS.dim) and p_accept.shape == (17,)
+
+
+@pytest.mark.parametrize("height", [1, 16, 17, 61])
+@pytest.mark.parametrize("model, k1, projective_ec", STACK_CASES,
+                         ids=[f"{m}-k1={k}-ec={e}" for m, k, e in STACK_CASES])
+def test_run_grid_rows_are_the_runs_bit_for_bit(model, k1, projective_ec, height):
+    # a stack of one and a point of a taller stack fold to the same bits
+    configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
+               for x in np.linspace(0.0, 2.0, height)]
+    outcomes, p_accept = run_grid(configs)
+    results = [run(config) for config in configs]
+    assert_bit_equal(outcomes, np.array([r.outcomes for r in results]))
+    assert hexes(p_accept.tolist()) == hexes(r.p_accept for r in results)
 
 
 # checks per stack: one per noisy gate slot, plus one for the projection
@@ -466,7 +480,7 @@ def test_run_many_checks_the_output_of_each_non_unitary_stage(monkeypatch, model
                         lambda stack: shapes.append(stack.shape) or check(stack))
     configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
                for x in (0.1, 0.2, 0.3)]
-    list(run_many(configs))
+    run_grid(configs)
     n_checked = sum(not isinstance(s, LinearOperator) for s in stages(configs[0]))
     assert n_checked == CHECKS[model] + projective_ec
     assert shapes == [(3, 16, 16)] * n_checked
@@ -481,7 +495,7 @@ def test_run_many_checks_the_output_of_each_non_unitary_stage(monkeypatch, model
 def test_run_many_rejects_mixed_stage_lists(first, other):
     # the check is eager: it raises before any result is asked for
     with pytest.raises(FockError, match="share k1, noise model and projection"):
-        run_many([first, first, other])
+        run_grid([first, first, other])
 
 
 def _replace_with_bad_state(out):
@@ -532,7 +546,7 @@ def test_non_positive_gate_in_the_middle_of_a_stack_raises(monkeypatch, model, k
     configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
                for x in (0.1, 0.2, 0.3)]
     with pytest.raises(FockError, match="negative eigenvalue"):
-        list(run_many(configs))
+        run_grid(configs)
 
 
 @pytest.mark.parametrize("model, slots", [
@@ -545,7 +559,7 @@ def test_only_noisy_gates_are_built_per_stack(monkeypatch, model, slots):
     monkeypatch.setattr(machine, "_gate_stack", lambda configs, slot, *mc: built.append(slot)
                         or gate_stack(configs, slot, *mc))
     for k1 in (0, 1):
-        list(run_many([cfg(k1, model, **STACK_STRENGTHS[model](x)) for x in (0.1, 0.2)]))
+        run_grid([cfg(k1, model, **STACK_STRENGTHS[model](x)) for x in (0.1, 0.2)])
         assert built == slots
         built.clear()
 
@@ -596,7 +610,7 @@ def test_run_many_output_is_the_full_space_fold_on_the_reachable_basis(model, k1
                for x in (0.0, 0.05, 0.4, 1.0, 3.0)]
     draws = [None, 700] if model == "dephasing" else [None]
     for mc_samples in draws:
-        for result in run_many(configs, mc_samples, mc_seed=11):
+        for result in (run(config, mc_samples, mc_seed=11) for config in configs):
             out = result.output_state.matrix
             assert not off_the_reachable_basis(out)  # every entry off it is exactly 0.0
             want = fold_stages(result.config,
@@ -629,7 +643,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(FockError):
         run(None)
     with pytest.raises(FockError):
-        run_many([cfg(1), None])  # raised eagerly, before any stack is folded
+        run_grid([cfg(1), None])  # raised before any stack is folded
 
 
 @pytest.mark.parametrize("k1", [2, -1, "1", "0", True, 1.0, None, 10**5000],
@@ -735,25 +749,6 @@ def test_only_projective_runs_read_the_legal_span(monkeypatch):
         spaces.clear()
 
 
-def test_folded_runs_read_no_marginal_and_a_hand_built_result_reads_one(monkeypatch):
-    reads = []
-    marginal = machine.marginal_distribution
-    monkeypatch.setattr(machine, "marginal_distribution", lambda rho, modes: reads.append(modes)
-                        or marginal(rho, modes))
-    scores = (readout_error, lambda r: readout_error(r, postselect=True), which_path_error)
-    for config in CONFIGS:
-        [result] = list(run_many([config]))
-        for score in scores:
-            score(result)
-        assert reads == []  # the fold supplies the outcomes, and the figures read them
-        hand_built = RunResult(config, result.output_state, result.p_accept)
-        assert reads == [RAIL_MODES]  # derived once, when the result is built
-        for score in scores:
-            score(hand_built)
-        assert reads == [RAIL_MODES]
-        reads.clear()
-
-
 OUTCOME_CASES = [(*case, None) for case in STAGE_CASES] + [
     (*case, 500) for case in STAGE_CASES if case[0] == "dephasing"]
 
@@ -761,24 +756,21 @@ OUTCOME_CASES = [(*case, None) for case in STAGE_CASES] + [
 @pytest.mark.parametrize("model, k1, projective_ec, mc_samples", OUTCOME_CASES,
                          ids=[f"{m}-k1={k}-ec={e}-mc={n}" for m, k, e, n in OUTCOME_CASES])
 def test_run_outcomes_are_the_marginal_of_the_output_state(model, k1, projective_ec, mc_samples):
-    # the fold reads a stack's a-d outcomes off its diagonal with the additions of
+    # the fold reads a run's a-d outcomes off its diagonal with the additions of
     # marginal_distribution, so they, and every figure read from them, keep their bits
     def figures(result):
         return np.array([*readout_error(result), *readout_error(result, postselect=True),
                          which_path_error(result)])
 
-    for height in (1, 16, 17, 61):
-        configs = [cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
-                   for x in np.linspace(0.05, 2.0, height)]
-        for result in run_many(configs, mc_samples, mc_seed=5):
-            assert_bit_equal(result.outcomes,
-                             marginal_distribution(result.output_state, RAIL_MODES))
-            with pytest.raises(ValueError):
-                result.outcomes[0] = 1.0
-            hand_built = RunResult(result.config, result.output_state, result.p_accept)
-            assert_bit_equal(hand_built.outcomes, result.outcomes)
-            assert not hand_built.outcomes.flags.writeable
-            assert_bit_equal(figures(hand_built), figures(result))
+    for x in np.linspace(0.05, 2.0, 17):
+        config = cfg(k1, model, projective_ec=projective_ec, **STACK_STRENGTHS[model](x))
+        result = run(config, mc_samples, mc_seed=5)
+        marginal = marginal_distribution(result.output_state, RAIL_MODES)
+        assert_bit_equal(result.outcomes, marginal)
+        with pytest.raises(ValueError):
+            result.outcomes[0] = 1.0
+        hand_built = RunResult(config, result.output_state, result.p_accept, marginal)
+        assert_bit_equal(figures(hand_built), figures(result))
 
 
 # ---------------------------------------------------------------- grid scoring
@@ -800,13 +792,16 @@ def one_row_figures(results):
 
 
 def assert_grid_scores_as_its_rows(configs, mc_samples=None, mc_seed=0):
-    # run_grid keeps run_many's outcomes and acceptances bit for bit, and every grid
-    # figure is the figure of its run scored on its own
-    results = list(run_many(configs, mc_samples, mc_seed))
-    outcomes, p_accept = run_grid(configs, mc_samples, mc_seed)
-    assert_bit_equal(outcomes, np.array([r.outcomes for r in results]))
-    assert hexes(p_accept.tolist()) == hexes(r.p_accept for r in results)
-    assert not outcomes.flags.writeable and not p_accept.flags.writeable
+    # every figure of a grid's outcome rows is the figure of its run scored on its own;
+    # analytic rows come from run_grid, which keeps each run's outcomes and acceptances bit
+    # for bit, and Monte-Carlo rows, which only run draws, are stacked from the runs
+    results = [run(config, mc_samples, mc_seed) for config in configs]
+    outcomes = np.array([r.outcomes for r in results])
+    if mc_samples is None:
+        grid, p_accept = run_grid(configs)
+        assert_bit_equal(grid, outcomes)
+        assert hexes(p_accept.tolist()) == hexes(r.p_accept for r in results)
+        assert not grid.flags.writeable and not p_accept.flags.writeable
     rows, k1 = one_row_figures(results), configs[0].k1
     errors, accepted = readout_errors(outcomes, k1)
     assert hexes(errors.tolist()) == hexes(row[0][0] for row in rows)
@@ -849,15 +844,15 @@ def test_a_grid_whose_last_point_accepts_nothing_raises():
     assert readout_errors(outcomes, 1)[1].tolist() == [1.0] * 3  # no post-selection, no raise
 
 
-def test_run_grid_checks_its_configurations_like_run_many():
+def test_run_grid_checks_its_configurations():
     with pytest.raises(FockError, match="at least one"):
         run_grid([])
     with pytest.raises(FockError, match="share k1, noise model and projection"):
         run_grid([cfg(1, "loss", gamma=0.1), cfg(0, "loss", gamma=0.1)])
-    with pytest.raises(FockError, match="mc_samples"):
-        run_grid([cfg(1, "loss", gamma=0.1)], mc_samples=10)
     with pytest.raises(FockError, match="MachineConfig"):
         run_grid([cfg(1), None])
+    with pytest.raises(TypeError):  # only run samples phases, one point at a time
+        run_grid([cfg(1, "dephasing", lam=0.1)], mc_samples=10)
 
 
 SCORER_REJECTIONS = {
@@ -925,6 +920,35 @@ def test_a_which_path_outcome_at_the_omit_threshold_is_dropped():
             for row in rows] == [0.0, ABOVE_THRESHOLD]
 
 
+def distribution_row(entry, total):
+    """One a-d row holding ``entry`` on |1001> and the rest of ``total`` on the legal |0110>."""
+    row = np.zeros((1, RAILS.dim))
+    row[0, rail_index((1, 0, 0, 1))], row[0, rail_index((0, 1, 1, 0))] = entry, total - entry
+    return row
+
+
+ARRAY_SCORERS = {"readout": lambda rows: readout_errors(rows, 1),
+                 "postselected": lambda rows: readout_errors(rows, 0, postselect=True),
+                 "which-path": which_path_errors}
+
+
+@pytest.mark.parametrize("score", ARRAY_SCORERS.values(), ids=ARRAY_SCORERS.keys())
+def test_array_scorers_reject_rows_that_are_no_distribution(score):
+    # an entry just below EIGENVALUE_FLOOR, or a row sum just past TRACE_TOL from 1, raises;
+    # an entry at the floor and sums just inside the tolerance are scored
+    for row in (distribution_row(EIGENVALUE_FLOOR, 1.0),
+                distribution_row(0.0, 1 + 0.99 * TRACE_TOL),
+                distribution_row(0.0, 1 - 0.99 * TRACE_TOL)):
+        score(row)
+    for row in (distribution_row(1.01 * EIGENVALUE_FLOOR, 1.0),
+                distribution_row(0.0, 1 + 1.01 * TRACE_TOL),
+                distribution_row(0.0, 1 - 1.01 * TRACE_TOL),
+                -np.ones((1, RAILS.dim)), np.full((1, RAILS.dim), 5.0)):
+        with pytest.raises(FockError, match="^outcome rows must be distributions: "):
+            score(np.vstack([distribution_row(0.0, 1.0), row]))
+
+
+
 # ---------------------------------------------------------------- sweeps
 
 def sweep_loss_rows(capsys, *grid_args):
@@ -978,7 +1002,7 @@ def test_the_sweeps_build_no_per_point_states(monkeypatch, capsys, fmt):
     def refuse(*args, **kwargs):
         raise AssertionError("a sweep built a per-point state")
 
-    monkeypatch.setattr(machine, "checked_densities", refuse)
+    monkeypatch.setattr(machine, "DensityOperator", refuse)
     monkeypatch.setattr(machine, "RunResult", refuse)
     for command, (code, captured) in zip(("sweep-loss", "sweep-dephasing"), want):
         assert code == 0
